@@ -61,16 +61,6 @@ ClassRegistry::registerByteArray(const std::string &name)
     return registerClass(std::move(info));
 }
 
-const ClassInfo &
-ClassRegistry::info(class_id_t id) const
-{
-    // Wait-free: the vector's storage was reserved up front, so slots
-    // below the published count are stable and safe to read unlocked.
-    LP_ASSERT(id < count_.load(std::memory_order_acquire),
-              "class id out of range");
-    return *classes_[id];
-}
-
 class_id_t
 ClassRegistry::findByName(const std::string &name) const
 {

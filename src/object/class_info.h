@@ -20,6 +20,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/logging.h"
+
 namespace lp {
 
 class Object;
@@ -98,8 +100,19 @@ class ClassRegistry
     /** Register a byte-array class (e.g. char[]). */
     class_id_t registerByteArray(const std::string &name);
 
-    /** Look up by id; ids are dense so this is an indexed load. */
-    const ClassInfo &info(class_id_t id) const;
+    /**
+     * Look up by id; ids are dense so this is an indexed load. Inline
+     * because every reference read, write and allocation makes it.
+     * Wait-free: the vector's storage was reserved up front, so slots
+     * below the published count are stable and safe to read unlocked.
+     */
+    const ClassInfo &
+    info(class_id_t id) const
+    {
+        LP_ASSERT(id < count_.load(std::memory_order_acquire),
+                  "class id out of range");
+        return *classes_[id];
+    }
 
     /** Find a registered class id by name, or kInvalidClassId. */
     class_id_t findByName(const std::string &name) const;

@@ -15,13 +15,22 @@ selfId()
     return std::hash<std::thread::id>{}(std::this_thread::get_id());
 }
 
-// Per-thread cache of the registry entry, avoiding a mutex on the
-// allocation fast path. Keyed on a process-unique registry id (not
-// the address, which a later Runtime could reuse).
-thread_local std::uint64_t tls_registry_id = 0;
-thread_local void *tls_state = nullptr;
-
 std::atomic<std::uint64_t> next_registry_id{1};
+
+using Counter = std::atomic<std::uint64_t> BarrierStats::*;
+constexpr Counter kBarrierCounters[] = {
+    &BarrierStats::reads, &BarrierStats::coldPathHits,
+    &BarrierStats::staleResets, &BarrierStats::poisonThrows};
+
+/** Add @p from's counts into @p into; the caller holds the registry mutex. */
+void
+addCounts(BarrierStats &into, const BarrierStats &from)
+{
+    for (Counter c : kBarrierCounters)
+        (into.*c).store((into.*c).load(std::memory_order_relaxed) +
+                            (from.*c).load(std::memory_order_relaxed),
+                        std::memory_order_relaxed);
+}
 
 } // namespace
 
@@ -42,8 +51,8 @@ ThreadRegistry::registerMutator()
         // safepoint, and waiting for !stop_requested_ would deadlock.
         // Just bump the depth and keep running to the next poll.
         ++it->second->depth;
-        tls_registry_id = registry_id_;
-        tls_state = it->second.get();
+        tls_registry_id_ = registry_id_;
+        tls_state_ = it->second.get();
         return;
     }
     // A newly arriving mutator must not start running mid-pause.
@@ -52,8 +61,8 @@ ThreadRegistry::registerMutator()
     entry = std::make_unique<ThreadState>();
     entry->state = State::Running;
     entry->lastAllocation = 0;
-    tls_registry_id = registry_id_;
-    tls_state = entry.get();
+    tls_registry_id_ = registry_id_;
+    tls_state_ = entry.get();
 }
 
 void
@@ -65,10 +74,11 @@ ThreadRegistry::unregisterMutator()
         return;
     if (--it->second->depth > 0)
         return; // an outer registration is still live
+    addCounts(exited_barrier_, it->second->barrier);
     threads_.erase(it);
-    if (tls_registry_id == registry_id_) {
-        tls_registry_id = 0;
-        tls_state = nullptr;
+    if (tls_registry_id_ == registry_id_) {
+        tls_registry_id_ = 0;
+        tls_state_ = nullptr;
     }
     cv_.notify_all(); // a stopping collector may be waiting on us
 }
@@ -76,15 +86,25 @@ ThreadRegistry::unregisterMutator()
 ThreadRegistry::ThreadState *
 ThreadRegistry::myState()
 {
-    if (tls_registry_id == registry_id_ && tls_state)
-        return static_cast<ThreadState *>(tls_state);
+    if (tls_registry_id_ == registry_id_)
+        return tls_state_;
     std::unique_lock<std::mutex> lock(mutex_);
     auto it = threads_.find(selfId());
     if (it == threads_.end())
         return nullptr; // unregistered (e.g. GC worker): no slot
-    tls_registry_id = registry_id_;
-    tls_state = it->second.get();
+    tls_registry_id_ = registry_id_;
+    tls_state_ = it->second.get();
     return it->second.get();
+}
+
+BarrierStats &
+ThreadRegistry::myBarrierStatsSlow()
+{
+    // An unregistered reader would otherwise take the mutex on every
+    // load; reads, like allocation, are for registered mutators only.
+    ThreadState *state = myState();
+    LP_ASSERT(state, "reference read from a thread not registered as a mutator");
+    return state->barrier;
 }
 
 void
@@ -163,6 +183,22 @@ ThreadRegistry::resumeTheWorld()
     world_stopped_.store(false, std::memory_order_release);
     stop_requested_.store(false, std::memory_order_release);
     cv_.notify_all();
+}
+
+BarrierStats
+ThreadRegistry::barrierTotals() const
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    const auto total = [&](Counter c) {
+        std::uint64_t n = (exited_barrier_.*c).load(std::memory_order_relaxed);
+        for (const auto &[id, state] : threads_)
+            n += (state->barrier.*c).load(std::memory_order_relaxed);
+        return n;
+    };
+    return BarrierStats{{total(&BarrierStats::reads)},
+                        {total(&BarrierStats::coldPathHits)},
+                        {total(&BarrierStats::staleResets)},
+                        {total(&BarrierStats::poisonThrows)}};
 }
 
 bool

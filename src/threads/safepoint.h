@@ -15,6 +15,9 @@
  *  - the collecting thread calls stopTheWorld(), which blocks until
  *    every other registered mutator is parked or blocked, runs the
  *    collection, and then resumeTheWorld().
+ *
+ * Each registry entry also holds its mutator's read-barrier counters,
+ * so the barrier counts without sharing a cache line between threads.
  */
 
 #ifndef LP_THREADS_SAFEPOINT_H
@@ -31,6 +34,34 @@
 #include "object/ref.h"
 
 namespace lp {
+
+/**
+ * Read-barrier event counts (validate that the fast/cold split works).
+ *
+ * Each registered mutator owns one set in its ThreadRegistry entry and
+ * is its only writer, so counting is countOwned(): a relaxed load and
+ * store, no locked instruction and no cache line shared with other
+ * mutators. ThreadRegistry::barrierTotals() returns the sum over the
+ * live entries and the counts of threads that have unregistered.
+ */
+struct BarrierStats {
+    std::atomic<std::uint64_t> reads{0};        //!< reference loads executed
+    std::atomic<std::uint64_t> coldPathHits{0}; //!< tag-bit test fired
+    std::atomic<std::uint64_t> staleResets{0};  //!< stale counters zeroed
+    std::atomic<std::uint64_t> poisonThrows{0}; //!< InternalErrors thrown
+};
+
+/**
+ * Count one event on a counter whose only writer is the calling
+ * thread. Concurrent readers see every count up to some point, never
+ * a torn value.
+ */
+inline void
+countOwned(std::atomic<std::uint64_t> &counter)
+{
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+}
 
 /**
  * Registry of mutator threads plus the stop-the-world protocol.
@@ -114,6 +145,28 @@ class ThreadRegistry
     /** Visit every thread's last-allocation root slot (collector). */
     void forEachAllocationRoot(const std::function<void(ref_t *)> &fn);
 
+    /**
+     * The calling mutator's barrier counters. The common case is one
+     * inline compare of the thread's cached registry id; a thread that
+     * last used another registry re-caches this one under the mutex
+     * once. Panics if the calling thread is not a registered mutator.
+     */
+    BarrierStats &
+    myBarrierStats()
+    {
+        if (tls_registry_id_ == registry_id_) [[likely]]
+            return tls_state_->barrier;
+        return myBarrierStatsSlow();
+    }
+
+    /**
+     * Sum, under the mutex, of every live entry's barrier counters and
+     * the counts folded in by unregisterMutator(). Exact for every
+     * thread that is not counting concurrently (e.g. after its join,
+     * or while the world is stopped); monotone between calls.
+     */
+    BarrierStats barrierTotals() const;
+
   private:
     enum class State : std::uint8_t { Running, Parked, Blocked };
 
@@ -123,10 +176,21 @@ class ThreadRegistry
         ref_t lastAllocation = 0;
         //! Registration depth: registerMutator() nests (see above).
         int depth = 1;
+        //! Written only by the owning thread, on every reference load;
+        //! on its own cache line so mutators never share one.
+        alignas(64) BarrierStats barrier;
     };
 
     void park();
     ThreadState *myState();
+    BarrierStats &myBarrierStatsSlow();
+
+    //! Per-thread cache of the calling thread's entry, sparing the
+    //! barrier and allocation fast paths the mutex. Keyed on the
+    //! process-unique registry id, not the address, which a later
+    //! Runtime could reuse; the id matches only while tls_state_ is set.
+    static inline thread_local std::uint64_t tls_registry_id_ = 0;
+    static inline thread_local ThreadState *tls_state_ = nullptr;
 
     //! Process-unique id; the TLS cache keys on it rather than the
     //! object address, which could be reused by a later Runtime.
@@ -135,6 +199,8 @@ class ThreadRegistry
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     std::unordered_map<std::uint64_t, std::unique_ptr<ThreadState>> threads_;
+    //! Counts of threads that have unregistered; guarded by mutex_.
+    BarrierStats exited_barrier_;
     std::atomic<bool> stop_requested_{false};
     std::atomic<bool> world_stopped_{false};
 };

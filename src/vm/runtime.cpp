@@ -332,7 +332,8 @@ Runtime::readBarrierColdPath(Object *src, const ClassInfo &src_cls,
                              ref_t *addr, ref_t observed)
 {
     (void)src;
-    BarrierStats::bump(barrier_stats_.coldPathHits);
+    BarrierStats &counts = threads_.myBarrierStats();
+    countOwned(counts.coldPathHits);
 
     // Check for an invalidated reference first. Under leak pruning the
     // target is gone and the access throws (paper Section 4.4); under
@@ -341,7 +342,7 @@ Runtime::readBarrierColdPath(Object *src, const ClassInfo &src_cls,
     if (refIsPoisoned(observed)) {
         if (offload_)
             return offload_->faultIn(addr, observed);
-        BarrierStats::bump(barrier_stats_.poisonThrows);
+        countOwned(counts.poisonThrows);
 #if LP_TELEMETRY_ENABLED
         if (telemetry_) {
             // Grade the prediction: this pruned reference turned out
@@ -378,7 +379,7 @@ Runtime::readBarrierColdPath(Object *src, const ClassInfo &src_cls,
     // our already-loaded value remains a correct serialization.
 
     tgt->clearStaleCounter();
-    BarrierStats::bump(barrier_stats_.staleResets);
+    countOwned(counts.staleResets);
     return tgt;
 }
 

@@ -9,7 +9,8 @@
  *
  * Reference reads go through the paper's conditional read barrier
  * (Section 4.1): the fast path is a single test of the reference's
- * tag bits; the out-of-line cold path checks for poison (throwing
+ * tag bits, plus a plain count in the reading thread's own registry
+ * entry (BarrierStats, see ThreadRegistry); the out-of-line cold path checks for poison (throwing
  * InternalError with the deferred OutOfMemoryError as cause), clears
  * the stale-check bit, zeroes the target's stale counter, and updates
  * the edge table's maxStaleUse.
@@ -129,26 +130,6 @@ struct RuntimeConfig {
     TelemetryConfig telemetry;
 };
 
-/**
- * Read-barrier counters (validates the fast/cold split is working).
- * Bumped with relaxed atomic increments: no fence on the fast path,
- * and — unlike the racy load-then-store these started as — every
- * bump lands, so concurrent readers never under-count.
- */
-struct BarrierStats {
-    std::atomic<std::uint64_t> reads{0};        //!< reference loads executed
-    std::atomic<std::uint64_t> coldPathHits{0}; //!< tag-bit test fired
-    std::atomic<std::uint64_t> staleResets{0};  //!< stale counters zeroed
-    std::atomic<std::uint64_t> poisonThrows{0}; //!< InternalErrors thrown
-
-    /** Exact, fence-free bump. */
-    static void
-    bump(std::atomic<std::uint64_t> &c)
-    {
-        c.fetch_add(1, std::memory_order_relaxed);
-    }
-};
-
 class Runtime : public RootProvider
 {
   public:
@@ -213,7 +194,7 @@ class Runtime : public RootProvider
         const ClassInfo &cls = registry_.info(src->classId());
         ref_t *addr = src->refSlotAddr(cls, slot);
         if (barriers_enabled_) {
-            BarrierStats::bump(barrier_stats_.reads);
+            countOwned(threads_.myBarrierStats().reads);
             const ref_t r =
                 std::atomic_ref<ref_t>(*addr).load(std::memory_order_relaxed);
             if ((r & kTagMask) != 0) [[unlikely]]
@@ -303,7 +284,13 @@ class Runtime : public RootProvider
 
     Heap &heap() { return heap_; }
     const GcStats &gcStats() const { return collector_->stats(); }
-    const BarrierStats &barrierStats() const { return barrier_stats_; }
+    /**
+     * Read-barrier counts, summed over every mutator this runtime has
+     * had (see ThreadRegistry::barrierTotals()): exact for threads that
+     * are not reading concurrently, and monotone between calls. Takes
+     * the registry mutex; not for fast paths.
+     */
+    BarrierStats barrierStats() const { return threads_.barrierTotals(); }
 
     /** The pruning engine, or nullptr when not in LeakPruning mode. */
     LeakPruning *pruning() { return pruning_.get(); }
@@ -417,7 +404,6 @@ class Runtime : public RootProvider
     std::unique_ptr<Collector> collector_;
     std::unique_ptr<HeapVerifier> verifier_;
     std::mutex alloc_mutex_;
-    BarrierStats barrier_stats_;
     bool barriers_enabled_;
 };
 

@@ -208,5 +208,196 @@ TEST(MultithreadTest, EdgeTableSharedAcrossThreads)
     EXPECT_EQ(rt.pruning()->edgeTable().maxStaleUse({src, tgt}), 5u);
 }
 
+// --- barrier counters: per-mutator, summed exactly -----------------------
+
+RuntimeConfig
+observingConfig()
+{
+    RuntimeConfig cfg;
+    cfg.heapBytes = 16u << 20;
+    cfg.enableLeakPruning = true;
+    cfg.pruning.reportPruning = false;
+    return cfg;
+}
+
+/**
+ * Root a reference array of @p n fresh boxes in @p root, then collect
+ * in OBSERVE so every element reference carries the stale-check tag:
+ * the first read of each element takes the cold path, later reads
+ * the fast path.
+ */
+void
+buildTaggedSlots(Runtime &rt, GlobalRoot &root, std::size_t n)
+{
+    const class_id_t arr = rt.defineRefArrayClass("mt.Slots");
+    const class_id_t box = rt.defineClass("mt.Box", 0, 8);
+    {
+        HandleScope scope(rt.roots());
+        Handle slots = scope.handle(rt.allocateRefArray(arr, n));
+        for (std::size_t i = 0; i < n; ++i)
+            rt.writeRef(slots.get(), i, rt.allocate(box));
+        root.set(slots.get());
+    }
+    rt.pruning()->forceState(PruningState::Observe);
+    rt.collectNow();
+}
+
+/** Read elements [first, first + count) of @p slots @p passes times. */
+void
+readSlots(Runtime &rt, Object *slots, std::size_t first, std::size_t count,
+          int passes)
+{
+    for (int p = 0; p < passes; ++p)
+        for (std::size_t i = first; i < first + count; ++i)
+            ASSERT_NE(rt.readRef(slots, i), nullptr);
+}
+
+TEST(MultithreadTest, BarrierCountsAreExactAfterJoin)
+{
+    constexpr int kThreads = 4;
+    constexpr std::size_t kSlotsPerThread = 256;
+    constexpr int kPasses = 64;
+    Runtime rt(observingConfig());
+    GlobalRoot slots(rt.roots());
+    buildTaggedSlots(rt, slots, kThreads * kSlotsPerThread);
+    const BarrierStats before = rt.barrierStats();
+
+    // Disjoint ranges: two threads racing on one tagged slot could
+    // both take its cold path, which is correct but not countable.
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            MutatorScope mutator(rt.threads());
+            readSlots(rt, slots.get(), t * kSlotsPerThread, kSlotsPerThread,
+                      kPasses);
+        });
+    }
+    {
+        BlockedScope blocked(rt.threads());
+        for (auto &t : threads)
+            t.join();
+    }
+
+    const BarrierStats after = rt.barrierStats();
+    EXPECT_EQ(after.reads - before.reads,
+              std::uint64_t{kThreads} * kSlotsPerThread * kPasses);
+    EXPECT_EQ(after.coldPathHits - before.coldPathHits,
+              std::uint64_t{kThreads} * kSlotsPerThread);
+    EXPECT_EQ(after.staleResets - before.staleResets,
+              std::uint64_t{kThreads} * kSlotsPerThread);
+    EXPECT_EQ(after.poisonThrows.load(), 0u);
+}
+
+TEST(MultithreadTest, BarrierStatsMidRunAreMonotone)
+{
+    constexpr int kThreads = 3;
+    constexpr std::size_t kSlots = 64;
+    constexpr std::uint64_t kEarlyExitReads = 100000;
+    Runtime rt(observingConfig());
+    GlobalRoot slots(rt.roots());
+    buildTaggedSlots(rt, slots, kSlots);
+
+    // Reader 0 exits after a fixed count while the sampler runs, so
+    // samples straddle its counts being folded into the exited total.
+    std::atomic<bool> stop{false};
+    std::atomic<bool> early_exited{false};
+    std::vector<std::uint64_t> done(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            std::uint64_t n = 0;
+            {
+                MutatorScope mutator(rt.threads());
+                for (std::size_t i = 0;
+                     t == 0 ? n < kEarlyExitReads
+                            : !stop.load(std::memory_order_relaxed);
+                     i = (i + 1) % kSlots, ++n)
+                    rt.readRef(slots.get(), i);
+            }
+            done[t] = n;
+            if (t == 0)
+                early_exited.store(true);
+        });
+    }
+
+    std::uint64_t last_reads = 0;
+    std::uint64_t last_cold = 0;
+    for (int sample = 0; sample < 2000 || !early_exited.load(); ++sample) {
+        const BarrierStats now = rt.barrierStats();
+        ASSERT_GE(now.reads.load(), last_reads);
+        ASSERT_GE(now.coldPathHits.load(), last_cold);
+        last_reads = now.reads.load();
+        last_cold = now.coldPathHits.load();
+    }
+    stop.store(true);
+    {
+        BlockedScope blocked(rt.threads());
+        for (auto &t : threads)
+            t.join();
+    }
+
+    EXPECT_EQ(done[0], kEarlyExitReads);
+    std::uint64_t total = 0;
+    for (std::uint64_t n : done)
+        total += n;
+    const BarrierStats after = rt.barrierStats();
+    EXPECT_EQ(after.reads.load(), total);
+    EXPECT_GE(after.reads.load(), last_reads);
+    // Readers share the slots, so a tagged slot may be cold-read by
+    // more than one of them, but never more than once each.
+    EXPECT_GE(after.coldPathHits.load(), kSlots);
+    EXPECT_LE(after.coldPathHits.load(), kThreads * kSlots);
+}
+
+TEST(MultithreadTest, UnregisteredThreadKeepsItsBarrierCounts)
+{
+    constexpr std::size_t kSlots = 32;
+    constexpr int kPasses = 10;
+    Runtime rt(observingConfig());
+    GlobalRoot slots(rt.roots());
+    buildTaggedSlots(rt, slots, kSlots);
+
+    // Two short-lived readers in turn: the first's counts must survive
+    // its entry being erased, and must not leak into the second's.
+    for (int round = 1; round <= 2; ++round) {
+        std::thread reader([&] {
+            MutatorScope mutator(rt.threads());
+            readSlots(rt, slots.get(), 0, kSlots, kPasses);
+        });
+        {
+            BlockedScope blocked(rt.threads());
+            reader.join();
+        }
+        EXPECT_EQ(rt.threads().mutatorCount(), 1u);
+        const BarrierStats stats = rt.barrierStats();
+        EXPECT_EQ(stats.reads.load(), static_cast<std::uint64_t>(round) * kSlots * kPasses);
+        // Only the first reader found the slots tagged.
+        EXPECT_EQ(stats.coldPathHits.load(), kSlots);
+        EXPECT_EQ(stats.staleResets.load(), kSlots);
+    }
+}
+
+TEST(MultithreadTest, TwoRuntimesOnOneThreadCountSeparately)
+{
+    // Both constructors register this thread, so each read below
+    // switches the thread's cached registry entry.
+    Runtime a(observingConfig());
+    Runtime b(observingConfig());
+    GlobalRoot a_slots(a.roots());
+    GlobalRoot b_slots(b.roots());
+    buildTaggedSlots(a, a_slots, 3);
+    buildTaggedSlots(b, b_slots, 5);
+
+    for (int i = 0; i < 100; ++i) {
+        readSlots(a, a_slots.get(), 0, 3, 1);
+        readSlots(b, b_slots.get(), 0, 5, 1);
+    }
+
+    EXPECT_EQ(a.barrierStats().reads.load(), 300u);
+    EXPECT_EQ(b.barrierStats().reads.load(), 500u);
+    EXPECT_EQ(a.barrierStats().coldPathHits.load(), 3u);
+    EXPECT_EQ(b.barrierStats().coldPathHits.load(), 5u);
+}
+
 } // namespace
 } // namespace lp

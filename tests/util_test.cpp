@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the utility layer: bits, hashing, RNG determinism,
- * stats, the fixed closed-hash table, and series recording.
+ * stats, and series recording.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "util/bits.h"
-#include "util/fixed_hash_table.h"
 #include "util/hash.h"
 #include "util/rng.h"
 #include "util/series.h"
@@ -126,49 +125,6 @@ TEST(StatsTest, LogHistogramBuckets)
     EXPECT_EQ(h.bucket(0), 1u); // value 1
     EXPECT_EQ(h.bucket(1), 2u); // values 2 and 3
     EXPECT_EQ(h.bucket(10), 1u); // 1024
-}
-
-struct IdentityHash {
-    std::uint64_t operator()(int k) const { return static_cast<std::uint64_t>(k); }
-};
-
-TEST(FixedHashTableTest, InsertFindUpdate)
-{
-    FixedHashTable<int, int, IdentityHash> table(64);
-    for (int i = 0; i < 40; ++i)
-        *table.findOrInsert(i) = i * 10;
-    EXPECT_EQ(table.size(), 40u);
-    for (int i = 0; i < 40; ++i) {
-        ASSERT_NE(table.find(i), nullptr);
-        EXPECT_EQ(*table.find(i), i * 10);
-    }
-    EXPECT_EQ(table.find(99), nullptr);
-    // findOrInsert on an existing key returns the same slot.
-    *table.findOrInsert(7) = 777;
-    EXPECT_EQ(*table.find(7), 777);
-    EXPECT_EQ(table.size(), 40u);
-}
-
-TEST(FixedHashTableTest, FullTableRefusesNewKeys)
-{
-    FixedHashTable<int, int, IdentityHash> table(8);
-    for (int i = 0; i < 8; ++i)
-        EXPECT_NE(table.findOrInsert(i), nullptr);
-    EXPECT_EQ(table.findOrInsert(100), nullptr) << "table is full";
-    EXPECT_NE(table.findOrInsert(3), nullptr) << "existing keys still found";
-}
-
-TEST(FixedHashTableTest, ForEachVisitsAll)
-{
-    FixedHashTable<int, int, IdentityHash> table(64);
-    for (int i = 0; i < 10; ++i)
-        *table.findOrInsert(i) = i;
-    int sum = 0;
-    table.forEach([&](int k, int &v) {
-        EXPECT_EQ(k, v);
-        sum += v;
-    });
-    EXPECT_EQ(sum, 45);
 }
 
 TEST(SeriesTest, RecordsAndSummarizes)

@@ -26,9 +26,18 @@ enforces that statically and runs as a CTest (`ctest -R lint_barriers`).
 
 Exit codes: 0 clean, 1 violations found, 2 usage/internal error.
 
+A second check guards the barrier fast paths themselves: the bodies
+of the functions in FAST_PATHS, which run on every reference load or
+store, must contain no locked read-modify-write (fetch_add, fetch_sub,
+fetch_or, fetch_and, exchange, compare_exchange_*). One shared
+fetch_add per load once cost more than the barrier's tag test; the
+barrier counters are per-thread for that reason. Atomic operations
+belong on the out-of-line cold path.
+
 `--self-test` proves the scanner actually detects offenders by running
 it over tests/lint_fixtures/, which contains a deliberate raw
-reference load; the self-test passes iff that fixture is flagged.
+reference load and a read barrier with a locked counter bump; the
+self-test passes iff both are flagged.
 """
 
 import argparse
@@ -70,6 +79,21 @@ ALLOWLIST = [
 ]
 
 SOURCE_SUFFIXES = {".h", ".hpp", ".cpp", ".cc"}
+
+# (file, function) pairs whose bodies run on every reference load or
+# store, including the inline helpers the read barrier calls. A listed
+# function that can no longer be found is itself a violation, so a
+# rename cannot silently retire the check.
+FAST_PATHS = [
+    ("src/vm/runtime.h", "readRef"),
+    ("src/vm/runtime.h", "writeRef"),
+    ("src/threads/safepoint.h", "pollSafepoint"),
+    ("src/threads/safepoint.h", "myBarrierStats"),
+    ("src/threads/safepoint.h", "countOwned"),
+    ("src/object/class_info.h", "info"),
+]
+LOCKED_RMW_RE = re.compile(
+    r"\b(fetch_add|fetch_sub|fetch_or|fetch_and|exchange|compare_exchange\w*)\b")
 
 
 def is_allowed(rel_path: str) -> bool:
@@ -170,6 +194,59 @@ def scan_tree(root: Path, subdir: str, skip_allowlist: bool):
     return violations
 
 
+def matching_close(text: str, start: int, open_ch: str, close_ch: str) -> int:
+    """Index of the bracket closing the one at text[start], or -1."""
+    depth = 0
+    for i in range(start, len(text)):
+        if text[i] == open_ch:
+            depth += 1
+        elif text[i] == close_ch:
+            depth -= 1
+            if depth == 0:
+                return i
+    return -1
+
+
+def function_body(stripped: str, name: str):
+    """(start, end) offsets of the first definition body of @p name in
+    comment-stripped source, or None. A definition is `name(...)`,
+    optional const/noexcept/override qualifiers, then `{`."""
+    for match in re.finditer(r"\b" + re.escape(name) + r"\s*\(", stripped):
+        close = matching_close(stripped, match.end() - 1, "(", ")")
+        if close < 0:
+            continue
+        rest = re.match(r"(\s|\bconst\b|\bnoexcept\b|\boverride\b)*",
+                        stripped[close + 1:])
+        brace = close + 1 + rest.end()
+        if brace < len(stripped) and stripped[brace] == "{":
+            end = matching_close(stripped, brace, "{", "}")
+            if end > 0:
+                return brace, end
+    return None
+
+
+def scan_fast_paths(root: Path, fast_paths):
+    """Yield (rel, line_number, token, line_text) for each locked
+    read-modify-write in a fast-path body, or a missing definition."""
+    for rel, name in fast_paths:
+        path = root / rel
+        try:
+            text = path.read_text(encoding="utf-8", errors="replace")
+        except OSError as err:
+            print(f"lint_barriers: cannot read {path}: {err}", file=sys.stderr)
+            sys.exit(2)
+        stripped = strip_comments_and_strings(text)
+        body = function_body(stripped, name)
+        if body is None:
+            yield (rel, 0, "missing", f"fast path {name}() not found")
+            continue
+        originals = text.splitlines()
+        for match in LOCKED_RMW_RE.finditer(stripped, body[0], body[1]):
+            lineno = stripped.count("\n", 0, match.start()) + 1
+            yield (rel, lineno, match.group(1),
+                   f"{name}(): {originals[lineno - 1].strip()}")
+
+
 def self_test(root: Path) -> int:
     """The lint must flag the deliberate offender in the fixture dir,
     and must NOT flag its comment-only companion."""
@@ -190,10 +267,24 @@ def self_test(root: Path) -> int:
         print(f"self-test FAIL: fixture missing under {fixtures}",
               file=sys.stderr)
         ok = False
+    # The locked bump in readRef must be flagged; writeRef (clean
+    # code, a locked operation named only in a comment) must not.
+    locked = "tests/lint_fixtures/locked_fast_path.h"
+    rmw = list(scan_fast_paths(root, [(locked, "readRef"),
+                                      (locked, "writeRef")]))
+    if not any(v[3].startswith("readRef():") for v in rmw):
+        print(f"self-test FAIL: locked RMW in {locked} readRef() was not "
+              "flagged", file=sys.stderr)
+        ok = False
+    if any(not v[3].startswith("readRef():") for v in rmw):
+        print(f"self-test FAIL: {locked} writeRef() was flagged or missing",
+              file=sys.stderr)
+        ok = False
     if ok:
         tokens = sorted({v[2] for v in violations})
         print(f"self-test OK: fixture flagged ({len(violations)} finding(s), "
-              f"tokens: {', '.join(tokens)})")
+              f"tokens: {', '.join(tokens)}); fast-path guard flagged "
+              f"{len(rmw)} locked RMW(s)")
         return 0
     return 1
 
@@ -212,6 +303,14 @@ def main() -> int:
         return self_test(root)
 
     violations = scan_tree(root, "src", skip_allowlist=False)
+    locked = list(scan_fast_paths(root, FAST_PATHS))
+    if locked:
+        print(f"lint_barriers: {len(locked)} locked read-modify-write(s) "
+              f"on barrier fast paths:\n")
+        for rel, lineno, token, line in locked:
+            print(f"  {rel}:{lineno}: [{token}] {line}")
+        print("\nEvery reference load runs these bodies. Count per thread "
+              "(countOwned) and keep atomic RMWs on the cold path.\n")
     if violations:
         print(f"lint_barriers: {len(violations)} raw tagged-reference "
               f"access(es) outside the allowlisted layers:\n")
@@ -222,9 +321,11 @@ def main() -> int:
               "implements barrier machinery, extend ALLOWLIST in "
               "tools/lint_barriers.py — that is a design decision; say why "
               "in the PR.")
+    if violations or locked:
         return 1
     print("lint_barriers: clean (allowlist: "
-          f"{len(ALLOWLIST)} entries, tokens: {len(RAW_TOKENS)})")
+          f"{len(ALLOWLIST)} entries, tokens: {len(RAW_TOKENS)}, "
+          f"fast paths: {len(FAST_PATHS)})")
     return 0
 
 
