@@ -77,20 +77,15 @@ Heap::contains(const void *p) const
 }
 
 std::size_t
-Heap::classFor(std::size_t bytes) const
+Heap::sizeClassFor(std::size_t bytes) const
 {
     // Binary search the ordered class table for the smallest class
     // that fits.
-    const auto it = std::lower_bound(class_sizes_.begin(), class_sizes_.end(),
-                                     static_cast<std::uint32_t>(bytes));
+    const auto it = std::lower_bound(
+        class_sizes_.begin(), class_sizes_.end(),
+        static_cast<std::uint32_t>(std::max(bytes, kMinBlockBytes)));
     LP_ASSERT(it != class_sizes_.end(), "size not covered by classes");
     return static_cast<std::size_t>(it - class_sizes_.begin());
-}
-
-std::size_t
-Heap::sizeClassFor(std::size_t bytes) const
-{
-    return classFor(std::max(bytes, kMinBlockBytes));
 }
 
 std::size_t
@@ -125,63 +120,9 @@ Heap::commissionChunkLocked(std::size_t chunk, std::size_t cls)
     info.bump = 0;
     info.freeHead = -1;
     info.inUse.assign((info.numBlocks + 63) / 64, 0);
-    info.inPartialList = false;
     info.leased = false;
     info.sweptEpoch = mark_epoch_.load(std::memory_order_relaxed);
     free_chunks_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void *
-Heap::allocateSmallLocked(std::size_t bytes)
-{
-    const std::size_t cls = classFor(std::max(bytes, kMinBlockBytes));
-    const std::uint32_t block_bytes = class_sizes_[cls];
-
-    // Find a chunk of this class with room: a partial chunk first,
-    // then a pending one (swept here, on first touch after the epoch
-    // flip), then a freshly commissioned free chunk.
-    while (true) {
-        if (partial_[cls].empty()) {
-            const std::size_t pend = takePendingChunkLocked(cls);
-            if (pend != npos) {
-                ChunkInfo &info = chunks_[pend];
-                if (info.freeHead >= 0 || info.bump < info.numBlocks) {
-                    info.inPartialList = true;
-                    partial_[cls].push_back(static_cast<std::uint32_t>(pend));
-                }
-                continue;
-            }
-            const std::size_t chunk = takeFreeChunkLocked();
-            if (chunk == npos)
-                return nullptr;
-            commissionChunkLocked(chunk, cls);
-            chunks_[chunk].inPartialList = true;
-            partial_[cls].push_back(static_cast<std::uint32_t>(chunk));
-        }
-
-        const std::uint32_t chunk = partial_[cls].back();
-        ChunkInfo &info = chunks_[chunk];
-        std::int32_t block = -1;
-        if (info.freeHead >= 0) {
-            block = info.freeHead;
-            // The freed block's first word chains to the next free one.
-            info.freeHead = static_cast<std::int32_t>(*reinterpret_cast<word_t *>(
-                chunkBase(chunk) + static_cast<std::size_t>(block) * block_bytes)) - 1;
-        } else if (info.bump < info.numBlocks) {
-            block = static_cast<std::int32_t>(info.bump++);
-        } else {
-            // Chunk exhausted: retire it from the partial list.
-            info.inPartialList = false;
-            partial_[cls].pop_back();
-            continue;
-        }
-
-        info.inUse[static_cast<std::size_t>(block) / 64] |=
-            std::uint64_t{1} << (static_cast<std::size_t>(block) % 64);
-        ++info.liveBlocks;
-        used_bytes_.fetch_add(block_bytes, std::memory_order_relaxed);
-        return chunkBase(chunk) + static_cast<std::size_t>(block) * block_bytes;
-    }
 }
 
 void *
@@ -217,11 +158,12 @@ Heap::allocateLargeLocked(std::size_t bytes)
 }
 
 void *
-Heap::allocate(std::size_t bytes)
+Heap::allocateLarge(std::size_t bytes)
 {
+    LP_ASSERT(bytes > kLargeThreshold,
+              "small objects are allocated through ThreadAllocCache");
     std::lock_guard<std::mutex> lock(mutex_);
-    void *mem = bytes > kLargeThreshold ? allocateLargeLocked(bytes)
-                                        : allocateSmallLocked(bytes);
+    void *mem = allocateLargeLocked(bytes);
     if (!mem) {
         ++stats_.failedAllocations;
         return nullptr;
@@ -236,16 +178,12 @@ Heap::leaseChunk(std::size_t size_class, ChunkLease &lease)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::size_t chunk = npos;
-    while (!partial_[size_class].empty()) {
-        const std::uint32_t candidate = partial_[size_class].back();
+    if (!partial_[size_class].empty()) {
+        // Partial lists hold only unleased chunks with room: nothing
+        // carves a chunk without leasing it off the list first.
+        chunk = partial_[size_class].back();
         partial_[size_class].pop_back();
-        ChunkInfo &info = chunks_[candidate];
-        info.inPartialList = false;
-        if (info.freeHead >= 0 || info.bump < info.numBlocks) {
-            chunk = candidate;
-            break;
-        }
-        // Exhausted chunk that lingered on the list; leave it retired.
+        LP_ASSERT(chunks_[chunk].hasRoom(), "full chunk on a partial list");
     }
     while (chunk == npos) {
         // Sweep pending chunks of this class on first touch; a swept
@@ -253,14 +191,15 @@ Heap::leaseChunk(std::size_t size_class, ChunkLease &lease)
         const std::size_t pend = takePendingChunkLocked(size_class);
         if (pend == npos)
             break;
-        ChunkInfo &info = chunks_[pend];
-        if (info.freeHead >= 0 || info.bump < info.numBlocks)
+        if (chunks_[pend].hasRoom())
             chunk = pend;
     }
     if (chunk == npos) {
         chunk = takeFreeChunkLocked();
-        if (chunk == npos)
+        if (chunk == npos) {
+            ++stats_.failedAllocations;
             return false;
+        }
         commissionChunkLocked(chunk, size_class);
     }
 
@@ -298,8 +237,7 @@ Heap::retireChunk(ChunkLease &lease)
     if (info.liveBlocks == 0 && info.bump == 0) {
         // Fresh chunk the cache never carved from: back to the pool.
         makeChunkFree(lease.chunkIndex);
-    } else if (info.freeHead >= 0 || info.bump < info.numBlocks) {
-        info.inPartialList = true;
+    } else if (info.hasRoom()) {
         partial_[info.sizeClass].push_back(
             static_cast<std::uint32_t>(lease.chunkIndex));
     }
@@ -329,87 +267,6 @@ Heap::makeChunkFree(std::size_t chunk)
     ChunkInfo &info = chunks_[chunk];
     info = ChunkInfo{};
     free_chunks_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::size_t
-Heap::sweep(DeadVisitor on_dead)
-{
-    // Historical single-parity contract: every reclaimed object is
-    // visited before its memory is recycled, survivors' mark bits are
-    // cleared. Bare-heap users only — a heap collected through the
-    // epoch-parity pipeline must finish its pending sweeps there.
-    LP_ASSERT(leased_chunks_ == 0,
-              "sweep with outstanding chunk leases (retire at safepoint)");
-    LP_ASSERT(!sweepPending(),
-              "legacy serial sweep on a heap with pending epoch sweeps");
-    ++stats_.sweeps;
-    for (auto &list : partial_)
-        list.clear();
-
-    std::size_t live_bytes = 0;
-    for (std::size_t c = 0; c < num_chunks_; ++c) {
-        ChunkInfo &info = chunks_[c];
-        if (info.kind != ChunkKind::Small)
-            continue;
-        unsigned char *base = chunkBase(c);
-        for (std::uint32_t b = 0; b < info.bump; ++b) {
-            const std::uint64_t bit = std::uint64_t{1} << (b % 64);
-            if (!(info.inUse[b / 64] & bit))
-                continue;
-            auto *obj = reinterpret_cast<Object *>(
-                base + static_cast<std::size_t>(b) * info.blockBytes);
-            if (obj->marked()) {
-                obj->clearMark();
-                live_bytes += info.blockBytes;
-                continue;
-            }
-            // Visit with the header intact, then recycle: clear the
-            // bit and chain the block into the chunk-local free list
-            // (stored as index+1 so 0 means "end"; this clobbers the
-            // object header).
-            on_dead(obj);
-            info.inUse[b / 64] &= ~bit;
-            --info.liveBlocks;
-            *reinterpret_cast<word_t *>(
-                base + static_cast<std::size_t>(b) * info.blockBytes) =
-                static_cast<word_t>(info.freeHead + 1);
-            info.freeHead = static_cast<std::int32_t>(b);
-            ++stats_.objectsFreed;
-            stats_.bytesFreed += info.blockBytes;
-        }
-
-        // Chunk disposition: release empties, rebuild the partial list.
-        if (info.liveBlocks == 0) {
-            makeChunkFree(c);
-        } else if (info.freeHead >= 0 || info.bump < info.numBlocks) {
-            info.inPartialList = true;
-            partial_[info.sizeClass].push_back(static_cast<std::uint32_t>(c));
-        } else {
-            info.inPartialList = false;
-        }
-    }
-
-    // Dead LOS entries: visit, free, compact the index.
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < large_objects_.size(); ++i) {
-        LargeAlloc &alloc = large_objects_[i];
-        if (alloc.object->marked()) {
-            alloc.object->clearMark();
-            live_bytes += alloc.bytes;
-            if (keep != i)
-                large_objects_[keep] = std::move(alloc);
-            ++keep;
-            continue;
-        }
-        on_dead(alloc.object);
-        ++stats_.objectsFreed;
-        stats_.bytesFreed += alloc.bytes;
-        large_bytes_.fetch_sub(alloc.bytes, std::memory_order_relaxed);
-    }
-    large_objects_.resize(keep);
-
-    used_bytes_.store(live_bytes, std::memory_order_relaxed);
-    return live_bytes;
 }
 
 // --- epoch-parity collection protocol ---------------------------------------
@@ -465,7 +322,6 @@ Heap::flipMarkEpoch()
         LP_ASSERT(info.sweptEpoch == old_epoch,
                   "epoch flip over an unswept chunk (sweep-completeness "
                   "rule violated)");
-        info.inPartialList = false;
         const std::size_t marked = marked_bytes_[c].load(std::memory_order_relaxed);
         const std::size_t allocated =
             static_cast<std::size_t>(info.liveBlocks) * info.blockBytes;
@@ -483,11 +339,9 @@ Heap::flipMarkEpoch()
             // Fully live: nothing for a sweep to find.
             info.sweptEpoch = new_epoch;
             marked_bytes_[c].store(0, std::memory_order_relaxed);
-            if (info.freeHead >= 0 || info.bump < info.numBlocks) {
-                info.inPartialList = true;
+            if (info.hasRoom())
                 partial_[info.sizeClass].push_back(
                     static_cast<std::uint32_t>(c));
-            }
             continue;
         }
         // Mixed chunk: queue for a lazy sweep on first allocation
@@ -664,11 +518,8 @@ Heap::finishSweep(WorkerPool *pool)
         LP_ASSERT(info.liveBlocks > 0,
                   "pending chunk swept down to empty (flip should have "
                   "freed it)");
-        if (!info.inPartialList &&
-            (info.freeHead >= 0 || info.bump < info.numBlocks)) {
-            info.inPartialList = true;
+        if (info.hasRoom())
             partial_[info.sizeClass].push_back(c);
-        }
     }
 
     const std::size_t los_freed = sweepLosLocked();

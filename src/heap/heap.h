@@ -27,14 +27,14 @@
  * payloads interleaved with live 40-byte entries. See DESIGN.md.)
  *
  * Synchronization (MMTk-style, see DESIGN.md "Allocation fast path &
- * parallel sweep"): the central operations — chunk lease/retire, the
- * locked allocate() path, LOS allocation — are serialized by a short
- * internal mutex. The common small-object allocation does not come
- * here at all: whole chunks are leased to per-thread caches
- * (ThreadAllocCache) which carve blocks with no synchronization.
- * Whole-heap operations (sweep, forEachObject*, verifyIntegrity) run
- * with the world stopped and every lease retired; sweep may
- * additionally partition the chunk list across a WorkerPool.
+ * parallel sweep"): small objects are never allocated here. Whole
+ * chunks are leased to per-thread caches (ThreadAllocCache), which
+ * carve blocks with no synchronization. The central operations —
+ * chunk lease/retire, LOS allocation, lazy sweeps — are serialized by
+ * a short internal mutex. Whole-heap operations (the epoch flip,
+ * forEachObject*, verifyIntegrity) run with the world stopped and
+ * every lease retired; finishSweep() may additionally partition the
+ * pending chunks across a WorkerPool.
  */
 
 #ifndef LP_HEAP_HEAP_H
@@ -62,7 +62,7 @@ struct HeapStats {
     std::uint64_t allocations = 0;      //!< successful allocations
     std::uint64_t bytesAllocated = 0;   //!< cumulative bytes handed out
     std::uint64_t failedAllocations = 0;//!< allocations that needed help
-    std::uint64_t sweeps = 0;           //!< sweep passes performed
+    std::uint64_t sweeps = 0;           //!< mark-epoch flips (collections)
     std::uint64_t objectsFreed = 0;     //!< objects reclaimed by sweeps
     std::uint64_t bytesFreed = 0;       //!< bytes reclaimed by sweeps
 };
@@ -115,15 +115,13 @@ class Heap
     Heap &operator=(const Heap &) = delete;
 
     /**
-     * Allocate a block able to hold @p bytes of object (header
-     * included) through the central, internally locked path. Returns
-     * the object address, or nullptr when no block or chunk run fits —
-     * the caller's cue to collect. The scalable path for small objects
-     * is ThreadAllocCache; this entry serves LOS requests, cache
-     * refills that race with it, and direct single-threaded users
-     * (tests).
+     * Allocate a large object of @p bytes (header included, above
+     * kLargeThreshold) in the LOS, under the internal lock. Returns
+     * the object address, or nullptr when the byte budget cannot
+     * cover it — the caller's cue to collect. Small objects are
+     * allocated only through ThreadAllocCache leases.
      */
-    void *allocate(std::size_t bytes);
+    void *allocateLarge(std::size_t bytes);
 
     // --- thread-local allocation protocol --------------------------------
 
@@ -145,11 +143,12 @@ class Heap
      * short critical section that pops a partial chunk (or commissions
      * a free one) and hands the whole thing to the caller. Until the
      * lease is retired the chunk belongs exclusively to that cache —
-     * the heap will not allocate from it, and its liveBlocks /
+     * the heap will not lease it again, and its liveBlocks /
      * usedBytes() contribution is deferred to retire time.
      *
      * @return false when no chunk is available (the caller's cue to
-     *         collect); the lease is left invalid.
+     *         collect, counted in failedAllocations); the lease is left
+     *         invalid.
      */
     bool leaseChunk(std::size_t size_class, ChunkLease &lease);
 
@@ -169,25 +168,6 @@ class Heap
      * world is stopped (the verifier checks it is then zero).
      */
     std::size_t leasedChunkCount() const;
-
-    // --- collection support -----------------------------------------------
-
-    /** Serial visitor over dead objects (legacy serial sweep). */
-    using DeadVisitor = FunctionRef<void(Object *)>;
-
-    /**
-     * Legacy single-parity serial sweep: free unmarked objects
-     * (@p on_dead runs on each with the header intact before its
-     * memory is recycled), clear surviving objects' mark bits, return
-     * fully-empty chunks to the free pool. Must run with the world
-     * stopped and every lease retired. Bare-heap users (tests,
-     * single-threaded embedders) that mark with Object::tryMark() use
-     * this; the collector pipeline uses the epoch-parity protocol
-     * below instead, and the two must not be mixed on one heap.
-     *
-     * @return bytes occupied by surviving blocks (live occupancy).
-     */
-    std::size_t sweep(DeadVisitor on_dead);
 
     // --- epoch-parity collection protocol ----------------------------------
     //
@@ -410,10 +390,12 @@ class Heap
         std::uint32_t liveBlocks = 0;  //!< Small: blocks in use (flushed)
         std::uint32_t bump = 0;        //!< Small: blocks ever carved
         std::int32_t freeHead = -1;    //!< Small: chunk-local free list
-        bool inPartialList = false;
         bool leased = false;           //!< on loan to a thread cache
         std::uint64_t sweptEpoch = 0;  //!< last markEpoch this was swept to
         std::vector<std::uint64_t> inUse; //!< Small: per-block bitmap
+
+        /** Small: a block is free or never carved. */
+        bool hasRoom() const { return freeHead >= 0 || bump < numBlocks; }
     };
 
     /** Free/byte tallies from sweeping some chunks (merged serially). */
@@ -424,9 +406,7 @@ class Heap
 
     static std::vector<std::uint32_t> buildSizeClasses();
 
-    std::size_t classFor(std::size_t bytes) const;
     unsigned char *chunkBase(std::size_t chunk) const;
-    void *allocateSmallLocked(std::size_t bytes);
     void *allocateLargeLocked(std::size_t bytes);
     std::size_t takeFreeChunkLocked();      //!< returns index or npos
     void commissionChunkLocked(std::size_t chunk, std::size_t cls);
@@ -449,7 +429,8 @@ class Heap
     std::atomic<std::size_t> used_bytes_{0};
     std::atomic<std::size_t> free_chunks_{0};
     std::vector<std::uint32_t> class_sizes_;      //!< block size per class
-    std::vector<std::vector<std::uint32_t>> partial_; //!< per class
+    //! Per class: unleased swept chunks with room (guarded by mutex_).
+    std::vector<std::vector<std::uint32_t>> partial_;
     //! Per class: chunks with live data awaiting a lazy sweep. Never
     //! allocated from or leased until swept (guarded by mutex_).
     std::vector<std::vector<std::uint32_t>> pending_;
@@ -469,8 +450,8 @@ class Heap
     std::uint64_t los_swept_epoch_ = 0;           //!< guarded by mutex_
     Telemetry *telemetry_ = nullptr;
     HeapStats stats_;
-    //! Serializes the central paths (lease/retire, locked allocate,
-    //! LOS) against each other. Never held across a safepoint.
+    //! Serializes the central paths (lease/retire, LOS, lazy sweeps)
+    //! against each other. Never held across a safepoint.
     mutable std::mutex mutex_;
 };
 

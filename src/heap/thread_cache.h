@@ -1,10 +1,11 @@
 /**
  * @file
- * Thread-local allocation caches: the heap's scalable fast path.
+ * Thread-local allocation caches: the heap's only small-object
+ * allocation path.
  *
- * The central heap serializes every allocation behind a mutex, which
- * caps allocation throughput at one core no matter how many mutators
- * run. The standard VM answer (MMTk's bump-allocator TLABs, Jikes
+ * A central heap that serializes every allocation behind a mutex caps
+ * allocation throughput at one core no matter how many mutators run.
+ * The standard VM answer (MMTk's bump-allocator TLABs, Jikes
  * RVM's per-processor spaces) is to hand each thread a private region
  * it can carve with no synchronization, refilled from the central
  * space in chunk-sized bites. This file is that layer for our chunked

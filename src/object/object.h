@@ -50,8 +50,8 @@ constexpr unsigned kPinnedBit = 25;
 constexpr unsigned kMaxStaleCounter = (1u << header_bits::kStaleWidth) - 1;
 
 /**
- * A managed heap object. Instances live only inside a HeapSpace; the
- * class has no constructor — Heap::allocate() formats raw memory.
+ * A managed heap object. Instances live only inside a Heap; the
+ * class has no constructor — the allocator formats raw memory.
  */
 class Object
 {
@@ -65,7 +65,8 @@ class Object
      * Format a freshly allocated block as an object: zero the payload
      * and initialize the header. @p mark_parity is the heap's current
      * live parity (Heap::markParity()) so a fresh allocation is born
-     * live under epoch-parity marking; bare-heap users may leave it 0.
+     * live under epoch-parity marking. Objects formatted outside any
+     * heap (unit tests) may leave it 0.
      */
     static Object *
     format(void *mem, class_id_t cls, std::size_t total_bytes,
@@ -132,8 +133,8 @@ class Object
 
     /**
      * Trace-time stale-counter update. Only the collector thread that
-     * claimed this object (won tryMark) calls it, so a plain atomic
-     * store suffices; a racing tryMark on an already-marked object can
+     * claimed this object (won tryMarkFor) calls it, so a plain atomic
+     * store suffices; a racing tryMarkFor on an already-marked object can
      * at worst revert this one increment, which the logarithmic clock
      * tolerates (the paper's prototype is similarly relaxed about
      * bookkeeping races, Section 4.5).
@@ -147,24 +148,6 @@ class Object
                              k),
                  std::memory_order_relaxed);
     }
-
-    bool marked() const { return testBit(header_bits::kMarkBit); }
-
-    /**
-     * Claim this object for tracing: atomically set the mark bit.
-     * @return true iff this call set the bit (the caller owns tracing).
-     *
-     * Legacy single-parity form (live == bit set); epoch-parity users
-     * (the collector pipeline) go through tryMarkFor()/markedFor().
-     */
-    bool
-    tryMark()
-    {
-        return trySetBit(header_bits::kMarkBit);
-    }
-
-    /** Clear the mark bit (done by the sweeper between collections). */
-    void clearMark() { clearBit(header_bits::kMarkBit); }
 
     /**
      * Epoch-parity mark test: live when the mark bit equals the low

@@ -194,7 +194,7 @@ Runtime::noteAllocated(std::size_t bytes, ThreadAllocCache *cache)
     // Caller holds the allocation lock. Cache allocations accumulate
     // trigger bytes locally (including the carve that just succeeded);
     // draining here folds them into the budget and staleness clock.
-    // Lock-path allocations account their request directly.
+    // Large allocations account their request directly.
     const std::uint64_t d = cache ? cache->takeTriggerBytes() : bytes;
     bytes_since_gc_ += d;
     bytes_since_clock_tick_ += d;
@@ -221,7 +221,8 @@ Runtime::allocateSlow(std::size_t bytes, ThreadAllocCache *cache)
         collectLocked();
 
     const auto try_alloc = [&]() -> void * {
-        return cache ? cache->allocateRefill(bytes) : heap_.allocate(bytes);
+        return cache ? cache->allocateRefill(bytes)
+                     : heap_.allocateLarge(bytes);
     };
 
     void *mem = try_alloc();
@@ -268,18 +269,18 @@ Object *
 Runtime::allocateRaw(class_id_t cls, std::size_t bytes)
 {
     threads_.pollSafepoint();
-    // With the global lock gone from the fast path, an unregistered
-    // thread would not be halted by stop-the-world and could carve
-    // blocks under a running collection.
+    // The fast path takes no lock, so an unregistered thread would
+    // not be halted by stop-the-world and could carve blocks under a
+    // running collection.
     LP_ASSERT(threads_.currentThreadRegistered(),
               "allocation from a thread not registered as a mutator");
 
     // Fast path: carve from this thread's chunk lease — no lock, no
-    // atomics. Falls through on a missing/exhausted lease, a large
-    // request, or when thread-local allocation is configured off.
+    // atomics. Falls through on a missing/exhausted lease or a large
+    // request (the LOS takes the locked slow path).
     ThreadAllocCache *cache = nullptr;
     void *mem = nullptr;
-    if (config_.threadLocalAllocation && bytes <= Heap::kLargeThreshold) {
+    if (bytes <= Heap::kLargeThreshold) {
         cache = alloc_caches_.mine();
         mem = cache->allocateFast(bytes);
     }

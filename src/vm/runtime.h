@@ -80,13 +80,6 @@ struct RuntimeConfig {
     std::size_t heapBytes = 64u << 20;  //!< hard heap bound
     std::size_t gcThreads = 2;          //!< collector parallelism
     /**
-     * Allocate small objects through per-thread chunk caches (the
-     * lock-free fast path). Off = every allocation takes the global
-     * allocation lock; kept as the measurable baseline for the
-     * allocation-scaling benchmark and as a diagnostic fallback.
-     */
-    bool threadLocalAllocation = true;
-    /**
      * Sweep lazily: the collection pause ends at the mark-epoch flip
      * and reclamation happens on the allocation slow path, one chunk
      * per first touch. Off = the pre-pipeline baseline that completes

@@ -166,31 +166,5 @@ TEST(AllocScalingTest, StressWithLeakPruningActive)
     EXPECT_TRUE(rt.verifyHeap().clean());
 }
 
-TEST(AllocScalingTest, GlobalLockFallbackStaysExact)
-{
-    // threadLocalAllocation=false is the benchmark baseline; it must
-    // pass the same verifier gauntlet (and exposes the pure
-    // central-allocator path to TSan).
-    RuntimeConfig cfg = stressConfig(16u << 20);
-    cfg.threadLocalAllocation = false;
-    Runtime rt(cfg);
-    const class_id_t node = rt.defineClass("stress.LockNode", 1, 40);
-    const class_id_t pad = rt.defineClass("stress.LockPad", 0, 200);
-    const class_id_t blob = rt.defineByteArrayClass("stress.LockBlob");
-
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < 4; ++t)
-        threads.emplace_back(
-            [&, t] { mutatorLoop(rt, node, pad, blob, 20000, t); });
-    {
-        BlockedScope blocked(rt.threads());
-        for (auto &th : threads)
-            th.join();
-    }
-    EXPECT_EQ(rt.heap().leasedChunkCount(), 0u)
-        << "no leases may exist when thread-local allocation is off";
-    EXPECT_TRUE(rt.verifyHeap().clean());
-}
-
 } // namespace
 } // namespace lp

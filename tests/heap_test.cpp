@@ -1,7 +1,11 @@
 /**
  * @file
- * Unit tests for the free-list heap: allocation, alignment, splitting,
- * exhaustion, sweep/coalescing, and accounting invariants.
+ * Unit tests for the segregated-fit heap on its own, driven the way the
+ * runtime drives it: small objects are carved from a ThreadAllocCache's
+ * chunk leases, large ones go to the LOS, and every collection runs the
+ * epoch-parity protocol (retire leases, finish pending sweeps, mark at
+ * the next parity, flip the epoch, sweep). Covers alignment, exhaustion,
+ * reclamation, chunk reuse, the LOS budget, and accounting invariants.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +14,7 @@
 #include <vector>
 
 #include "heap/heap.h"
+#include "heap/thread_cache.h"
 #include "object/object.h"
 #include "util/rng.h"
 
@@ -18,40 +23,88 @@ namespace {
 
 constexpr class_id_t kCls = 1;
 
-Object *
-formatAt(void *mem, std::size_t bytes)
+/** One bare heap with one thread cache: the runtime's two allocation paths. */
+class BareHeap
 {
-    return Object::format(mem, kCls, bytes);
-}
+  public:
+    explicit BareHeap(std::size_t capacity) : heap(capacity), cache(heap) {}
+
+    /** Allocate and format an object; nullptr when the heap is full. */
+    Object *
+    alloc(std::size_t bytes)
+    {
+        void *mem;
+        if (bytes > Heap::kLargeThreshold) {
+            mem = heap.allocateLarge(bytes);
+        } else {
+            mem = cache.allocateFast(bytes);
+            if (!mem)
+                mem = cache.allocateRefill(bytes);
+        }
+        return mem ? Object::format(mem, kCls, bytes, heap.markParity())
+                   : nullptr;
+    }
+
+    /**
+     * Mark exactly @p live at the next parity and flip the epoch,
+     * leaving any mixed chunks and dead large objects to a lazy sweep.
+     */
+    Heap::FlipResult
+    markAndFlip(const std::vector<Object *> &live)
+    {
+        cache.retireAll();
+        heap.finishSweep(); // the sweep-completeness rule
+        heap.beginMark();
+        const unsigned next = heap.markParity() ^ 1;
+        for (Object *obj : live) {
+            if (obj->tryMarkFor(next))
+                heap.noteMarked(obj);
+        }
+        return heap.flipMarkEpoch();
+    }
+
+    /** One full collection: markAndFlip(), then finish every sweep. */
+    Heap::FlipResult
+    collect(const std::vector<Object *> &live)
+    {
+        const Heap::FlipResult flip = markAndFlip(live);
+        heap.finishSweep();
+        return flip;
+    }
+
+    Heap heap;
+    ThreadAllocCache cache;
+};
 
 TEST(HeapTest, AllocatesAlignedDistinctBlocks)
 {
-    Heap heap(1 << 20);
-    std::vector<void *> ptrs;
+    BareHeap h(1 << 20);
+    std::vector<Object *> objs;
     for (int i = 0; i < 100; ++i) {
-        void *p = heap.allocate(48);
-        ASSERT_NE(p, nullptr);
-        EXPECT_TRUE(isAligned(reinterpret_cast<word_t>(p), kWordBytes));
-        EXPECT_TRUE(heap.contains(p));
-        ptrs.push_back(p);
+        Object *obj = h.alloc(48);
+        ASSERT_NE(obj, nullptr);
+        EXPECT_TRUE(isAligned(reinterpret_cast<word_t>(obj), kWordBytes));
+        EXPECT_TRUE(h.heap.contains(obj));
+        objs.push_back(obj);
     }
-    std::set<void *> unique(ptrs.begin(), ptrs.end());
-    EXPECT_EQ(unique.size(), ptrs.size());
-    heap.verifyIntegrity();
+    std::set<Object *> unique(objs.begin(), objs.end());
+    EXPECT_EQ(unique.size(), objs.size());
+    h.cache.retireAll();
+    h.heap.verifyIntegrity();
 }
 
 TEST(HeapTest, BlocksDoNotOverlap)
 {
-    Heap heap(1 << 20);
+    BareHeap h(1 << 20);
     Rng rng(7);
     struct Span { word_t lo, hi; };
     std::vector<Span> spans;
     for (int i = 0; i < 200; ++i) {
-        const std::size_t sz = 24 + rng.nextBelow(500);
-        void *p = heap.allocate(sz);
-        ASSERT_NE(p, nullptr);
-        spans.push_back({reinterpret_cast<word_t>(p),
-                         reinterpret_cast<word_t>(p) + sz});
+        const std::size_t sz = roundUp(24 + rng.nextBelow(500), kWordBytes);
+        Object *obj = h.alloc(sz);
+        ASSERT_NE(obj, nullptr);
+        spans.push_back({reinterpret_cast<word_t>(obj),
+                         reinterpret_cast<word_t>(obj) + sz});
     }
     for (std::size_t i = 0; i < spans.size(); ++i) {
         for (std::size_t j = i + 1; j < spans.size(); ++j) {
@@ -64,123 +117,129 @@ TEST(HeapTest, BlocksDoNotOverlap)
 
 TEST(HeapTest, ExhaustionReturnsNull)
 {
-    Heap heap(64 * 1024);
+    BareHeap h(64 * 1024);
     std::size_t got = 0;
-    while (heap.allocate(1024))
+    while (h.alloc(1024))
         ++got;
     EXPECT_GT(got, 50u);  // most of the heap should be usable
-    EXPECT_EQ(heap.allocate(1024), nullptr);
-    EXPECT_GE(heap.stats().failedAllocations, 1u);
-    heap.verifyIntegrity();
+    EXPECT_EQ(h.alloc(1024), nullptr);
+    // A refill that finds no chunk is an allocation that needs help.
+    EXPECT_GE(h.heap.stats().failedAllocations, 1u);
+    h.cache.retireAll();
+    h.heap.verifyIntegrity();
 }
 
 TEST(HeapTest, SweepReclaimsUnmarked)
 {
-    Heap heap(1 << 20);
+    BareHeap h(1 << 20);
     std::vector<Object *> keep;
     std::vector<Object *> drop;
     for (int i = 0; i < 100; ++i) {
-        void *mem = heap.allocate(64);
-        ASSERT_NE(mem, nullptr);
-        Object *obj = formatAt(mem, 64);
-        if (i % 2 == 0) {
-            obj->tryMark();
-            keep.push_back(obj);
-        } else {
-            drop.push_back(obj);
-        }
+        Object *obj = h.alloc(64);
+        ASSERT_NE(obj, nullptr);
+        (i % 2 == 0 ? keep : drop).push_back(obj);
     }
-    std::size_t dead_seen = 0;
-    const std::size_t live = heap.sweep([&](Object *) { ++dead_seen; });
-    EXPECT_EQ(dead_seen, drop.size());
-    EXPECT_EQ(live, heap.usedBytes());
-    // Survivors' marks must be clear for the next collection.
+    // Half the chunk survives, so the flip queues it for a lazy sweep.
+    const Heap::FlipResult flip = h.markAndFlip(keep);
+    EXPECT_EQ(flip.pendingChunks, 1u);
+    EXPECT_TRUE(h.heap.sweepPending());
+    EXPECT_EQ(h.heap.stats().objectsFreed, 0u);
+
+    EXPECT_EQ(h.heap.finishSweep(), drop.size() * 64);
+    EXPECT_FALSE(h.heap.sweepPending());
+    EXPECT_EQ(h.heap.stats().objectsFreed, drop.size());
+    EXPECT_EQ(flip.liveBytes, h.heap.usedBytes());
+    // Survivors hold the new live parity without any mark clearing.
     for (Object *obj : keep)
-        EXPECT_FALSE(obj->marked());
-    heap.verifyIntegrity();
+        EXPECT_TRUE(obj->markedFor(h.heap.markParity()));
+    h.heap.verifyIntegrity();
 }
 
 TEST(HeapTest, SweepCoalescesFreeSpace)
 {
-    Heap heap(1 << 20);
-    const std::size_t before = heap.largestFreeBlock();
-    // Fill the heap with many small unmarked objects...
-    while (void *mem = heap.allocate(64))
-        formatAt(mem, 64);
-    EXPECT_LT(heap.largestFreeBlock(), 64u);
-    // ...then sweep them all: free space must coalesce back into one run.
-    heap.sweep([](Object *) {});
-    EXPECT_EQ(heap.largestFreeBlock(), before);
-    EXPECT_EQ(heap.usedBytes(), 0u);
+    BareHeap h(1 << 20);
+    const std::size_t before = h.heap.largestFreeBlock();
+    // Fill the heap with small objects that will all die...
+    while (h.alloc(64)) {
+    }
+    EXPECT_LT(h.heap.largestFreeBlock(), 64u);
+    // ...then collect: every chunk is fully dead and freed at the flip
+    // from metadata alone, with nothing left for a lazy sweep.
+    const Heap::FlipResult flip = h.markAndFlip({});
+    EXPECT_EQ(flip.pendingChunks, 0u);
+    EXPECT_EQ(flip.liveBytes, 0u);
+    EXPECT_EQ(h.heap.largestFreeBlock(), before);
+    EXPECT_EQ(h.heap.usedBytes(), 0u);
 }
 
 TEST(HeapTest, ReusesFreedMemory)
 {
-    Heap heap(256 * 1024);
+    BareHeap h(256 * 1024);
     for (int round = 0; round < 10; ++round) {
         std::size_t count = 0;
-        while (void *mem = heap.allocate(128)) {
-            formatAt(mem, 128);
+        while (h.alloc(128))
             ++count;
-        }
         EXPECT_GT(count, 1000u);
-        heap.sweep([](Object *) {});
+        h.collect({});
     }
-    heap.verifyIntegrity();
+    h.heap.verifyIntegrity();
 }
 
 TEST(HeapTest, LargeObjectAllocation)
 {
-    Heap heap(4 << 20);
-    void *big = heap.allocate(3 << 20);
-    ASSERT_NE(big, nullptr);
-    Object *obj = formatAt(big, 3 << 20);
+    BareHeap h(4 << 20);
+    Object *obj = h.alloc(3 << 20);
+    ASSERT_NE(obj, nullptr);
     EXPECT_EQ(obj->sizeBytes(), std::size_t{3 << 20});
     // No room for a second one.
-    EXPECT_EQ(heap.allocate(3 << 20), nullptr);
-    heap.sweep([](Object *) {});
-    EXPECT_NE(heap.allocate(3 << 20), nullptr);
+    EXPECT_EQ(h.alloc(3 << 20), nullptr);
+    // The dead large object waits for a sweep but no longer counts as
+    // committed, exactly as if it had been swept eagerly.
+    const Heap::FlipResult flip = h.markAndFlip({});
+    EXPECT_EQ(flip.committedBytes, 0u);
+    EXPECT_TRUE(h.heap.sweepPending());
+    // Allocation reconciles the LOS before its budget check.
+    EXPECT_NE(h.alloc(3 << 20), nullptr);
+    EXPECT_FALSE(h.heap.sweepPending());
 }
 
 TEST(HeapTest, ForEachObjectVisitsExactlyLiveSet)
 {
-    Heap heap(1 << 20);
-    std::set<Object *> expect;
-    for (int i = 0; i < 50; ++i) {
-        void *mem = heap.allocate(40 + 8 * (i % 5));
-        Object *obj = formatAt(mem, 40 + 8 * (i % 5));
-        obj->tryMark();
-        expect.insert(obj);
+    BareHeap h(1 << 20);
+    std::vector<Object *> keep;
+    for (int i = 0; i < 100; ++i) {
+        Object *obj = h.alloc(40 + 8 * (i % 5));
+        if (i % 2 == 0)
+            keep.push_back(obj);
     }
-    heap.sweep([](Object *) {});
+    keep.push_back(h.alloc(Heap::kLargeThreshold + 8));
+    h.alloc(Heap::kLargeThreshold + 8); // dies
+    h.collect(keep);
     std::set<Object *> seen;
-    heap.forEachObject([&](Object *o) { seen.insert(o); });
-    EXPECT_EQ(seen, expect);
+    h.heap.forEachObject([&](Object *o) { seen.insert(o); });
+    EXPECT_EQ(seen, std::set<Object *>(keep.begin(), keep.end()));
 }
 
 TEST(HeapTest, FragmentationSurvivesMixedChurn)
 {
-    Heap heap(512 * 1024);
+    BareHeap h(512 * 1024);
     Rng rng(42);
     std::vector<Object *> live;
     for (int round = 0; round < 50; ++round) {
         for (int i = 0; i < 40; ++i) {
-            const std::size_t sz = 24 + 8 * rng.nextBelow(64);
-            void *mem = heap.allocate(sz);
-            if (!mem)
+            Object *obj = h.alloc(24 + 8 * rng.nextBelow(64));
+            if (!obj)
                 break;
-            live.push_back(formatAt(mem, sz));
+            live.push_back(obj);
         }
         // Keep a random half alive.
         std::vector<Object *> survivors;
         for (Object *obj : live) {
-            if (rng.chance(1, 2)) {
-                obj->tryMark();
+            if (rng.chance(1, 2))
                 survivors.push_back(obj);
-            }
         }
-        heap.sweep([](Object *) {});
-        heap.verifyIntegrity();
+        h.collect(survivors);
+        h.heap.verifyIntegrity();
         live = std::move(survivors);
     }
 }
@@ -189,74 +248,78 @@ TEST(HeapTest, LargeObjectSpaceChargesTheSameBudget)
 {
     // Large objects live outside the chunk arena but count against
     // capacity: committing everything to the LOS starves the chunks.
-    Heap heap(1 << 20);
-    const std::size_t cap = heap.capacity();
-    const std::size_t big = Heap::kLargeThreshold + 1; // page-rounds small
-    std::size_t los_bytes = 0;
-    while (void *mem = heap.allocate(big)) {
-        formatAt(mem, big)->tryMark();
-        los_bytes += big;
-    }
-    EXPECT_GT(los_bytes, cap / 2);
-    EXPECT_LE(heap.committedBytes(), cap);
+    BareHeap h(1 << 20);
+    const std::size_t cap = h.heap.capacity();
+    const std::size_t big = Heap::kLargeThreshold + 8; // page-rounds small
+    std::vector<Object *> large;
+    while (Object *obj = h.alloc(big))
+        large.push_back(obj);
+    EXPECT_GT(large.size() * big, cap / 2);
+    EXPECT_LE(h.heap.committedBytes(), cap);
     // The remaining budget is below one chunk, so even a fresh small
     // chunk is unaffordable.
-    EXPECT_EQ(heap.allocate(64), nullptr);
-    heap.verifyIntegrity();
-    // Everything marked survives one sweep, then dies unmarked.
-    heap.sweep([](Object *) {});
-    EXPECT_GT(heap.usedBytes(), 0u);
-    heap.sweep([](Object *) {});
-    EXPECT_EQ(heap.usedBytes(), 0u);
-    EXPECT_NE(heap.allocate(64), nullptr);
+    EXPECT_EQ(h.alloc(64), nullptr);
+    h.heap.verifyIntegrity();
+    // Everything marked survives one collection, then dies unmarked.
+    h.collect(large);
+    EXPECT_GT(h.heap.usedBytes(), 0u);
+    h.collect({});
+    EXPECT_EQ(h.heap.usedBytes(), 0u);
+    EXPECT_NE(h.alloc(64), nullptr);
 }
 
 TEST(HeapTest, LargeObjectsNeedNoChunkContiguity)
 {
     // The LOS must satisfy a big request even when live small objects
-    // are sprinkled across every chunk — the scenario that kills a
+    // keep half the chunks committed — the scenario that kills a
     // purely arena-based design (see DESIGN.md).
-    Heap heap(2 << 20);
+    BareHeap h(2 << 20);
     std::vector<Object *> pins;
-    // Touch every chunk with one small live object.
-    while (void *mem = heap.allocate(64)) {
-        Object *obj = formatAt(mem, 64);
-        obj->tryMark();
+    while (Object *obj = h.alloc(64)) {
         pins.push_back(obj);
-        if (heap.committedBytes() * 2 > heap.capacity())
+        if (h.heap.committedBytes() * 2 > h.heap.capacity())
             break;
     }
-    heap.sweep([](Object *) {}); // re-mark-free but chunks stay committed
+    h.collect(pins); // everything survives; chunks stay committed
     // Almost half the budget remains; a 512KB single allocation must fit.
-    void *big = heap.allocate(512 * 1024);
-    EXPECT_NE(big, nullptr);
+    EXPECT_NE(h.alloc(512 * 1024), nullptr);
 }
 
 TEST(HeapTest, LargeObjectContainsAndForEach)
 {
-    Heap heap(2 << 20);
-    void *big = heap.allocate(200 * 1024);
-    ASSERT_NE(big, nullptr);
-    Object *obj = formatAt(big, 200 * 1024);
-    EXPECT_TRUE(heap.contains(obj));
-    EXPECT_TRUE(heap.contains(reinterpret_cast<char *>(obj) + 199 * 1024));
-    int seen = 0;
-    heap.forEachObject([&](Object *o) {
-        if (o == obj)
-            ++seen;
-    });
-    EXPECT_EQ(seen, 1);
+    BareHeap h(2 << 20);
+    Object *obj = h.alloc(200 * 1024);
+    ASSERT_NE(obj, nullptr);
+    const auto visits = [&] {
+        int seen = 0;
+        h.heap.forEachObject([&](Object *o) { seen += o == obj; });
+        return seen;
+    };
+    EXPECT_TRUE(h.heap.contains(obj));
+    EXPECT_TRUE(h.heap.contains(reinterpret_cast<char *>(obj) + 199 * 1024));
+    EXPECT_EQ(visits(), 1);
+    h.collect({obj});
+    EXPECT_TRUE(h.heap.contains(obj));
+    EXPECT_EQ(visits(), 1);
+    h.collect({});
+    EXPECT_FALSE(h.heap.contains(obj));
+    EXPECT_EQ(visits(), 0);
 }
 
 TEST(HeapTest, StatsTrackAllocationsAndFrees)
 {
-    Heap heap(128 * 1024);
+    BareHeap h(128 * 1024);
     for (int i = 0; i < 10; ++i)
-        formatAt(heap.allocate(64), 64);
-    EXPECT_EQ(heap.stats().allocations, 10u);
-    heap.sweep([](Object *) {});
-    EXPECT_EQ(heap.stats().objectsFreed, 10u);
-    EXPECT_EQ(heap.stats().sweeps, 1u);
+        h.alloc(64);
+    // Cache tallies reach the heap's stats when the leases retire.
+    EXPECT_EQ(h.heap.stats().allocations, 0u);
+    h.collect({});
+    EXPECT_EQ(h.heap.stats().allocations, 10u);
+    EXPECT_EQ(h.heap.stats().bytesAllocated, 640u);
+    EXPECT_EQ(h.heap.stats().objectsFreed, 10u);
+    EXPECT_EQ(h.heap.stats().bytesFreed, 640u);
+    EXPECT_EQ(h.heap.stats().sweeps, 1u);
+    EXPECT_EQ(h.heap.markEpoch(), 1u);
 }
 
 } // namespace

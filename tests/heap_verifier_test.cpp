@@ -158,16 +158,19 @@ TEST(HeapVerifierTest, DetectsStrayMarkBit)
     HandleScope scope(rt.roots());
     Handle obj = scope.handle(rt.allocate(node));
 
-    // Mark bits must be clear between collections (sweep clears the
-    // survivors); a set bit here would corrupt the next trace.
-    ASSERT_TRUE(obj.get()->tryMark());
+    // Between collections every allocated object must hold the heap's
+    // live parity (the epoch flip reinterprets the bits; nothing clears
+    // them). A bit at the other parity reads as garbage and would make
+    // the next trace skip the object as already claimed.
+    const unsigned live = rt.heap().markParity();
+    ASSERT_TRUE(obj.get()->tryMarkFor(live ^ 1));
     {
         QuietScope quiet;
         const VerifierReport report = rt.verifyHeap();
         EXPECT_FALSE(report.clean());
         EXPECT_GE(report.count(InvariantCheck::MarkBits), 1u);
     }
-    obj.get()->clearMark();
+    ASSERT_TRUE(obj.get()->tryMarkFor(live));
     EXPECT_TRUE(rt.verifyHeap().clean());
 }
 

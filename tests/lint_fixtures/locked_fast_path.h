@@ -2,9 +2,11 @@
  * @file
  * Deliberate fast-path offender for tools/lint_barriers.py's
  * self-test. Never compiled. Its readRef() counts every load with a
- * locked fetch_add on a counter shared by all threads, which the
- * fast-path guard must flag; its writeRef() names fetch_add only in a
- * comment and must pass.
+ * locked fetch_add on a counter shared by all threads, and its
+ * out-of-line carve() bumps a shared cursor the same way; the
+ * fast-path guard must flag both, finding carve() by its qualified
+ * definition. Its writeRef() names fetch_add only in a comment and
+ * must pass.
  */
 
 #include <atomic>
@@ -29,8 +31,18 @@ class FixtureRuntime
         *slot = value;
     }
 
+    int *carve();
+
   private:
     std::atomic<std::uint64_t> reads_{0};
+    std::atomic<std::uint64_t> cursor_{0};
+    int blocks_[64] = {};
 };
+
+int *
+FixtureRuntime::carve()
+{
+    return &blocks_[cursor_.fetch_add(1) % 64]; // offense
+}
 
 } // namespace lp

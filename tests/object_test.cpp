@@ -54,24 +54,26 @@ TEST(ObjectTest, HeaderFieldsIndependent)
     EXPECT_EQ(obj->classId(), 777u);
     EXPECT_EQ(obj->sizeBytes(), 128u);
     EXPECT_EQ(obj->staleCounter(), 0u);
-    EXPECT_FALSE(obj->marked());
+    EXPECT_TRUE(obj->markedFor(0)) << "formatted live at parity 0";
     EXPECT_FALSE(obj->pinned());
 
     obj->setStaleCounter(5);
     EXPECT_EQ(obj->staleCounter(), 5u);
     EXPECT_EQ(obj->classId(), 777u) << "stale counter must not clobber class";
 
-    EXPECT_TRUE(obj->tryMark());
-    EXPECT_FALSE(obj->tryMark()) << "second claim must fail";
-    EXPECT_TRUE(obj->marked());
+    EXPECT_TRUE(obj->tryMarkFor(1));
+    EXPECT_FALSE(obj->tryMarkFor(1)) << "second claim must fail";
+    EXPECT_TRUE(obj->markedFor(1));
+    EXPECT_FALSE(obj->markedFor(0));
     EXPECT_EQ(obj->staleCounter(), 5u);
 
     obj->setPinned(true);
     EXPECT_TRUE(obj->pinned());
-    obj->clearMark();
-    EXPECT_FALSE(obj->marked());
+    EXPECT_TRUE(obj->tryMarkFor(0));
+    EXPECT_TRUE(obj->markedFor(0));
     EXPECT_TRUE(obj->pinned());
     EXPECT_EQ(obj->staleCounter(), 5u);
+    EXPECT_EQ(obj->classId(), 777u);
 
     obj->clearStaleCounter();
     EXPECT_EQ(obj->staleCounter(), 0u);
@@ -87,19 +89,24 @@ TEST(ObjectTest, StaleCounterSaturatesAtSeven)
 
 TEST(ObjectTest, MarkClaimIsExclusiveAcrossThreads)
 {
-    alignas(8) unsigned char backing[64] = {};
-    Object *obj = Object::format(backing, 1, 64);
-    std::atomic<int> claims{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 8; ++t) {
-        threads.emplace_back([&] {
-            if (obj->tryMark())
-                claims.fetch_add(1);
-        });
+    // A collection claims toward the parity the object does not hold
+    // yet; raced at both parities, so the bit is both set and cleared.
+    for (unsigned parity : {1u, 0u}) {
+        alignas(8) unsigned char backing[64] = {};
+        Object *obj = Object::format(backing, 1, 64, parity ^ 1);
+        std::atomic<int> claims{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < 8; ++t) {
+            threads.emplace_back([&] {
+                if (obj->tryMarkFor(parity))
+                    claims.fetch_add(1);
+            });
+        }
+        for (auto &t : threads)
+            t.join();
+        EXPECT_EQ(claims.load(), 1) << "parity " << parity;
+        EXPECT_TRUE(obj->markedFor(parity));
     }
-    for (auto &t : threads)
-        t.join();
-    EXPECT_EQ(claims.load(), 1);
 }
 
 TEST(ObjectTest, ScalarLayoutAndSlots)

@@ -26,13 +26,14 @@ enforces that statically and runs as a CTest (`ctest -R lint_barriers`).
 
 Exit codes: 0 clean, 1 violations found, 2 usage/internal error.
 
-A second check guards the barrier fast paths themselves: the bodies
+A second check guards the mutator fast paths themselves: the bodies
 of the functions in FAST_PATHS, which run on every reference load or
-store, must contain no locked read-modify-write (fetch_add, fetch_sub,
-fetch_or, fetch_and, exchange, compare_exchange_*). One shared
-fetch_add per load once cost more than the barrier's tag test; the
-barrier counters are per-thread for that reason. Atomic operations
-belong on the out-of-line cold path.
+store and every small-object allocation, must contain no locked
+read-modify-write (fetch_add, fetch_sub, fetch_or, fetch_and,
+exchange, compare_exchange_*). One shared fetch_add per load once cost
+more than the barrier's tag test; the barrier counters are per-thread
+for that reason, and a thread cache carves from a chunk it owns.
+Atomic operations belong on the out-of-line cold and refill paths.
 
 `--self-test` proves the scanner actually detects offenders by running
 it over tests/lint_fixtures/, which contains a deliberate raw
@@ -91,6 +92,9 @@ FAST_PATHS = [
     ("src/threads/safepoint.h", "myBarrierStats"),
     ("src/threads/safepoint.h", "countOwned"),
     ("src/object/class_info.h", "info"),
+    ("src/heap/thread_cache.h", "allocateFast"),
+    ("src/heap/thread_cache.h", "noteAllocated"),
+    ("src/heap/thread_cache.cpp", "carve"),
 ]
 LOCKED_RMW_RE = re.compile(
     r"\b(fetch_add|fetch_sub|fetch_or|fetch_and|exchange|compare_exchange\w*)\b")
@@ -267,16 +271,21 @@ def self_test(root: Path) -> int:
         print(f"self-test FAIL: fixture missing under {fixtures}",
               file=sys.stderr)
         ok = False
-    # The locked bump in readRef must be flagged; writeRef (clean
-    # code, a locked operation named only in a comment) must not.
+    # The locked bumps in readRef and in the out-of-line (qualified)
+    # carve definition must be flagged; writeRef (clean code, a locked
+    # operation named only in a comment) must not.
     locked = "tests/lint_fixtures/locked_fast_path.h"
+    offenders = ("readRef", "carve")
     rmw = list(scan_fast_paths(root, [(locked, "readRef"),
-                                      (locked, "writeRef")]))
-    if not any(v[3].startswith("readRef():") for v in rmw):
-        print(f"self-test FAIL: locked RMW in {locked} readRef() was not "
-              "flagged", file=sys.stderr)
-        ok = False
-    if any(not v[3].startswith("readRef():") for v in rmw):
+                                      (locked, "writeRef"),
+                                      (locked, "carve")]))
+    for name in offenders:
+        if not any(v[3].startswith(f"{name}():") for v in rmw):
+            print(f"self-test FAIL: locked RMW in {locked} {name}() was not "
+                  "flagged", file=sys.stderr)
+            ok = False
+    if any(not v[3].startswith(tuple(f"{n}():" for n in offenders))
+           for v in rmw):
         print(f"self-test FAIL: {locked} writeRef() was flagged or missing",
               file=sys.stderr)
         ok = False
@@ -306,11 +315,12 @@ def main() -> int:
     locked = list(scan_fast_paths(root, FAST_PATHS))
     if locked:
         print(f"lint_barriers: {len(locked)} locked read-modify-write(s) "
-              f"on barrier fast paths:\n")
+              f"on mutator fast paths:\n")
         for rel, lineno, token, line in locked:
             print(f"  {rel}:{lineno}: [{token}] {line}")
-        print("\nEvery reference load runs these bodies. Count per thread "
-              "(countOwned) and keep atomic RMWs on the cold path.\n")
+        print("\nEvery reference load or small allocation runs these "
+              "bodies. Count per thread (countOwned) and keep atomic RMWs "
+              "on the cold and refill paths.\n")
     if violations:
         print(f"lint_barriers: {len(violations)} raw tagged-reference "
               f"access(es) outside the allowlisted layers:\n")
