@@ -161,27 +161,6 @@ BM_CollectLiveHeap(benchmark::State &state)
 BENCHMARK(BM_CollectLiveHeap)->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
 
-void
-BM_CollectParallelism(benchmark::State &state)
-{
-    RuntimeConfig cfg = rtConfig(false);
-    cfg.gcThreads = static_cast<std::size_t>(state.range(0));
-    Runtime rt(cfg);
-    const class_id_t cls = rt.defineClass("bench.Node", 2, 16);
-    HandleScope scope(rt.roots());
-    Handle head = scope.handle(nullptr);
-    for (int i = 0; i < 50000; ++i) {
-        Handle node = scope.handle(rt.allocate(cls));
-        rt.writeRef(node.get(), 0, head.get());
-        head.set(node.get());
-    }
-    for (auto _ : state)
-        rt.collectNow();
-    state.SetLabel(std::to_string(state.range(0)) + " gc threads");
-}
-BENCHMARK(BM_CollectParallelism)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMicrosecond);
-
 } // namespace
 
 BENCHMARK_MAIN();

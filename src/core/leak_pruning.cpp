@@ -1,20 +1,14 @@
 #include "core/leak_pruning.h"
 
-#include <algorithm>
-
 #include "gc/tracer.h"
 #include "object/object.h"
-#include "threads/worker_pool.h"
 #include "util/logging.h"
 
 namespace lp {
 
-LeakPruning::LeakPruning(const ClassRegistry &registry, LeakPruningConfig config,
-                         std::size_t collector_parallelism)
+LeakPruning::LeakPruning(const ClassRegistry &registry, LeakPruningConfig config)
     : registry_(registry), config_(config), machine_(config),
-      edge_table_(config.edgeTableSlots),
-      candidate_buffers_(std::max<std::size_t>(collector_parallelism, 1)),
-      candidate_counts_(std::max<std::size_t>(collector_parallelism, 1), 0)
+      edge_table_(config.edgeTableSlots)
 {}
 
 LeakPruning::~LeakPruning() = default;
@@ -36,9 +30,6 @@ LeakPruning::beginCollection(std::uint64_t epoch)
     // one; snapshot it so endCollection's transition can't confuse us.
     active_state_ = pinned_state_.value_or(machine_.state());
     candidates_.clear();
-    for (std::vector<Candidate> &buf : candidate_buffers_)
-        buf.clear();
-    std::fill(candidate_counts_.begin(), candidate_counts_.end(), 0);
     max_stale_seen_.store(0, std::memory_order_relaxed);
     poisoned_this_gc_.store(0, std::memory_order_relaxed);
 
@@ -121,13 +112,10 @@ LeakPruning::classifyEdge(Object *src, const ClassInfo &src_cls, ref_t *slot,
         switch (config_.predictor) {
           case Predictor::Default:
             // Pinned targets model memory the VM cannot reclaim (e.g.
-            // thread stacks, Mckoi leak): never a candidate. The
-            // worker-local buffer makes the deferral lock free; the
-            // merge (and the candidatesQueued count) happens once in
-            // afterInUseClosure.
+            // thread stacks, Mckoi leak): never a candidate.
             if (!tgt->pinned() && isCandidate(type, tgt)) {
-                candidate_buffers_[WorkerPool::currentWorkerSlot()].push_back(
-                    Candidate{slot, type, tgt});
+                candidates_.push_back(Candidate{slot, type, tgt});
+                ++stats_.candidatesQueued;
                 return EdgeAction::Defer;
             }
             return EdgeAction::Trace;
@@ -136,7 +124,7 @@ LeakPruning::classifyEdge(Object *src, const ClassInfo &src_cls, ref_t *slot,
             // direct target's size and keep tracing.
             if (!tgt->pinned() && isCandidate(type, tgt)) {
                 edge_table_.chargeBytes(type, tgt->sizeBytes());
-                ++candidate_counts_[WorkerPool::currentWorkerSlot()];
+                ++stats_.candidatesQueued;
             }
             return EdgeAction::Trace;
           case Predictor::MostStale:
@@ -170,30 +158,19 @@ LeakPruning::runStaleClosure(Tracer &tracer)
     // The stale transitive closure (paper Section 4.2, phase 2): mark
     // objects reachable only from candidate references, computing the
     // bytes of each candidate's data structure and charging them to
-    // its edge entry. One thread owns each candidate's subgraph;
-    // distinct candidates run on distinct collector threads.
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::uint64_t> sized{0};
-    std::vector<TraceStats> per_worker(tracer.pool().parallelism());
-    tracer.pool().runOnAll([&](std::size_t w) {
-        TraceStats &worker_stats = per_worker[w];
-        while (true) {
-            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= candidates_.size())
-                return;
-            const Candidate &c = candidates_[i];
-            const std::uint64_t bytes =
-                tracer.traceSubgraphCounting(c.target, this, worker_stats);
-            if (bytes > 0)
-                edge_table_.chargeBytes(c.type, bytes);
-            sized.fetch_add(bytes, std::memory_order_relaxed);
-        }
-    });
+    // its edge entry. Candidates run in trace order; the first to
+    // reach a shared subgraph is charged its bytes.
+    TraceStats closure;
+    for (const Candidate &c : candidates_) {
+        const std::uint64_t bytes =
+            tracer.traceSubgraphCounting(c.target, this, closure);
+        if (bytes > 0)
+            edge_table_.chargeBytes(c.type, bytes);
+        stats_.staleBytesSized += bytes;
+    }
     // Stale-closure marking is collection work; fold it into the
     // collection's totals rather than losing it.
-    for (const TraceStats &s : per_worker)
-        tracer.addClosureStats(s);
-    stats_.staleBytesSized += sized.load(std::memory_order_relaxed);
+    tracer.addClosureStats(closure);
 }
 
 void
@@ -204,19 +181,10 @@ LeakPruning::afterInUseClosure(Tracer &tracer)
 
     switch (config_.predictor) {
       case Predictor::Default:
-        // Single-threaded merge of the per-worker candidate buffers
-        // (the in-use closure is over; its workers are parked).
-        for (std::vector<Candidate> &buf : candidate_buffers_) {
-            stats_.candidatesQueued += buf.size();
-            candidates_.insert(candidates_.end(), buf.begin(), buf.end());
-            buf.clear();
-        }
         runStaleClosure(tracer);
         selected_ = edge_table_.selectMaxBytesAndReset();
         break;
       case Predictor::IndividualRefs:
-        for (const std::uint64_t n : candidate_counts_)
-            stats_.candidatesQueued += n;
         selected_ = edge_table_.selectMaxBytesAndReset();
         break;
       case Predictor::MostStale:

@@ -70,13 +70,8 @@ class LeakPruning : public CollectionPlugin
     /**
      * @param registry class metadata for edge typing and diagnostics.
      * @param config thresholds, predictor, trigger option.
-     * @param collector_parallelism worker count of the collector this
-     *        plugin will be installed in; sizes the per-worker
-     *        candidate buffers (classifyEdge runs on every tracer
-     *        worker and must not contend on a shared queue).
      */
-    LeakPruning(const ClassRegistry &registry, LeakPruningConfig config,
-                std::size_t collector_parallelism = 1);
+    LeakPruning(const ClassRegistry &registry, LeakPruningConfig config);
     ~LeakPruning() override;
 
     LeakPruning(const LeakPruning &) = delete;
@@ -201,16 +196,9 @@ class LeakPruning : public CollectionPlugin
     PruningState active_state_ = PruningState::Inactive;
     std::optional<PruningState> pinned_state_;
 
-    // Candidate queues for the current SELECT collection: one buffer
-    // per collector worker slot, so classifyEdge (the trace hot path)
-    // never takes a lock; afterInUseClosure merges them — and counts
-    // candidatesQueued — once, single threaded, before the stale
-    // closure runs.
-    std::vector<std::vector<Candidate>> candidate_buffers_;
-    //! Per-worker candidate tallies for the IndividualRefs predictor,
-    //! which charges bytes inline and keeps no Candidate records.
-    std::vector<std::uint64_t> candidate_counts_;
-    std::vector<Candidate> candidates_; //!< merged stale-closure input
+    //! The current SELECT collection's deferred edges, in trace order:
+    //! the stale closure's input.
+    std::vector<Candidate> candidates_;
 
     // Selection carried from a SELECT collection to the PRUNE one.
     std::optional<EdgeEntrySnapshot> selected_;
@@ -221,7 +209,7 @@ class LeakPruning : public CollectionPlugin
     std::atomic<unsigned> max_stale_seen_{0};
     unsigned most_stale_level_ = 0;
 
-    // Per-collection poison count (classifyEdge runs on many threads).
+    // Per-collection poison count.
     std::atomic<std::uint64_t> poisoned_this_gc_{0};
 
     // Outcome of the most recent collection, for shouldKeepCollecting.

@@ -6,7 +6,6 @@
 #include "object/object.h"
 #include "telemetry/telemetry.h"
 #include "threads/safepoint.h"
-#include "threads/worker_pool.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -42,11 +41,9 @@ struct StageTiming {
 } // namespace
 
 Collector::Collector(Heap &heap, const ClassRegistry &registry,
-                     RootProvider &roots, ThreadRegistry &threads,
-                     std::size_t gc_threads)
+                     RootProvider &roots, ThreadRegistry &threads)
     : heap_(heap), registry_(registry), roots_(roots), threads_(threads),
-      pool_(std::make_unique<WorkerPool>(gc_threads)),
-      tracer_(std::make_unique<Tracer>(heap, registry, *pool_))
+      tracer_(heap, registry)
 {}
 
 Collector::~Collector() = default;
@@ -91,7 +88,8 @@ Collector::collect()
     // across two flips, so every chunk still pending from the last
     // collection must be swept before this one marks. Under lazySweep
     // the allocator usually got here first and this is a no-op.
-    stage(PauseStage::CompleteSweep, [&] { heap_.finishSweep(pool_.get()); });
+    stage(PauseStage::CompleteSweep,
+          [&] { heap_.finishSweep(/*in_pause=*/true); });
 
     ++epoch_;
     LP_ASSERT(heap_.markEpoch() + 1 == epoch_,
@@ -105,7 +103,7 @@ Collector::collect()
     TraceStats trace;
     stage(PauseStage::Mark, [&] {
         heap_.beginMark();
-        trace = tracer_->traceFromRoots(roots_, plugin_, trace_parity);
+        trace = tracer_.traceFromRoots(roots_, plugin_, trace_parity);
     });
 
     // Plugin phase — in SELECT this is the stale closure and edge-type
@@ -114,8 +112,8 @@ Collector::collect()
     // totals.
     stage(PauseStage::Plugin, [&] {
         if (plugin_)
-            plugin_->afterInUseClosure(*tracer_);
-        const TraceStats extra = tracer_->takeExtraStats();
+            plugin_->afterInUseClosure(tracer_);
+        const TraceStats extra = tracer_.takeExtraStats();
         trace.objectsMarked += extra.objectsMarked;
         trace.edgesVisited += extra.edgesVisited;
     });
@@ -152,7 +150,7 @@ Collector::collect()
     // Eager baseline: complete every queued sweep inside the pause.
     stage(PauseStage::EagerSweep, [&] {
         if (!lazy_sweep_)
-            heap_.finishSweep(pool_.get());
+            heap_.finishSweep(/*in_pause=*/true);
     });
 
     CollectionOutcome outcome;

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "gc/plugin.h"
@@ -31,7 +30,6 @@ namespace lp {
 class Heap;
 class Telemetry;
 class ThreadRegistry;
-class WorkerPool;
 
 /**
  * The fixed stage sequence of one stop-the-world pause, in execution
@@ -93,10 +91,9 @@ class Collector
      * @param registry class layouts.
      * @param roots root-set enumerator (the VM).
      * @param threads mutator registry for the stop-the-world pause.
-     * @param gc_threads collector parallelism (>= 1).
      */
     Collector(Heap &heap, const ClassRegistry &registry, RootProvider &roots,
-              ThreadRegistry &threads, std::size_t gc_threads);
+              ThreadRegistry &threads);
     ~Collector();
 
     Collector(const Collector &) = delete;
@@ -164,8 +161,7 @@ class Collector
     const ClassRegistry &registry_;
     RootProvider &roots_;
     ThreadRegistry &threads_;
-    std::unique_ptr<WorkerPool> pool_;
-    std::unique_ptr<Tracer> tracer_;
+    Tracer tracer_;
     CollectionPlugin *plugin_ = nullptr;
     Telemetry *telemetry_ = nullptr;
     std::function<void()> world_stopped_hook_;

@@ -74,9 +74,9 @@ struct TracePolicy {
 };
 
 /**
- * Collector extension interface. All methods run inside the
- * stop-the-world pause; edge/object hooks may run concurrently on
- * several collector threads and must be thread safe.
+ * Collector extension interface. The collection hooks run inside the
+ * stop-the-world pause on the one collector thread, one call at a
+ * time, so they need no locking among themselves.
  */
 class CollectionPlugin
 {

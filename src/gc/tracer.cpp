@@ -1,10 +1,10 @@
 #include "gc/tracer.h"
 
+#include <utility>
 #include <vector>
 
 #include "heap/heap.h"
 #include "object/object.h"
-#include "threads/worker_pool.h"
 #include "util/logging.h"
 
 namespace lp {
@@ -27,45 +27,31 @@ advanceStaleClock(Object *obj, std::uint64_t epoch)
 
 } // namespace
 
-Tracer::Tracer(Heap &heap, const ClassRegistry &registry, WorkerPool &pool)
-    : heap_(heap), registry_(registry), pool_(pool)
+Tracer::Tracer(Heap &heap, const ClassRegistry &registry)
+    : heap_(heap), registry_(registry)
 {}
 
 Tracer::~Tracer()
 {
-    for (WorkChunk *chunk : chunk_pool_)
+    for (WorkChunk *chunk : spare_)
         delete chunk;
 }
 
-WorkChunk *
-Tracer::takeChunk(std::vector<WorkChunk *> &local_free)
+Tracer::WorkChunk *
+Tracer::takeChunk()
 {
-    if (!local_free.empty()) {
-        WorkChunk *chunk = local_free.back();
-        local_free.pop_back();
-        chunk->count = 0;
-        return chunk;
-    }
-    {
-        std::lock_guard<std::mutex> lock(chunk_pool_mutex_);
-        if (!chunk_pool_.empty()) {
-            WorkChunk *chunk = chunk_pool_.back();
-            chunk_pool_.pop_back();
-            chunk->count = 0;
-            return chunk;
-        }
-    }
-    return new WorkChunk;
+    if (spare_.empty())
+        return new WorkChunk;
+    WorkChunk *chunk = spare_.back();
+    spare_.pop_back();
+    return chunk;
 }
 
 void
-Tracer::releaseChunks(std::vector<WorkChunk *> &chunks)
+Tracer::pushGray(WorkChunk *&out)
 {
-    if (chunks.empty())
-        return;
-    std::lock_guard<std::mutex> lock(chunk_pool_mutex_);
-    chunk_pool_.insert(chunk_pool_.end(), chunks.begin(), chunks.end());
-    chunks.clear();
+    gray_.push_back(out);
+    out = takeChunk();
 }
 
 void
@@ -82,8 +68,7 @@ Tracer::onMarked(Object *obj, CollectionPlugin *plugin,
 void
 Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
                    const TracePolicy &policy, WorkChunk *&out,
-                   MarkQueue &queue, TraceStats &stats,
-                   std::vector<WorkChunk *> &local_free)
+                   TraceStats &stats)
 {
     const ClassInfo &cls = registry_.info(obj->classId());
     obj->forEachRefSlot(cls, [&](ref_t *slot) {
@@ -110,10 +95,8 @@ Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
             if (tgt->tryMarkFor(trace_parity_)) {
                 ++stats.objectsMarked;
                 onMarked(tgt, plugin, policy);
-                if (out->full()) {
-                    queue.publish(out);
-                    out = takeChunk(local_free);
-                }
+                if (out->full())
+                    pushGray(out);
                 out->push(tgt);
             }
             break;
@@ -136,83 +119,48 @@ Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
     });
 }
 
-void
-Tracer::workerClosure(MarkQueue &queue, CollectionPlugin *plugin,
-                      const TracePolicy &policy, TraceStats &stats)
-{
-    // Drained input chunks stay local and fund future output chunks,
-    // so a worker in steady state touches neither the shared chunk
-    // free list nor the system allocator.
-    std::vector<WorkChunk *> local_free;
-    WorkChunk *out = takeChunk(local_free);
-    while (WorkChunk *in = queue.take()) {
-        while (!in->empty())
-            scanObject(in->pop(), plugin, policy, out, queue, stats,
-                       local_free);
-        // Flush partial output before asking for more input so other
-        // workers can steal it and the termination count stays honest.
-        if (!out->empty()) {
-            queue.publish(out);
-            out = takeChunk(local_free);
-        }
-        local_free.push_back(in);
-    }
-    local_free.push_back(out);
-    releaseChunks(local_free);
-}
-
 TraceStats
 Tracer::traceFromRoots(RootProvider &roots, CollectionPlugin *plugin,
                        unsigned mark_parity)
 {
-    const std::size_t workers = pool_.parallelism();
-    MarkQueue queue(workers);
+    LP_ASSERT(gray_.empty(), "gray stack not drained by the last closure");
     const TracePolicy policy = plugin ? plugin->tracePolicy() : TracePolicy{};
     policy_ = policy;               // remembered for traceSubgraphCounting
     trace_parity_ = mark_parity & 1; // likewise
 
-    // Seed the queue from the root set (stacks/registers + statics).
-    TraceStats root_stats;
-    {
-        std::vector<WorkChunk *> local_free;
-        WorkChunk *out = takeChunk(local_free);
-        roots.forEachRoot([&](ref_t *slot) {
-            const ref_t r = *slot;
-            if (refIsNull(r) || refIsPoisoned(r))
-                return;
-            Object *tgt = refTarget(r);
-            if (tgt->tryMarkFor(trace_parity_)) {
-                ++root_stats.objectsMarked;
-                onMarked(tgt, plugin, policy);
-                if (out->full()) {
-                    queue.publish(out);
-                    out = takeChunk(local_free);
-                }
-                out->push(tgt);
-            }
-        });
-        // Keep empties out of the queue (publish would delete them,
-        // bleeding chunks from the pool).
-        if (out->empty())
-            local_free.push_back(out);
-        else
-            queue.publish(out);
-        releaseChunks(local_free);
-    }
-
-    std::vector<TraceStats> per_worker(workers);
-    pool_.runOnAll([&](std::size_t w) {
-        workerClosure(queue, plugin, policy, per_worker[w]);
+    // Seed the gray stack from the root set (stacks/registers +
+    // statics).
+    TraceStats stats;
+    WorkChunk *out = takeChunk();
+    roots.forEachRoot([&](ref_t *slot) {
+        const ref_t r = *slot;
+        if (refIsNull(r) || refIsPoisoned(r))
+            return;
+        Object *tgt = refTarget(r);
+        if (tgt->tryMarkFor(trace_parity_)) {
+            ++stats.objectsMarked;
+            onMarked(tgt, plugin, policy);
+            if (out->full())
+                pushGray(out);
+            out->push(tgt);
+        }
     });
+    if (!out->empty())
+        pushGray(out);
 
-    TraceStats total = root_stats;
-    for (const TraceStats &s : per_worker) {
-        total.objectsMarked += s.objectsMarked;
-        total.edgesVisited += s.edgesVisited;
-        total.refsPoisoned += s.refsPoisoned;
-        total.edgesDeferred += s.edgesDeferred;
+    // Drain the newest batch to empty before taking the next one; the
+    // output batch joins the stack when it fills or its input empties.
+    while (!gray_.empty()) {
+        WorkChunk *in = gray_.back();
+        gray_.pop_back();
+        while (!in->empty())
+            scanObject(in->pop(), plugin, policy, out, stats);
+        if (!out->empty())
+            pushGray(out);
+        spare_.push_back(in);
     }
-    return total;
+    spare_.push_back(out);
+    return stats;
 }
 
 std::uint64_t
@@ -256,19 +204,14 @@ Tracer::traceSubgraphCounting(Object *start, CollectionPlugin *plugin,
 void
 Tracer::addClosureStats(const TraceStats &stats)
 {
-    extra_objects_marked_.fetch_add(stats.objectsMarked,
-                                    std::memory_order_relaxed);
-    extra_edges_visited_.fetch_add(stats.edgesVisited,
-                                   std::memory_order_relaxed);
+    extra_.objectsMarked += stats.objectsMarked;
+    extra_.edgesVisited += stats.edgesVisited;
 }
 
 TraceStats
 Tracer::takeExtraStats()
 {
-    TraceStats stats;
-    stats.objectsMarked = extra_objects_marked_.exchange(0, std::memory_order_relaxed);
-    stats.edgesVisited = extra_edges_visited_.exchange(0, std::memory_order_relaxed);
-    return stats;
+    return std::exchange(extra_, TraceStats{});
 }
 
 } // namespace lp

@@ -1,6 +1,6 @@
 /**
  * @file
- * Parallel transitive-closure engine ("the tracer").
+ * The transitive-closure engine ("the tracer").
  *
  * Implements the two closures of paper Section 4.2 as services:
  *
@@ -12,21 +12,23 @@
  *  - traceSubgraphCounting(): the stale closure's workhorse. Marks
  *    everything (not already marked) reachable from one candidate
  *    target, returning the bytes this call claimed — the size of the
- *    stale data structure charged to its edge-table entry. One thread
- *    processes each candidate's subgraph; distinct candidates run in
- *    parallel (paper Section 4.5).
+ *    stale data structure charged to its edge-table entry.
+ *
+ * Both run on the one collector thread, inside the stop-the-world
+ * pause. The paper's MMTk collector runs them on several threads
+ * (Section 4.5); at this repository's heap sizes a second collector
+ * thread roughly doubled the mark time, so the closures are serial
+ * (DESIGN.md "Known deviations: serial collector").
  */
 
 #ifndef LP_GC_TRACER_H
 #define LP_GC_TRACER_H
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <vector>
 
-#include "gc/mark_queue.h"
 #include "gc/plugin.h"
 #include "object/class_info.h"
 #include "object/ref.h"
@@ -35,7 +37,6 @@ namespace lp {
 
 class Heap;
 class Object;
-class WorkerPool;
 
 /**
  * Enumerates the root set: stacks/registers (handles) and statics
@@ -65,9 +66,8 @@ class Tracer
      * @param heap marked objects are reported to the heap's mark-time
      *        byte accounting (Heap::noteMarked).
      * @param registry class layouts for slot iteration.
-     * @param pool collector worker pool (parallelism source).
      */
-    Tracer(Heap &heap, const ClassRegistry &registry, WorkerPool &pool);
+    Tracer(Heap &heap, const ClassRegistry &registry);
 
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
@@ -89,9 +89,7 @@ class Tracer
      * collection), and return the bytes claimed — folding the objects
      * and edges visited into @p stats so stale-closure work shows up
      * in the collection totals. Reference slots inside the subgraph
-     * are stale-check tagged like any traced reference. Thread safe
-     * with respect to concurrent traceSubgraphCounting() calls on
-     * other candidates.
+     * are stale-check tagged like any traced reference.
      */
     std::uint64_t traceSubgraphCounting(Object *start,
                                         CollectionPlugin *plugin,
@@ -99,9 +97,9 @@ class Tracer
 
     /**
      * Fold closure work a plugin performed outside traceFromRoots
-     * (e.g. per-worker stale-closure tallies) into this collection's
-     * totals; the collector drains them with takeExtraStats() after
-     * the plugin phase. Thread safe.
+     * (e.g. its stale-closure tallies) into this collection's totals;
+     * the collector drains them with takeExtraStats() after the plugin
+     * phase.
      */
     void addClosureStats(const TraceStats &stats);
 
@@ -110,47 +108,51 @@ class Tracer
 
     const ClassRegistry &registry() const { return registry_; }
 
-    /**
-     * The collector worker pool, so plugins can parallelize their own
-     * phases (the stale closure processes distinct candidates on
-     * distinct collector threads, paper Section 4.5).
-     */
-    WorkerPool &pool() { return pool_; }
-
   private:
-    void workerClosure(MarkQueue &queue, CollectionPlugin *plugin,
-                       const TracePolicy &policy, TraceStats &stats);
+    /** Fixed-size batch of gray objects. */
+    struct WorkChunk {
+        static constexpr std::size_t kCapacity = 256;
+        std::size_t count = 0;
+        Object *items[kCapacity];
+
+        bool full() const { return count == kCapacity; }
+        bool empty() const { return count == 0; }
+        void push(Object *o) { items[count++] = o; }
+        Object *pop() { return items[--count]; }
+    };
 
     /**
      * Scan one gray object: visit its reference slots, classify each
-     * edge, tag traced references, and push newly claimed targets.
+     * edge, tag traced references, and push newly claimed targets onto
+     * @p out, which moves to the gray stack when it fills.
      */
     void scanObject(Object *obj, CollectionPlugin *plugin,
                     const TracePolicy &policy, WorkChunk *&out,
-                    MarkQueue &queue, TraceStats &stats,
-                    std::vector<WorkChunk *> &local_free);
+                    TraceStats &stats);
 
     /** Per-claim bookkeeping (staleness clock, plugin notification). */
     void onMarked(Object *obj, CollectionPlugin *plugin,
                   const TracePolicy &policy);
 
-    //! Next empty chunk: local stash first, then the shared free list.
-    WorkChunk *takeChunk(std::vector<WorkChunk *> &local_free);
-    void releaseChunks(std::vector<WorkChunk *> &chunks);
+    //! Next empty chunk: from the spare list, else a new one.
+    WorkChunk *takeChunk();
+    //! Move a full (or input-drained) output chunk onto the gray stack.
+    void pushGray(WorkChunk *&out);
 
     Heap &heap_;
     const ClassRegistry &registry_;
-    WorkerPool &pool_;
     TracePolicy policy_; //!< policy of the in-progress collection
     unsigned trace_parity_ = 1; //!< parity of the in-progress collection
     //! Closure work plugins report via addClosureStats().
-    std::atomic<std::uint64_t> extra_objects_marked_{0};
-    std::atomic<std::uint64_t> extra_edges_visited_{0};
-    //! WorkChunk free list, reused across collections: workers fund
-    //! output chunks from the inputs they drain, so the steady state
+    TraceStats extra_;
+    //! The in-use closure's gray objects, in batches. The newest batch
+    //! is drained before an older one is taken; this visit order
+    //! decides which candidate first reaches a shared stale subgraph,
+    //! and so which edge type selection picks.
+    std::vector<WorkChunk *> gray_;
+    //! Drained batches, reused across collections so the steady state
     //! allocates nothing on the closure's hot path.
-    std::mutex chunk_pool_mutex_;
-    std::vector<WorkChunk *> chunk_pool_;
+    std::vector<WorkChunk *> spare_;
 };
 
 } // namespace lp

@@ -96,7 +96,6 @@ runWorkload(const WorkloadInfo &info, const DriverConfig &config)
     RuntimeConfig rc;
     rc.heapBytes = config.heapBytes ? config.heapBytes
                                     : workload->defaultHeapBytes();
-    rc.gcThreads = config.gcThreads;
     rc.lazySweep = config.lazySweep;
     rc.enableLeakPruning = config.enablePruning;
     rc.tolerance = config.tolerance;

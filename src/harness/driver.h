@@ -58,7 +58,6 @@ struct DriverConfig {
     unsigned staleUseMargin = 2;
     /** Edge-table slots (paper default 16K). */
     std::size_t edgeTableSlots = 16 * 1024;
-    std::size_t gcThreads = 2;
     /**
      * Sweep discipline (forwarded to RuntimeConfig::lazySweep): lazy
      * moves reclamation out of the pause onto the allocation slow

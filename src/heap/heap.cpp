@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "telemetry/telemetry.h"
-#include "threads/worker_pool.h"
 #include "util/logging.h"
 
 namespace lp {
@@ -468,15 +467,13 @@ Heap::sweepLosLocked()
 }
 
 std::size_t
-Heap::finishSweep(WorkerPool *pool)
+Heap::finishSweep(bool in_pause)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!sweepPending())
         return 0;
-    // Spans from the collector's in-pause completeness pass (the only
-    // caller that hands us workers) belong on the GC track.
     TelemetrySpan span(telemetry_, TracePhase::FinishSweep,
-                      /*gc_track=*/pool != nullptr);
+                       /*gc_track=*/in_pause);
 
     std::vector<std::uint32_t> work;
     for (auto &list : pending_) {
@@ -486,26 +483,8 @@ Heap::finishSweep(WorkerPool *pool)
     pending_chunks_.store(0, std::memory_order_relaxed);
 
     SweepTally total;
-    const std::size_t num_workers =
-        (pool && pool->parallelism() > 1 && work.size() > 1)
-            ? pool->parallelism()
-            : 1;
-    if (num_workers > 1) {
-        // Workers own disjoint chunks, so every metadata write in
-        // sweepChunkImpl is race-free; tallies merge at the barrier.
-        std::vector<SweepTally> tallies(num_workers);
-        pool->runOnAll([&](std::size_t w) {
-            for (std::size_t i = w; i < work.size(); i += num_workers)
-                sweepChunkImpl(work[i], tallies[w]);
-        });
-        for (const SweepTally &t : tallies) {
-            total.objectsFreed += t.objectsFreed;
-            total.bytesFreed += t.bytesFreed;
-        }
-    } else {
-        for (std::uint32_t c : work)
-            sweepChunkImpl(c, total);
-    }
+    for (std::uint32_t c : work)
+        sweepChunkImpl(c, total);
     used_bytes_.fetch_sub(total.bytesFreed, std::memory_order_relaxed);
     stats_.objectsFreed += total.objectsFreed;
     stats_.bytesFreed += total.bytesFreed;

@@ -27,14 +27,13 @@
  * payloads interleaved with live 40-byte entries. See DESIGN.md.)
  *
  * Synchronization (MMTk-style, see DESIGN.md "Allocation fast path &
- * parallel sweep"): small objects are never allocated here. Whole
+ * bulk sweep"): small objects are never allocated here. Whole
  * chunks are leased to per-thread caches (ThreadAllocCache), which
  * carve blocks with no synchronization. The central operations —
  * chunk lease/retire, LOS allocation, lazy sweeps — are serialized by
  * a short internal mutex. Whole-heap operations (the epoch flip,
- * forEachObject*, verifyIntegrity) run with the world stopped and
- * every lease retired; finishSweep() may additionally partition the
- * pending chunks across a WorkerPool.
+ * forEachObject*, verifyIntegrity) and the mark run with the world
+ * stopped and every lease retired, on the thread that stopped it.
  */
 
 #ifndef LP_HEAP_HEAP_H
@@ -55,7 +54,6 @@
 namespace lp {
 
 class Telemetry;
-class WorkerPool;
 
 /** Allocation and occupancy statistics for one heap. */
 struct HeapStats {
@@ -206,9 +204,9 @@ class Heap
 
     /**
      * Account one newly marked object (called exactly once per object
-     * per collection, by whoever won the parity claim). Lock-free:
-     * O(1) chunk lookup and a relaxed fetch_add, safe from concurrent
-     * mark workers. Feeds flipMarkEpoch()'s exact live-byte totals.
+     * per collection, by the collector when it claims the object).
+     * O(1) chunk lookup and a relaxed fetch_add; the collector is the
+     * only writer. Feeds flipMarkEpoch()'s exact live-byte totals.
      */
     void noteMarked(const Object *obj);
 
@@ -235,13 +233,14 @@ class Heap
     /**
      * Complete every pending sweep now (all queued chunks plus the
      * LOS). Safe while mutators run (the central lock serializes it
-     * against allocation); with @p pool it partitions the chunk list
-     * across workers (collector pause use). Runtime::allocateSlow
-     * must call this (and retry) before reporting memory exhaustion.
+     * against allocation). @p in_pause only picks the telemetry track:
+     * the collector's in-pause call is drawn on the GC track.
+     * Runtime::allocateSlow must call this (and retry) before
+     * reporting memory exhaustion.
      *
      * @return bytes freed.
      */
-    std::size_t finishSweep(WorkerPool *pool = nullptr);
+    std::size_t finishSweep(bool in_pause = false);
 
     /** Any chunks or LOS entries still awaiting a lazy sweep? */
     bool
@@ -412,8 +411,7 @@ class Heap
     void commissionChunkLocked(std::size_t chunk, std::size_t cls);
     void makeChunkFree(std::size_t chunk);
     //! Reclaim dead blocks of one pending chunk (no shared-state writes
-    //! beyond the chunk's own metadata and atomics; parallel-safe on
-    //! disjoint chunks).
+    //! beyond the chunk's own metadata and atomics).
     void sweepChunkImpl(std::size_t chunk, SweepTally &tally);
     //! Pop one pending chunk of @p cls, sweep it, fold the tallies.
     std::size_t takePendingChunkLocked(std::size_t cls);
@@ -440,8 +438,8 @@ class Heap
     std::size_t leased_chunks_ = 0;               //!< guarded by mutex_
     //! Epoch-parity state. mark_epoch_ advances under mutex_ at
     //! stop-the-world flips and is read lock-free (allocation parity,
-    //! verifier); the mark-time byte tallies are written by concurrent
-    //! mark workers with relaxed fetch_adds.
+    //! verifier); the mark-time byte tallies are written by the
+    //! collector with relaxed fetch_adds.
     std::atomic<std::uint64_t> mark_epoch_{0};
     std::unique_ptr<std::atomic<std::uint32_t>[]> marked_bytes_; //!< per chunk
     std::atomic<std::size_t> marked_large_bytes_{0};

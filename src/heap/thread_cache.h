@@ -19,7 +19,7 @@
  *    use, found again through a TLS pointer keyed on a process-unique
  *    set id, so stale TLS from a destroyed Runtime can never alias).
  *
- * Consistency protocol (see DESIGN.md "Allocation fast path & parallel
+ * Consistency protocol (see DESIGN.md "Allocation fast path & bulk
  * sweep"): caches are retired *centrally* at stop-the-world points —
  * the collector's world-stopped hook calls AllocCacheSet::retireAll()
  * while every owner is parked or blocked, folding private cursors and

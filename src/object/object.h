@@ -10,9 +10,9 @@
  *
  * The three-bit stale counter is the paper's logarithmic staleness
  * clock (Section 4.1): value k means the object was last used about
- * 2^k full-heap collections ago. The mark bit doubles as the parallel
- * collector's claim bit (claimed via CAS so only one tracer processes
- * each object). The pinned bit models memory the pruner must never
+ * 2^k full-heap collections ago. The mark bit doubles as the
+ * collector's claim bit: tryMarkFor() reports whether this visit
+ * marked the object, so each object is traced once. The pinned bit models memory the pruner must never
  * reclaim through (e.g. thread stacks in the Mckoi leak, Section 6).
  *
  * Payload layouts by ObjectKind:
@@ -132,12 +132,10 @@ class Object
     void clearStaleCounter() { setStaleCounter(0); }
 
     /**
-     * Trace-time stale-counter update. Only the collector thread that
-     * claimed this object (won tryMarkFor) calls it, so a plain atomic
-     * store suffices; a racing tryMarkFor on an already-marked object can
-     * at worst revert this one increment, which the logarithmic clock
-     * tolerates (the paper's prototype is similarly relaxed about
-     * bookkeeping races, Section 4.5).
+     * Trace-time stale-counter update. The collector calls it inside
+     * the stop-the-world pause, right after claiming this object (won
+     * tryMarkFor). No other thread writes the header then, so a plain
+     * load and store is exact.
      */
     void
     setStaleCounterTraced(unsigned k)

@@ -91,7 +91,7 @@ ThreadRegistry::myState()
     std::unique_lock<std::mutex> lock(mutex_);
     auto it = threads_.find(selfId());
     if (it == threads_.end())
-        return nullptr; // unregistered (e.g. GC worker): no slot
+        return nullptr; // unregistered thread: no slot
     tls_registry_id_ = registry_id_;
     tls_state_ = it->second.get();
     return it->second.get();
@@ -128,7 +128,7 @@ ThreadRegistry::park()
     std::unique_lock<std::mutex> lock(mutex_);
     auto it = threads_.find(selfId());
     if (it == threads_.end())
-        return; // unregistered threads (e.g. GC workers) never park
+        return; // unregistered threads never park
     it->second->state = State::Parked;
     cv_.notify_all();
     cv_.wait(lock, [&] { return !stop_requested_.load(std::memory_order_relaxed); });

@@ -3,13 +3,12 @@
  * FunctionRef: a non-owning, non-allocating reference to a callable,
  * in the mold of llvm::function_ref / C++26 std::function_ref.
  *
- * The heap's hot iteration paths (sweep, forEachObject,
- * forEachObjectWithCharge) and the worker pool's job dispatch used to
- * take std::function, which may heap-allocate at the call site and
- * adds a double indirection per invocation. FunctionRef is two words
- * (context pointer + trampoline pointer), never allocates, and each
- * call is one direct indirect call — the right shape for a visitor
- * invoked once per live object.
+ * The heap's hot iteration paths (forEachObject,
+ * forEachObjectWithCharge) used to take std::function, which may
+ * heap-allocate at the call site and adds a double indirection per
+ * invocation. FunctionRef is two words (context pointer + trampoline
+ * pointer), never allocates, and each call is one direct indirect
+ * call — the right shape for a visitor invoked once per live object.
  *
  * Lifetime rule: a FunctionRef does not extend the callable's life.
  * It is safe exactly where these APIs use it — as a parameter bound to

@@ -56,7 +56,6 @@ DiskOffload::classifyEdge(Object *src, const ClassInfo &src_cls, ref_t *slot,
     // for pruning (Section 6.1).
     if (!tgt->pinned() && tgt->staleCounter() >= config_.staleThreshold &&
         !stats_.diskExhausted) {
-        std::lock_guard<std::mutex> lock(candidates_mutex_);
         candidate_slots_.push_back(slot);
         return EdgeAction::Defer;
     }
@@ -66,7 +65,6 @@ DiskOffload::classifyEdge(Object *src, const ClassInfo &src_cls, ref_t *slot,
 void
 DiskOffload::invalidRefSeen(ref_t ref)
 {
-    std::lock_guard<std::mutex> lock(live_ids_mutex_);
     live_ids_.insert(stubId(ref));
 }
 
@@ -245,12 +243,9 @@ DiskOffload::collectDisk()
     // trace), transitively closed over record-internal references.
     std::unordered_set<std::uint64_t> live;
     std::vector<std::uint64_t> work;
-    {
-        std::lock_guard<std::mutex> lock(live_ids_mutex_);
-        for (std::uint64_t id : live_ids_) {
-            live.insert(id);
-            work.push_back(id);
-        }
+    for (std::uint64_t id : live_ids_) {
+        live.insert(id);
+        work.push_back(id);
     }
     for (std::uint64_t id = gc_start_id_; id < next_stub_id_; ++id) {
         if (live.insert(id).second)

@@ -182,7 +182,6 @@ class DiskOffload : public CollectionPlugin
     bool staleness_clock_paused_ = false;
     std::uint64_t offloaded_this_gc_ = 0;
 
-    std::mutex candidates_mutex_;
     std::vector<ref_t *> candidate_slots_;
 
     // The "disk": stub id -> record. Records are freed on retrieval or
@@ -208,7 +207,6 @@ class DiskOffload : public CollectionPlugin
         retrieved_roots_;
 
     // The per-GC stub-liveness scan (fed by invalidRefSeen).
-    std::mutex live_ids_mutex_;
     std::unordered_set<std::uint64_t> live_ids_;
     std::uint64_t gc_start_id_ = 1; //!< ids >= this were minted this GC
 };

@@ -38,6 +38,9 @@ Runtime::Runtime(const RuntimeConfig &config)
     : config_(config), heap_(config.heapBytes),
       barriers_enabled_(config.barrierMode == BarrierMode::AllTheTime)
 {
+    if (config_.gcThreads != 1)
+        fatal("the collector is serial: RuntimeConfig::gcThreads must be 1, "
+              "not ", config_.gcThreads);
     if (config_.gcTriggerFraction > 0) {
         gc_budget_bytes_ = static_cast<std::size_t>(
             config_.gcTriggerFraction * static_cast<double>(heap_.capacity()));
@@ -48,15 +51,13 @@ Runtime::Runtime(const RuntimeConfig &config)
     if (mode != ToleranceMode::None && !barriers_enabled_)
         fatal("leak tolerance requires read barriers (BarrierMode::AllTheTime)");
     if (mode == ToleranceMode::LeakPruning) {
-        pruning_ = std::make_unique<LeakPruning>(registry_, config_.pruning,
-                                                 config_.gcThreads);
+        pruning_ = std::make_unique<LeakPruning>(registry_, config_.pruning);
         tolerance_plugin_ = pruning_.get();
     } else if (mode == ToleranceMode::DiskOffload) {
         offload_ = std::make_unique<DiskOffload>(*this, config_.offload);
         tolerance_plugin_ = offload_.get();
     }
-    collector_ = std::make_unique<Collector>(heap_, registry_, *this, threads_,
-                                             config_.gcThreads);
+    collector_ = std::make_unique<Collector>(heap_, registry_, *this, threads_);
     collector_->setPlugin(tolerance_plugin_);
     collector_->setLazySweep(config_.lazySweep);
 

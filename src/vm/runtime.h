@@ -78,7 +78,12 @@ enum class ToleranceMode {
 /** Construction parameters for a Runtime. */
 struct RuntimeConfig {
     std::size_t heapBytes = 64u << 20;  //!< hard heap bound
-    std::size_t gcThreads = 2;          //!< collector parallelism
+    /**
+     * Collector threads. The collector is serial: 1 is the only
+     * accepted value, and Runtime refuses any other. The field stays
+     * only for callers that still set it.
+     */
+    std::size_t gcThreads = 1;
     /**
      * Sweep lazily: the collection pause ends at the mark-epoch flip
      * and reclamation happens on the allocation slow path, one chunk

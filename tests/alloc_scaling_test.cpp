@@ -27,7 +27,6 @@ stressConfig(std::size_t heap_bytes)
 {
     RuntimeConfig cfg;
     cfg.heapBytes = heap_bytes;
-    cfg.gcThreads = 4;
     cfg.verifier.enabled = true;
     cfg.verifier.everyNCollections = 1; // verify after EVERY collection
     cfg.verifier.mode = VerifierMode::FailFast;

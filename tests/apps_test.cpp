@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 #include "apps/leak_workload.h"
 #include "core/errors.h"
 #include "harness/driver.h"
@@ -134,6 +137,42 @@ TEST_F(AppsTest, EclipseDiffPrunesCompareInputStructures)
             << ev.typeName;
     }
     EXPECT_TRUE(from_rci);
+}
+
+TEST_F(AppsTest, EclipseCpPruneLogIsPinned)
+{
+    // The stale closure charges a shared subgraph to whichever
+    // candidate reaches it first, so the in-use closure's visit order
+    // decides which edge type is selected. These figures pin that
+    // order: a plain LIFO mark stack makes 81 prune GCs and poisons
+    // 2385 references here instead.
+    const RunResult r = runWorkloadByName("EclipseCP", DriverConfig{});
+    EXPECT_EQ(r.end, EndReason::PrunedAccess);
+    EXPECT_EQ(r.iterations, 1201u);
+    EXPECT_EQ(r.pruning.pruneCollections, 83u);
+    EXPECT_EQ(r.pruning.refsPoisoned, 2384u);
+    ASSERT_EQ(r.pruneLog.size(), 83u);
+
+    const std::string events = "org.eclipse.jface.text.DocumentEventLog.ListNode"
+                               " -> org.eclipse.jface.text.DocumentEvent";
+    const std::string undo =
+        "org.eclipse.jface.text.DefaultUndoManager.ListNode"
+        " -> org.eclipse.jface.text.DefaultUndoManager$TextCommand";
+    struct Decision {
+        std::uint64_t epoch;
+        const std::string &type;
+        std::uint64_t refs;
+    };
+    const Decision first[] = {
+        {14, events, 22}, {21, undo, 35}, {31, events, 29},
+        {40, undo, 30},   {49, events, 30},
+    };
+    for (std::size_t i = 0; i < std::size(first); ++i) {
+        const PruneEvent &ev = r.pruneLog[i];
+        EXPECT_EQ(ev.epoch, first[i].epoch) << "decision " << i;
+        EXPECT_EQ(ev.typeName, first[i].type) << "decision " << i;
+        EXPECT_EQ(ev.refsPoisoned, first[i].refs) << "decision " << i;
+    }
 }
 
 TEST_F(AppsTest, MySqlPrunesResultsNotStatements)

@@ -1,139 +1,20 @@
 /**
  * @file
- * Tests for GC internals: the shared chunked mark queue (termination
- * protocol under parallelism) and the TracePolicy seam (hooks fire
- * exactly when the policy asks).
+ * Tests for GC internals: the TracePolicy seam (hooks fire exactly
+ * when the policy asks).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
-#include <thread>
-#include <vector>
+#include <memory>
 
-#include "gc/mark_queue.h"
 #include "gc/plugin.h"
 #include "vm/handles.h"
 #include "vm/runtime.h"
 
 namespace lp {
 namespace {
-
-// --- MarkQueue ---------------------------------------------------------------
-
-TEST(MarkQueueTest, SingleWorkerDrainsAllChunks)
-{
-    MarkQueue queue(1);
-    std::set<Object *> expect;
-    for (int c = 0; c < 5; ++c) {
-        auto *chunk = new WorkChunk;
-        for (int i = 0; i < 100; ++i) {
-            auto *fake = reinterpret_cast<Object *>(
-                static_cast<std::uintptr_t>(0x1000 + c * 1000 + i * 8));
-            chunk->push(fake);
-            expect.insert(fake);
-        }
-        queue.publish(chunk);
-    }
-    std::set<Object *> seen;
-    while (WorkChunk *chunk = queue.take()) {
-        while (!chunk->empty())
-            seen.insert(chunk->pop());
-        delete chunk;
-    }
-    EXPECT_EQ(seen, expect);
-    EXPECT_TRUE(queue.drained());
-}
-
-TEST(MarkQueueTest, EmptyQueueTerminatesImmediately)
-{
-    MarkQueue queue(1);
-    EXPECT_EQ(queue.take(), nullptr);
-}
-
-TEST(MarkQueueTest, PublishingEmptyChunkIsDiscarded)
-{
-    MarkQueue queue(1);
-    queue.publish(new WorkChunk); // empty: freed, not queued
-    EXPECT_EQ(queue.take(), nullptr);
-}
-
-TEST(MarkQueueTest, ParallelWorkersSeeEveryItemExactlyOnce)
-{
-    constexpr int kWorkers = 4;
-    constexpr int kChunks = 200;
-    MarkQueue queue(kWorkers);
-    std::atomic<std::uint64_t> sum{0};
-    std::uint64_t expect_sum = 0;
-    for (int c = 0; c < kChunks; ++c) {
-        auto *chunk = new WorkChunk;
-        for (int i = 0; i < 50; ++i) {
-            const std::uintptr_t v = 8 * (c * 50 + i + 1);
-            chunk->push(reinterpret_cast<Object *>(v));
-            expect_sum += v;
-        }
-        queue.publish(chunk);
-    }
-    std::vector<std::thread> workers;
-    std::atomic<int> takers_done{0};
-    for (int w = 0; w < kWorkers; ++w) {
-        workers.emplace_back([&] {
-            while (WorkChunk *chunk = queue.take()) {
-                while (!chunk->empty()) {
-                    sum.fetch_add(
-                        reinterpret_cast<std::uintptr_t>(chunk->pop()),
-                        std::memory_order_relaxed);
-                }
-                delete chunk;
-            }
-            takers_done.fetch_add(1);
-        });
-    }
-    for (auto &t : workers)
-        t.join();
-    EXPECT_EQ(takers_done.load(), kWorkers) << "all workers must terminate";
-    EXPECT_EQ(sum.load(), expect_sum) << "items lost or duplicated";
-}
-
-TEST(MarkQueueTest, WorkersRepublishingKeepTerminationHonest)
-{
-    // Workers that generate new work from consumed work (like a real
-    // closure) must still terminate exactly when everything is done.
-    constexpr int kWorkers = 3;
-    MarkQueue queue(kWorkers);
-    {
-        auto *seed = new WorkChunk;
-        seed->push(reinterpret_cast<Object *>(std::uintptr_t{512 * 8}));
-        queue.publish(seed);
-    }
-    std::atomic<std::uint64_t> visited{0};
-    std::vector<std::thread> workers;
-    for (int w = 0; w < kWorkers; ++w) {
-        workers.emplace_back([&] {
-            while (WorkChunk *chunk = queue.take()) {
-                while (!chunk->empty()) {
-                    const auto v = reinterpret_cast<std::uintptr_t>(chunk->pop());
-                    visited.fetch_add(1, std::memory_order_relaxed);
-                    // "Trace": value v spawns v/16 and v/16 - 8 words.
-                    if (v / 16 >= 8) {
-                        auto *out = new WorkChunk;
-                        out->push(reinterpret_cast<Object *>(
-                            static_cast<std::uintptr_t>(v / 16 * 8)));
-                        queue.publish(out);
-                    }
-                }
-                delete chunk;
-            }
-        });
-    }
-    for (auto &t : workers)
-        t.join();
-    // 512 -> 256 -> 128 -> 64 (stops below 8*16=128... exact count is
-    // deterministic: 512*8, then 256*8, 128*8, 64*8 -> 4 items).
-    EXPECT_GE(visited.load(), 3u);
-    EXPECT_TRUE(queue.drained());
-}
 
 // --- TracePolicy seam ----------------------------------------------------------
 

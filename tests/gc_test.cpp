@@ -227,37 +227,39 @@ TEST(GcTest, DataSurvivesCollection)
         ASSERT_EQ(arr.get()->bytePtr()[i], static_cast<unsigned char>(i * 31));
 }
 
-TEST(GcTest, ParallelCollectorMatchesSerialResult)
+TEST(GcTest, CollectorMarksEveryTreeNode)
 {
-    for (std::size_t gc_threads : {std::size_t{1}, std::size_t{4}}) {
-        RuntimeConfig cfg = baseConfig();
-        cfg.gcThreads = gc_threads;
-        Runtime rt(cfg);
-        const class_id_t cls = rt.defineClass("TreeNode", 2, 8);
-        HandleScope scope(rt.roots());
-        // Build a complete binary tree of depth 12 iteratively.
-        std::vector<Handle> level{scope.handle(rt.allocate(cls))};
-        Handle root = level[0];
-        std::uint64_t total = 1;
-        for (int d = 0; d < 8; ++d) {
-            std::vector<Handle> next;
-            for (Handle &h : level) {
-                Handle l = scope.handle(rt.allocate(cls));
-                Handle r = scope.handle(rt.allocate(cls));
-                rt.writeRef(h.get(), 0, l.get());
-                rt.writeRef(h.get(), 1, r.get());
-                next.push_back(l);
-                next.push_back(r);
-                total += 2;
-            }
-            level = std::move(next);
+    Runtime rt(baseConfig());
+    const class_id_t cls = rt.defineClass("TreeNode", 2, 8);
+    HandleScope scope(rt.roots());
+    // Build a complete binary tree of 511 nodes (depth 8) iteratively.
+    std::vector<Handle> level{scope.handle(rt.allocate(cls))};
+    std::uint64_t total = 1;
+    for (int d = 0; d < 8; ++d) {
+        std::vector<Handle> next;
+        for (Handle &h : level) {
+            Handle l = scope.handle(rt.allocate(cls));
+            Handle r = scope.handle(rt.allocate(cls));
+            rt.writeRef(h.get(), 0, l.get());
+            rt.writeRef(h.get(), 1, r.get());
+            next.push_back(l);
+            next.push_back(r);
+            total += 2;
         }
-        (void)root;
-        const auto outcome = rt.collectNow();
-        // Handles alias every node, so marked count == node count.
-        EXPECT_EQ(outcome.objectsMarked, total)
-            << "gc_threads=" << gc_threads;
+        level = std::move(next);
     }
+    ASSERT_EQ(total, 511u);
+    const auto outcome = rt.collectNow();
+    // Handles alias every node, so marked count == node count.
+    EXPECT_EQ(outcome.objectsMarked, total);
+}
+
+TEST(GcTest, MoreThanOneCollectorThreadIsRefused)
+{
+    RuntimeConfig cfg = baseConfig();
+    cfg.gcThreads = 2;
+    EXPECT_EXIT({ Runtime rt(cfg); }, ::testing::ExitedWithCode(1),
+                "the collector is serial");
 }
 
 } // namespace

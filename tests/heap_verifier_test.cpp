@@ -215,7 +215,6 @@ TEST(HeapVerifierTest, FailFastPanicsOnViolation)
 {
     RuntimeConfig rc = logOnlyConfig();
     rc.verifier.mode = VerifierMode::FailFast;
-    rc.gcThreads = 1; // keep the death-test child single-threaded
     Runtime rt(rc);
     const class_id_t node = rt.defineClass("Node", 2);
 

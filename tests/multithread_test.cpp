@@ -25,7 +25,6 @@ TEST(MultithreadTest, ConcurrentAllocationIsSafe)
     cfg.heapBytes = 32u << 20;
     cfg.enableLeakPruning = false;
     cfg.barrierMode = BarrierMode::None;
-    cfg.gcThreads = 2;
     Runtime rt(cfg);
     const class_id_t cls = rt.defineClass("mt.Node", 1, 24);
 
@@ -64,7 +63,6 @@ TEST(MultithreadTest, ReadersRunWhileCollectorStopsTheWorld)
     RuntimeConfig cfg;
     cfg.heapBytes = 16u << 20;
     cfg.enableLeakPruning = true; // barriers + safepoint polls on reads
-    cfg.gcThreads = 2;
     Runtime rt(cfg);
     const class_id_t cls = rt.defineClass("mt.Ring", 1, 8);
 
@@ -128,7 +126,6 @@ TEST(MultithreadTest, PruningUnderConcurrentMutators)
     RuntimeConfig cfg;
     cfg.heapBytes = 4u << 20;
     cfg.enableLeakPruning = true;
-    cfg.gcThreads = 2;
     Runtime rt(cfg);
     const class_id_t node = rt.defineClass("mt.LeakNode", 2, 0);
     const class_id_t payload = rt.defineClass("mt.Payload", 0, 1024);

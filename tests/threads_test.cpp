@@ -1,47 +1,17 @@
 /**
  * @file
- * Unit tests for safepoints and the worker pool.
+ * Unit tests for safepoints and the mutator registry.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
-#include <vector>
 
 #include "threads/safepoint.h"
-#include "threads/worker_pool.h"
 
 namespace lp {
 namespace {
-
-TEST(WorkerPoolTest, RunsOnAllWorkers)
-{
-    WorkerPool pool(4);
-    EXPECT_EQ(pool.parallelism(), 4u);
-    std::vector<std::atomic<int>> hits(4);
-    pool.runOnAll([&](std::size_t w) { hits[w].fetch_add(1); });
-    for (int w = 0; w < 4; ++w)
-        EXPECT_EQ(hits[w].load(), 1) << "worker " << w;
-}
-
-TEST(WorkerPoolTest, SingleWorkerRunsOnCaller)
-{
-    WorkerPool pool(1);
-    const auto caller = std::this_thread::get_id();
-    std::thread::id ran_on;
-    pool.runOnAll([&](std::size_t) { ran_on = std::this_thread::get_id(); });
-    EXPECT_EQ(ran_on, caller);
-}
-
-TEST(WorkerPoolTest, ReusableAcrossJobs)
-{
-    WorkerPool pool(3);
-    std::atomic<int> total{0};
-    for (int job = 0; job < 50; ++job)
-        pool.runOnAll([&](std::size_t) { total.fetch_add(1); });
-    EXPECT_EQ(total.load(), 150);
-}
 
 TEST(SafepointTest, StopWaitsForMutatorsToPark)
 {

@@ -28,12 +28,14 @@ Exit codes: 0 clean, 1 violations found, 2 usage/internal error.
 
 A second check guards the mutator fast paths themselves: the bodies
 of the functions in FAST_PATHS, which run on every reference load or
-store and every small-object allocation, must contain no locked
-read-modify-write (fetch_add, fetch_sub, fetch_or, fetch_and,
-exchange, compare_exchange_*). One shared fetch_add per load once cost
-more than the barrier's tag test; the barrier counters are per-thread
-for that reason, and a thread cache carves from a chunk it owns.
-Atomic operations belong on the out-of-line cold and refill paths.
+store, every small-object allocation and every object the collector
+marks, must contain no locked read-modify-write (fetch_add, fetch_sub,
+fetch_or, fetch_and, exchange, compare_exchange_*). One shared
+fetch_add per load once cost more than the barrier's tag test; the
+barrier counters are per-thread for that reason, a thread cache carves
+from a chunk it owns, and the one collector thread's mark loop needs
+no lock of its own. Atomic operations belong on the out-of-line cold
+and refill paths.
 
 `--self-test` proves the scanner actually detects offenders by running
 it over tests/lint_fixtures/, which contains a deliberate raw
@@ -82,9 +84,10 @@ ALLOWLIST = [
 SOURCE_SUFFIXES = {".h", ".hpp", ".cpp", ".cc"}
 
 # (file, function) pairs whose bodies run on every reference load or
-# store, including the inline helpers the read barrier calls. A listed
-# function that can no longer be found is itself a violation, so a
-# rename cannot silently retire the check.
+# store (including the inline helpers the read barrier calls), every
+# small-object allocation, or every object the mark loop visits. A
+# listed function that can no longer be found is itself a violation,
+# so a rename cannot silently retire the check.
 FAST_PATHS = [
     ("src/vm/runtime.h", "readRef"),
     ("src/vm/runtime.h", "writeRef"),
@@ -95,6 +98,8 @@ FAST_PATHS = [
     ("src/heap/thread_cache.h", "allocateFast"),
     ("src/heap/thread_cache.h", "noteAllocated"),
     ("src/heap/thread_cache.cpp", "carve"),
+    ("src/gc/tracer.cpp", "scanObject"),
+    ("src/gc/tracer.cpp", "traceFromRoots"),
 ]
 LOCKED_RMW_RE = re.compile(
     r"\b(fetch_add|fetch_sub|fetch_or|fetch_and|exchange|compare_exchange\w*)\b")
@@ -318,9 +323,9 @@ def main() -> int:
               f"on mutator fast paths:\n")
         for rel, lineno, token, line in locked:
             print(f"  {rel}:{lineno}: [{token}] {line}")
-        print("\nEvery reference load or small allocation runs these "
-              "bodies. Count per thread (countOwned) and keep atomic RMWs "
-              "on the cold and refill paths.\n")
+        print("\nEvery reference load, small allocation or marked object "
+              "runs these bodies. Count per thread (countOwned) and keep "
+              "atomic RMWs on the cold and refill paths.\n")
     if violations:
         print(f"lint_barriers: {len(violations)} raw tagged-reference "
               f"access(es) outside the allowlisted layers:\n")
