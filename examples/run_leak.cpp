@@ -24,8 +24,9 @@
  *   --mutators N        extra churn mutator threads (multi-track traces)
  *   --trace PATH        write a Chrome trace-event JSON (Perfetto /
  *                       chrome://tracing) of the run
- *   --metrics PATH      write the metrics registry snapshot as JSON
- *   --metrics-csv PATH  write the metrics registry snapshot as CSV
+ *   --metrics PATH      write the collector's statistics (collections,
+ *                       live bytes, pause and safepoint-wait
+ *                       histograms) as JSON
  *   --verbose           leak-pruning progress messages
  */
 
@@ -62,7 +63,7 @@ usage()
                          "[--eager-sweep] "
                          "[--heap MB] [--iters N] [--seconds S] [--series] "
                          "[--mutators N] [--trace PATH] [--metrics PATH] "
-                         "[--metrics-csv PATH] [--verbose]\n");
+                         "[--verbose]\n");
     std::exit(2);
 }
 
@@ -124,8 +125,6 @@ main(int argc, char **argv)
             config.tracePath = next();
         } else if (arg == "--metrics") {
             config.metricsJsonPath = next();
-        } else if (arg == "--metrics-csv") {
-            config.metricsCsvPath = next();
         } else if (arg == "--verbose") {
             setLogLevel(LogLevel::Info);
         } else {

@@ -177,6 +177,7 @@ Collector::collect()
     stats_.totalSafepointWaitNanos += safepoint_wait;
     stats_.maxSafepointWaitNanos =
         std::max(stats_.maxSafepointWaitNanos, safepoint_wait);
+    stats_.safepointWaitHistogram.add(safepoint_wait);
 
     // Post-collection analysis (heap verification) runs inside the
     // existing pause: no mutator can race the walk, and lazySweep's
@@ -228,20 +229,12 @@ Collector::collect()
             telemetry_->emitSpan(TracePhase::GcVerify,
                                  timing(PauseStage::Verify).start,
                                  timing(PauseStage::Verify).end, 0, 0, true);
-        telemetry_->metrics().histogram("gc.safepoint_wait_nanos")->add(
-            safepoint_wait);
-        telemetry_->metrics().counter("gc.collections")->add(1);
-        telemetry_->metrics().counter("gc.objects_finalized")->add(finalized);
-        telemetry_->metrics().gauge("gc.live_bytes")->set(
-            static_cast<double>(flip.liveBytes));
-        telemetry_->metrics().gauge("gc.pending_sweep_chunks")->set(
-            static_cast<double>(flip.pendingChunks));
     }
 #endif
 
     // The pause ends at world-resume, so lastPauseNanos covers
     // everything mutators actually waited for — including the verifier
-    // and the telemetry bookkeeping above.
+    // and the telemetry spans above.
     const std::uint64_t pause_end = nowNanos();
     stats_.lastPauseNanos = pause_end - pause_start;
     stats_.totalPauseNanos += stats_.lastPauseNanos;
@@ -251,13 +244,10 @@ Collector::collect()
         stats_.pauseSamplesNanos.push_back(stats_.lastPauseNanos);
 
 #if LP_TELEMETRY_ENABLED
-    if (telemetry_) {
+    if (telemetry_)
         telemetry_->emitSpan(TracePhase::GcPause, pause_start, pause_end,
                              static_cast<std::uint32_t>(epoch_),
                              flip.liveBytes, true);
-        telemetry_->metrics().histogram("gc.pause_nanos")->add(
-            stats_.lastPauseNanos);
-    }
 #endif
 
     threads_.resumeTheWorld();

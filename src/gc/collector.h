@@ -75,9 +75,11 @@ struct GcStats {
     //! Safepoint-request -> world-stopped latency (mutator stop lag).
     std::uint64_t totalSafepointWaitNanos = 0;
     std::uint64_t maxSafepointWaitNanos = 0;
-    //! Pause-time distribution. Always maintained (not telemetry-gated)
-    //! so bench output is identical with LP_TELEMETRY ON and OFF.
+    //! Pause-time and safepoint-wait distributions. Always maintained
+    //! (not telemetry-gated) so bench output and the metrics export
+    //! are identical with LP_TELEMETRY ON and OFF.
     LogHistogram pauseHistogram;
+    LogHistogram safepointWaitHistogram;
     //! Exact pause samples (nanos), capped at kMaxPauseSamples, for
     //! honest p50/p95 in reports; the histogram covers the overflow.
     std::vector<std::uint64_t> pauseSamplesNanos;

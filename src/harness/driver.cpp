@@ -194,9 +194,6 @@ runWorkload(const WorkloadInfo &info, const DriverConfig &config)
     if (!config.metricsJsonPath.empty() &&
         !rt.writeMetricsJson(config.metricsJsonPath))
         warn("could not write metrics to ", config.metricsJsonPath);
-    if (!config.metricsCsvPath.empty() &&
-        !rt.writeMetricsCsv(config.metricsCsvPath))
-        warn("could not write metrics to ", config.metricsCsvPath);
 
     // The workload (with its GlobalRoots) must die before the Runtime.
     workload.reset();

@@ -83,11 +83,11 @@ struct DriverConfig {
      * tracks, safepoint waits, and per-thread cache churn.
      */
     std::size_t extraMutators = 0;
-    //! Non-empty: write a Chrome trace / metrics snapshot here at the
-    //! end of the run (no-ops when telemetry is compiled out).
+    //! Non-empty: write a Chrome trace (skipped when telemetry is
+    //! compiled out) / the metrics JSON snapshot here at the end of
+    //! the run.
     std::string tracePath;
     std::string metricsJsonPath;
-    std::string metricsCsvPath;
 };
 
 /** Plain (non-atomic) copy of the barrier counters. */

@@ -1,5 +1,6 @@
 #include "telemetry/telemetry.h"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -26,9 +27,8 @@ std::atomic<std::uint64_t> next_engine_id{1};
 
 } // namespace
 
-Telemetry::Telemetry(TelemetryConfig config)
-    : config_(config),
-      engine_id_(next_engine_id.fetch_add(1, std::memory_order_relaxed))
+Telemetry::Telemetry()
+    : engine_id_(next_engine_id.fetch_add(1, std::memory_order_relaxed))
 {}
 
 Telemetry::~Telemetry() = default;
@@ -41,7 +41,7 @@ Telemetry::myRing()
     std::lock_guard<std::mutex> lock(mutex_);
     auto &slot = rings_[selfId()];
     if (!slot) {
-        slot = std::make_unique<ThreadRing>(config_.ringCapacity, next_tid_);
+        slot = std::make_unique<ThreadRing>(kRingCapacity, next_tid_);
         slot->name = "mutator-" + std::to_string(next_tid_);
         ++next_tid_;
     }
@@ -66,8 +66,11 @@ Telemetry::drainAll()
     for (auto &[id, tr] : rings_) {
         batch.clear();
         tr->ring.drainInto(batch);
-        for (const TraceEvent &ev : batch)
-            drained_.push_back(DrainedEvent{ev, tr->tid});
+        const std::size_t kept =
+            std::min(batch.size(), kMaxDrainedEvents - drained_.size());
+        for (std::size_t i = 0; i < kept; ++i)
+            drained_.push_back(DrainedEvent{batch[i], tr->tid});
+        drain_dropped_ += batch.size() - kept;
     }
 }
 
@@ -75,7 +78,7 @@ std::uint64_t
 Telemetry::droppedEvents() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
+    std::uint64_t total = drain_dropped_;
     for (const auto &[id, tr] : rings_)
         total += tr->ring.dropped();
     return total;
@@ -89,21 +92,8 @@ Telemetry::threadCount() const
 }
 
 void
-Telemetry::syncDropMetric()
-{
-    // Folded in at export time: per-ring drop counters are the ground
-    // truth; the metric is their snapshot for dashboards/harness.
-    const std::uint64_t dropped = droppedEvents();
-    metrics_.gauge("telemetry.dropped_events")
-        ->set(static_cast<double>(dropped));
-    metrics_.gauge("telemetry.threads")
-        ->set(static_cast<double>(threadCount()));
-}
-
-void
 Telemetry::writeChromeTrace(std::ostream &os)
 {
-    syncDropMetric();
     std::vector<std::pair<std::uint32_t, std::string>> names;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -112,20 +102,6 @@ Telemetry::writeChromeTrace(std::ostream &os)
             names.emplace_back(tr->tid, tr->name);
     }
     lp::writeChromeTrace(os, drained_, names);
-}
-
-void
-Telemetry::writeMetricsJson(std::ostream &os)
-{
-    syncDropMetric();
-    metrics_.writeJson(os);
-}
-
-void
-Telemetry::writeMetricsCsv(std::ostream &os)
-{
-    syncDropMetric();
-    metrics_.writeCsv(os);
 }
 
 } // namespace lp

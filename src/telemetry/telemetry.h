@@ -1,7 +1,7 @@
 /**
  * @file
  * The telemetry engine: one instance per Runtime, owning the
- * per-thread trace rings, the metrics registry, and the pruning
+ * per-thread trace rings, the drained event buffer, and the pruning
  * audit trail.
  *
  * Design (see DESIGN.md "Telemetry & tracing"):
@@ -15,11 +15,14 @@
  *  - Draining is epoch-based at stop-the-world: the collector's pause
  *    calls drainAll() while every producer is parked or blocked, so
  *    the central buffer absorbs each ring's events with plain SPSC
- *    hand-off and exact ordering per thread.
+ *    hand-off and exact ordering per thread. The buffer is capped at
+ *    kMaxDrainedEvents; past the cap events are dropped and counted
+ *    like a full ring's, so a long run keeps bounded memory.
  *  - Export happens off-line (end of run, or any quiescent point):
  *    Chrome trace-event JSON (load in Perfetto / chrome://tracing)
- *    with one track per thread plus a synthetic GC track, and a
- *    metrics snapshot as JSON or CSV.
+ *    with one track per thread plus a synthetic GC track. The metrics
+ *    snapshot is rendered by the Runtime from the collector's own
+ *    statistics plus droppedEvents()/threadCount().
  *
  * The whole layer compiles away under -DLP_TELEMETRY=OFF: the classes
  * still build (so the code cannot rot), but instrumentation sites are
@@ -45,7 +48,6 @@
 #include <vector>
 
 #include "telemetry/audit.h"
-#include "telemetry/metrics.h"
 #include "telemetry/trace_event.h"
 #include "telemetry/trace_ring.h"
 #include "util/timer.h"
@@ -58,19 +60,17 @@ struct DrainedEvent {
     std::uint32_t tid = 0; //!< exporter track id; 0 is the GC track
 };
 
-/** Engine knobs. */
-struct TelemetryConfig {
-    /** Per-thread ring slots (rounded up to a power of two). */
-    std::size_t ringCapacity = 16384;
-};
-
 class Telemetry
 {
   public:
     /** The synthetic GC track's exporter id. */
     static constexpr std::uint32_t kGcTrackId = 0;
+    /** Per-thread ring slots (a power of two). */
+    static constexpr std::size_t kRingCapacity = 16384;
+    /** Cap on the central drained buffer (about 10 MB of events). */
+    static constexpr std::size_t kMaxDrainedEvents = std::size_t{1} << 18;
 
-    explicit Telemetry(TelemetryConfig config = {});
+    Telemetry();
     ~Telemetry();
 
     Telemetry(const Telemetry &) = delete;
@@ -118,23 +118,22 @@ class Telemetry
     /**
      * Move every ring's published events into the central buffer.
      * Producers must be parked/blocked or be the calling thread; the
-     * collector's world-stopped hook is the canonical call site.
+     * collector's world-stopped hook is the canonical call site. Once
+     * the buffer holds kMaxDrainedEvents, further events are dropped
+     * (newest first, as a full ring does) and counted.
      */
     void drainAll();
 
     /** The drained central buffer (call drainAll() first). */
     const std::vector<DrainedEvent> &events() const { return drained_; }
 
-    /** Total events lost to full rings, across all threads. */
+    /** Total events lost to full rings or the drained-buffer cap. */
     std::uint64_t droppedEvents() const;
 
     /** Threads that have emitted at least one event. */
     std::size_t threadCount() const;
 
-    // --- registries --------------------------------------------------------
-
-    MetricsRegistry &metrics() { return metrics_; }
-    const MetricsRegistry &metrics() const { return metrics_; }
+    // --- audit trail -------------------------------------------------------
 
     PruneAuditTrail &audit() { return audit_; }
     const PruneAuditTrail &audit() const { return audit_; }
@@ -143,14 +142,9 @@ class Telemetry
 
     /**
      * Write the drained buffer as Chrome trace-event JSON, one track
-     * per emitting thread plus the GC track. Call drainAll() first
-     * (the writer also folds drop counters into the metrics registry
-     * as "telemetry.dropped_events").
+     * per emitting thread plus the GC track. Call drainAll() first.
      */
     void writeChromeTrace(std::ostream &os);
-
-    void writeMetricsJson(std::ostream &os);
-    void writeMetricsCsv(std::ostream &os);
 
   private:
     struct ThreadRing {
@@ -163,16 +157,14 @@ class Telemetry
     };
 
     TraceRing *myRing();
-    void syncDropMetric();
 
-    TelemetryConfig config_;
     //! Process-unique engine id the TLS ring pointer keys on.
     const std::uint64_t engine_id_;
-    mutable std::mutex mutex_; //!< guards rings_ and drained_
+    mutable std::mutex mutex_; //!< guards rings_, drained_, drain_dropped_
     std::unordered_map<std::uint64_t, std::unique_ptr<ThreadRing>> rings_;
     std::uint32_t next_tid_ = 1; //!< 0 is reserved for the GC track
     std::vector<DrainedEvent> drained_;
-    MetricsRegistry metrics_;
+    std::uint64_t drain_dropped_ = 0; //!< events refused at the cap
     PruneAuditTrail audit_;
 };
 

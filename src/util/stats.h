@@ -1,66 +1,18 @@
 /**
  * @file
- * Lightweight statistics: named counters, running means, and a simple
- * log-scale histogram. The runtime exposes its collector and barrier
- * statistics through these so tests and benches can assert on them.
+ * A log-scale histogram. The collector keeps its pause and
+ * safepoint-wait distributions in these so tests, benches and the
+ * metrics export can read them.
  */
 
 #ifndef LP_UTIL_STATS_H
 #define LP_UTIL_STATS_H
 
 #include <algorithm>
-#include <atomic>
+#include <cmath>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace lp {
-
-/** Monotonic event counter, safe to bump from multiple threads. */
-class Counter
-{
-  public:
-    void add(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-    std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-    void reset() { value_.store(0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<std::uint64_t> value_{0};
-};
-
-/** Running mean / min / max over a stream of samples. */
-class RunningStat
-{
-  public:
-    void
-    add(double x)
-    {
-        ++n_;
-        sum_ += x;
-        min_ = (n_ == 1) ? x : std::min(min_, x);
-        max_ = (n_ == 1) ? x : std::max(max_, x);
-    }
-
-    std::uint64_t count() const { return n_; }
-    double sum() const { return sum_; }
-    double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-
-    void
-    reset()
-    {
-        n_ = 0;
-        sum_ = 0.0;
-        min_ = max_ = 0.0;
-    }
-
-  private:
-    std::uint64_t n_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /** Power-of-two bucketed histogram (e.g. object sizes, pause times). */
 class LogHistogram
@@ -84,18 +36,37 @@ class LogHistogram
     std::uint64_t count() const { return count_; }
     std::uint64_t bucket(unsigned i) const { return i < kBuckets ? buckets_[i] : 0; }
 
-    /** Smallest power-of-two bound covering @p fraction of samples. */
+    /**
+     * Power of two above every sample in bucket @p i: bucket i >= 1
+     * holds [2^i, 2^(i+1)), bucket 0 holds 0 and 1 (the last bucket
+     * also takes every larger sample).
+     */
+    static constexpr std::uint64_t
+    bucketBound(unsigned i)
+    {
+        return std::uint64_t{1} << (i + 1);
+    }
+
+    /**
+     * Bound of the bucket holding the nearest-rank @p fraction
+     * percentile: the ceil(fraction * count)-th smallest sample, at
+     * least the first. 0 when the histogram is empty.
+     */
     std::uint64_t
     percentileBound(double fraction) const
     {
-        std::uint64_t target = static_cast<std::uint64_t>(fraction * static_cast<double>(count_));
+        if (count_ == 0)
+            return 0;
+        const std::uint64_t rank = std::max<std::uint64_t>(
+            1, static_cast<std::uint64_t>(
+                   std::ceil(fraction * static_cast<double>(count_))));
         std::uint64_t seen = 0;
         for (unsigned i = 0; i < kBuckets; ++i) {
             seen += buckets_[i];
-            if (seen >= target)
-                return std::uint64_t{1} << i;
+            if (seen >= rank)
+                return bucketBound(i);
         }
-        return std::uint64_t{1} << (kBuckets - 1);
+        return bucketBound(kBuckets - 1);
     }
 
   private:

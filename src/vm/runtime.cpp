@@ -62,7 +62,7 @@ Runtime::Runtime(const RuntimeConfig &config)
     collector_->setLazySweep(config_.lazySweep);
 
 #if LP_TELEMETRY_ENABLED
-    telemetry_ = std::make_unique<Telemetry>(config_.telemetry);
+    telemetry_ = std::make_unique<Telemetry>();
     collector_->setTelemetry(telemetry_.get());
     heap_.setTelemetry(telemetry_.get());
     alloc_caches_.setTelemetry(telemetry_.get());
@@ -429,18 +429,31 @@ namespace {
 /** Open @p path for writing and pass the stream to @p writer. */
 template <typename Writer>
 bool
-writeFile([[maybe_unused]] const std::string &path,
-          [[maybe_unused]] Writer &&writer)
+writeFile(const std::string &path, Writer &&writer)
 {
-#if LP_TELEMETRY_ENABLED
     std::ofstream os(path);
     if (!os)
         return false;
     writer(os);
     return os.good();
-#else
-    return false;
-#endif
+}
+
+/** One histogram of the metrics snapshot; empty buckets are omitted. */
+void
+writeHistogram(std::ostream &os, const char *name, const LogHistogram &h)
+{
+    os << "\n    \"" << name << "\": {\"count\": " << h.count()
+       << ", \"p50\": " << h.percentileBound(0.50)
+       << ", \"p95\": " << h.percentileBound(0.95) << ", \"buckets\": [";
+    const char *sep = "";
+    for (unsigned i = 0; i < LogHistogram::kBuckets; ++i) {
+        if (h.bucket(i) == 0)
+            continue;
+        os << sep << "{\"le\": " << LogHistogram::bucketBound(i)
+           << ", \"count\": " << h.bucket(i) << "}";
+        sep = ", ";
+    }
+    os << "]}";
 }
 
 } // namespace
@@ -448,6 +461,8 @@ writeFile([[maybe_unused]] const std::string &path,
 bool
 Runtime::writeTrace(const std::string &path)
 {
+    if (!telemetry())
+        return false;
     drainTelemetry();
     return writeFile(path,
                      [&](std::ostream &os) { telemetry()->writeChromeTrace(os); });
@@ -456,17 +471,27 @@ Runtime::writeTrace(const std::string &path)
 bool
 Runtime::writeMetricsJson(const std::string &path)
 {
-    drainTelemetry();
-    return writeFile(path,
-                     [&](std::ostream &os) { telemetry()->writeMetricsJson(os); });
-}
-
-bool
-Runtime::writeMetricsCsv(const std::string &path)
-{
-    drainTelemetry();
-    return writeFile(path,
-                     [&](std::ostream &os) { telemetry()->writeMetricsCsv(os); });
+    // Collections run under the allocation lock, so holding it makes
+    // the GcStats read one consistent snapshot.
+    AllocLock lock(alloc_mutex_, threads_);
+    const GcStats &gc = collector_->stats();
+    return writeFile(path, [&](std::ostream &os) {
+        os << "{\n  \"counters\": {"
+           << "\n    \"gc.collections\": " << gc.collections << ","
+           << "\n    \"gc.objects_finalized\": " << gc.objectsFinalized
+           << "\n  },\n  \"gauges\": {"
+           << "\n    \"gc.live_bytes\": " << gc.lastLiveBytes << ","
+           << "\n    \"gc.pending_sweep_chunks\": "
+           << heap_.pendingSweepChunks();
+        if (const Telemetry *t = telemetry())
+            os << ",\n    \"telemetry.dropped_events\": " << t->droppedEvents()
+               << ",\n    \"telemetry.threads\": " << t->threadCount();
+        os << "\n  },\n  \"histograms\": {";
+        writeHistogram(os, "gc.pause_nanos", gc.pauseHistogram);
+        os << ",";
+        writeHistogram(os, "gc.safepoint_wait_nanos", gc.safepointWaitHistogram);
+        os << "\n  }\n}\n";
+    });
 }
 
 } // namespace lp

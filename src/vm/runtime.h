@@ -120,12 +120,6 @@ struct RuntimeConfig {
      * runs a pass on demand regardless of `enabled`.
      */
     HeapVerifierConfig verifier;
-    /**
-     * Telemetry engine knobs (ring capacity). The engine itself exists
-     * only when the build has LP_TELEMETRY=ON; with the layer compiled
-     * out this field is ignored and telemetry() returns nullptr.
-     */
-    TelemetryConfig telemetry;
 };
 
 class Runtime : public RootProvider
@@ -317,18 +311,26 @@ class Runtime : public RootProvider
     /**
      * Bring the runtime to a quiescent point (allocation lock +
      * stop-the-world), drain every thread's trace ring into the
-     * central buffer, and resume. Export helpers call this first.
+     * central buffer, and resume. writeTrace() calls this first.
      */
     void drainTelemetry();
 
     /**
-     * Write the Chrome trace-event JSON / metrics snapshot to @p path.
-     * Each drains first. Returns false when telemetry is compiled out
-     * or the file cannot be opened.
+     * Write the Chrome trace-event JSON of the run to @p path, draining
+     * first. Returns false when telemetry is compiled out or the file
+     * cannot be opened.
      */
     bool writeTrace(const std::string &path);
+
+    /**
+     * Write the metrics snapshot to @p path as JSON: "counters",
+     * "gauges" and "histograms" rendered from gcStats(), the heap's
+     * pending sweeps and, when the engine exists, its drop and thread
+     * counts. Takes the allocation lock (no collection runs while it
+     * reads) but does not stop the world. Returns false when the file
+     * cannot be written.
+     */
     bool writeMetricsJson(const std::string &path);
-    bool writeMetricsCsv(const std::string &path);
 
     /** Reachable bytes measured at the end of the last collection. */
     std::size_t lastLiveBytes() const { return collector_->stats().lastLiveBytes; }

@@ -3,10 +3,11 @@
  * Telemetry-layer tests (DESIGN.md "Telemetry & tracing"): SPSC ring
  * overflow/drop accounting, concurrent emission from many mutator
  * threads (the TSan workhorse for the TLS-ring lookup and the
- * stop-the-world drain), exporter output validated by parsing the
- * JSON back, metrics-registry snapshots, audit-trail accuracy
- * attribution, and the null-engine no-op guarantees the compiled-out
- * configuration relies on.
+ * stop-the-world drain), the drained-buffer cap, exporter output
+ * validated by parsing the JSON back, the metrics export rendered from
+ * the collector's statistics, audit-trail accuracy attribution, and
+ * the null-engine no-op guarantees the compiled-out configuration
+ * relies on.
  *
  * The whole file also builds with -DLP_TELEMETRY=OFF (the classes
  * always exist; only instrumentation sites compile away), so the
@@ -17,7 +18,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -26,7 +29,6 @@
 
 #include "telemetry/audit.h"
 #include "telemetry/chrome_trace.h"
-#include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace_event.h"
 #include "telemetry/trace_ring.h"
@@ -237,6 +239,23 @@ parseJsonOrDie(const std::string &text)
     return v;
 }
 
+/** Write @p rt's metrics JSON to a scratch file and parse it back. */
+JsonValue
+metricsJsonOf(Runtime &rt)
+{
+    const std::string path = ::testing::TempDir() + "lp_metrics_" +
+                             ::testing::UnitTest::GetInstance()
+                                 ->current_test_info()
+                                 ->name() +
+                             ".json";
+    EXPECT_TRUE(rt.writeMetricsJson(path));
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::remove(path.c_str());
+    return parseJsonOrDie(text.str());
+}
+
 TraceEvent
 instantAt(std::uint64_t ts, TracePhase phase = TracePhase::CacheRefill)
 {
@@ -373,24 +392,40 @@ TEST(TelemetryTest, ConcurrentEmitManyThreads)
 
 TEST(TelemetryTest, EngineOverflowIsCountedAndSurfaced)
 {
-    TelemetryConfig cfg;
-    cfg.ringCapacity = 16;
-    Telemetry tel(cfg);
-    for (int i = 0; i < 100; ++i)
-        tel.emitInstant(TracePhase::CacheRefill);
-    EXPECT_EQ(tel.droppedEvents(), 100u - 16u);
+    RuntimeConfig cfg;
+    cfg.heapBytes = 8u << 20;
+    Runtime rt(cfg);
+    Telemetry *tel = rt.telemetry();
+    if (!tel)
+        GTEST_SKIP() << "telemetry compiled out";
+    for (std::size_t i = 0; i < Telemetry::kRingCapacity + 84; ++i)
+        tel->emitInstant(TracePhase::CacheRefill);
+    EXPECT_EQ(tel->droppedEvents(), 84u);
 
-    tel.drainAll();
-    EXPECT_EQ(tel.events().size(), 16u);
-
-    // The exporter folds the loss into the metrics snapshot so a
-    // truncated trace is never mistaken for a complete one.
-    std::ostringstream trace;
-    tel.writeChromeTrace(trace);
-    std::ostringstream metrics;
-    tel.writeMetricsJson(metrics);
-    const JsonValue root = parseJsonOrDie(metrics.str());
+    // The metrics export surfaces the loss so a truncated trace is
+    // never mistaken for a complete one.
+    const JsonValue root = metricsJsonOf(rt);
     EXPECT_EQ(root.at("gauges").at("telemetry.dropped_events").number, 84.0);
+}
+
+TEST(TelemetryTest, DrainedBufferIsCapped)
+{
+    // Each round fills one ring exactly; the last round overflows the
+    // central buffer by a whole ring's worth.
+    constexpr std::size_t kRounds =
+        Telemetry::kMaxDrainedEvents / Telemetry::kRingCapacity + 1;
+    Telemetry tel;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < Telemetry::kRingCapacity; ++i)
+            tel.emitInstant(TracePhase::CacheRefill, 0, round);
+        tel.drainAll();
+    }
+    EXPECT_EQ(tel.events().size(), Telemetry::kMaxDrainedEvents);
+    EXPECT_EQ(tel.droppedEvents(),
+              kRounds * Telemetry::kRingCapacity - Telemetry::kMaxDrainedEvents);
+    // Newest events are the ones refused: the buffer ends with the
+    // last round that fit.
+    EXPECT_EQ(tel.events().back().ev.a64, kRounds - 2);
 }
 
 TEST(TelemetryTest, ChromeTraceParsesBackWithTracks)
@@ -468,41 +503,55 @@ TEST(TelemetryTest, ChromeTraceParsesBackWithTracks)
 }
 
 // ---------------------------------------------------------------------------
-// Metrics registry
+// Metrics export: every figure comes from the collector's own statistics
+// (no GTEST_SKIP, so the telemetry-off build checks it too).
 
-TEST(MetricsTest, RegistrySnapshotsParseBack)
+TEST(MetricsTest, ExportRendersGcStats)
 {
-    MetricsRegistry reg;
-    MetricCounter *c = reg.counter("gc.collections");
-    c->add(3);
-    EXPECT_EQ(reg.counter("gc.collections"), c); // find-or-create is stable
-    reg.gauge("gc.live_bytes")->set(1.5e6);
-    MetricHistogram *h = reg.histogram("gc.pause_nanos");
-    h->add(1000);
-    h->add(2000);
-    h->add(4000);
-
-    std::ostringstream os;
-    reg.writeJson(os);
-    const JsonValue root = parseJsonOrDie(os.str());
-    EXPECT_EQ(root.at("counters").at("gc.collections").number, 3.0);
-    EXPECT_EQ(root.at("gauges").at("gc.live_bytes").number, 1.5e6);
-    const JsonValue &hist = root.at("histograms").at("gc.pause_nanos");
-    EXPECT_EQ(hist.at("count").number, 3.0);
-    EXPECT_GE(hist.at("p95").number, hist.at("p50").number);
-    std::uint64_t bucket_total = 0;
-    for (const JsonValue &b : hist.at("buckets").array) {
-        EXPECT_GT(b.at("count").number, 0.0); // zero buckets omitted
-        bucket_total += static_cast<std::uint64_t>(b.at("count").number);
+    RuntimeConfig cfg;
+    cfg.heapBytes = 8u << 20;
+    Runtime rt(cfg);
+    const class_id_t cls = rt.defineClass("test.Node", 1, 32);
+    {
+        MutatorScope mutator(rt.threads());
+        HandleScope scope(rt.roots());
+        Handle keep = scope.handle(nullptr);
+        for (int round = 0; round < 3; ++round) {
+            for (int i = 0; i < 1000; ++i) {
+                Object *obj = rt.allocate(cls);
+                rt.writeRef(obj, 0, keep.get());
+                keep.set(obj);
+            }
+            rt.collectNow();
+        }
     }
-    EXPECT_EQ(bucket_total, 3u);
+    const JsonValue root = metricsJsonOf(rt);
+    const GcStats &gc = rt.gcStats();
+    ASSERT_GE(gc.collections, 3u);
 
-    std::ostringstream csv;
-    reg.writeCsv(csv);
-    const std::string text = csv.str();
-    EXPECT_NE(text.find("counter,gc.collections,3"), std::string::npos);
-    EXPECT_NE(text.find("histogram_count,gc.pause_nanos,3"),
-              std::string::npos);
+    const double collections = root.at("counters").at("gc.collections").number;
+    EXPECT_EQ(collections, static_cast<double>(gc.collections));
+    EXPECT_EQ(root.at("counters").at("gc.objects_finalized").number,
+              static_cast<double>(gc.objectsFinalized));
+    const JsonValue &gauges = root.at("gauges");
+    EXPECT_EQ(gauges.at("gc.live_bytes").number,
+              static_cast<double>(gc.lastLiveBytes));
+    EXPECT_TRUE(gauges.has("gc.pending_sweep_chunks"));
+    const bool engine = rt.telemetry() != nullptr;
+    EXPECT_EQ(gauges.has("telemetry.dropped_events"), engine);
+    EXPECT_EQ(gauges.has("telemetry.threads"), engine);
+
+    for (const char *name : {"gc.pause_nanos", "gc.safepoint_wait_nanos"}) {
+        const JsonValue &hist = root.at("histograms").at(name);
+        EXPECT_EQ(hist.at("count").number, collections) << name;
+        EXPECT_GE(hist.at("p95").number, hist.at("p50").number) << name;
+        double bucket_total = 0;
+        for (const JsonValue &b : hist.at("buckets").array) {
+            EXPECT_GT(b.at("count").number, 0.0); // zero buckets omitted
+            bucket_total += b.at("count").number;
+        }
+        EXPECT_EQ(bucket_total, collections) << name;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -622,8 +671,7 @@ TEST(TelemetryTest, NullEngineHelpersAreNoOps)
 }
 
 // ---------------------------------------------------------------------------
-// Runtime integration: a real collection produces GC-track spans and
-// the run's trace/metrics write out through the Runtime facade.
+// Runtime integration: a real collection produces GC-track spans.
 
 TEST(TelemetryIntegrationTest, CollectionEmitsGcSpans)
 {
@@ -663,10 +711,6 @@ TEST(TelemetryIntegrationTest, CollectionEmitsGcSpans)
     EXPECT_TRUE(saw_pause);
     EXPECT_TRUE(saw_mark);
     EXPECT_TRUE(saw_sweep);
-
-    const LogHistogram pause =
-        rt.telemetry()->metrics().histogram("gc.pause_nanos")->snapshot();
-    EXPECT_EQ(pause.count(), rt.gcStats().collections);
 }
 
 } // namespace

@@ -100,20 +100,6 @@ TEST(RngTest, BoundsRespected)
     }
 }
 
-TEST(StatsTest, RunningStat)
-{
-    RunningStat s;
-    s.add(1.0);
-    s.add(3.0);
-    s.add(5.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 5.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-}
-
 TEST(StatsTest, LogHistogramBuckets)
 {
     LogHistogram h;
@@ -125,6 +111,19 @@ TEST(StatsTest, LogHistogramBuckets)
     EXPECT_EQ(h.bucket(0), 1u); // value 1
     EXPECT_EQ(h.bucket(1), 2u); // values 2 and 3
     EXPECT_EQ(h.bucket(10), 1u); // 1024
+
+    // Percentiles are nearest-rank and report the power of two above
+    // the bucket, never a bound below the samples it covers.
+    LogHistogram one;
+    one.add(5000);
+    EXPECT_EQ(one.percentileBound(0.50), 8192u);
+    EXPECT_EQ(one.percentileBound(0.95), 8192u);
+
+    LogHistogram same;
+    for (int i = 0; i < 100; ++i)
+        same.add(3000);
+    EXPECT_EQ(same.percentileBound(0.50), 4096u);
+    EXPECT_EQ(same.percentileBound(0.95), 4096u);
 }
 
 TEST(SeriesTest, RecordsAndSummarizes)
