@@ -200,6 +200,8 @@ main(int argc, char **argv)
                             result.audit.bytesReclaimed));
         }
     }
+    std::printf("decision digest: %016llx\n",
+                static_cast<unsigned long long>(result.decisionDigest()));
     if (series) {
         SeriesChart memory("reachable memory", "iteration", "MB");
         memory.addSeries(result.memoryMb);

@@ -1,5 +1,7 @@
 #include "core/leak_pruning.h"
 
+#include <algorithm>
+
 #include "gc/tracer.h"
 #include "object/object.h"
 #include "util/logging.h"
@@ -30,8 +32,8 @@ LeakPruning::beginCollection(std::uint64_t epoch)
     // one; snapshot it so endCollection's transition can't confuse us.
     active_state_ = pinned_state_.value_or(machine_.state());
     candidates_.clear();
-    max_stale_seen_.store(0, std::memory_order_relaxed);
-    poisoned_this_gc_.store(0, std::memory_order_relaxed);
+    max_stale_seen_ = 0;
+    poisoned_this_gc_ = 0;
 
     switch (active_state_) {
       case PruningState::Observe: ++stats_.observeCollections; break;
@@ -76,12 +78,7 @@ LeakPruning::objectMarked(Object *obj)
 {
     // Only requested (via TracePolicy::notifyMarked) by the Most-stale
     // predictor's SELECT state: track the highest staleness level.
-    const unsigned s = obj->staleCounter();
-    unsigned cur = max_stale_seen_.load(std::memory_order_relaxed);
-    while (s > cur &&
-           !max_stale_seen_.compare_exchange_weak(cur, s,
-                                                  std::memory_order_relaxed)) {
-    }
+    max_stale_seen_ = std::max(max_stale_seen_, obj->staleCounter());
 }
 
 bool
@@ -138,13 +135,13 @@ LeakPruning::classifyEdge(Object *src, const ClassInfo &src_cls, ref_t *slot,
         if (config_.predictor == Predictor::MostStale) {
             if (most_stale_level_ >= config_.staleUseMargin &&
                 tgt->staleCounter() >= most_stale_level_) {
-                poisoned_this_gc_.fetch_add(1, std::memory_order_relaxed);
+                ++poisoned_this_gc_;
                 return EdgeAction::Poison;
             }
             return EdgeAction::Trace;
         }
         if (selected_ && type == selected_->type && isCandidate(type, tgt)) {
-            poisoned_this_gc_.fetch_add(1, std::memory_order_relaxed);
+            ++poisoned_this_gc_;
             return EdgeAction::Poison;
         }
         return EdgeAction::Trace;
@@ -160,10 +157,12 @@ LeakPruning::runStaleClosure(Tracer &tracer)
     // bytes of each candidate's data structure and charging them to
     // its edge entry. Candidates run in trace order; the first to
     // reach a shared subgraph is charged its bytes.
+    TracePolicy stale = tracePolicy();
+    stale.classifyEdges = false;
     TraceStats closure;
     for (const Candidate &c : candidates_) {
         const std::uint64_t bytes =
-            tracer.traceSubgraphCounting(c.target, this, closure);
+            tracer.traceSubgraph(c.target, this, stale, closure);
         if (bytes > 0)
             edge_table_.chargeBytes(c.type, bytes);
         stats_.staleBytesSized += bytes;
@@ -188,7 +187,7 @@ LeakPruning::afterInUseClosure(Tracer &tracer)
         selected_ = edge_table_.selectMaxBytesAndReset();
         break;
       case Predictor::MostStale:
-        most_stale_level_ = max_stale_seen_.load(std::memory_order_relaxed);
+        most_stale_level_ = max_stale_seen_;
         // Represent "a level was found" via selected_ so the state
         // machine's selection_available input works for all predictors.
         selected_.reset();
@@ -209,7 +208,7 @@ void
 LeakPruning::endCollection(const CollectionOutcome &outcome)
 {
     last_gc_state_ = active_state_;
-    last_gc_poisoned_ = poisoned_this_gc_.load(std::memory_order_relaxed);
+    last_gc_poisoned_ = poisoned_this_gc_;
     stats_.refsPoisoned += last_gc_poisoned_;
 
     if (active_state_ == PruningState::Prune) {

@@ -205,12 +205,14 @@ class LeakPruning : public CollectionPlugin
 
     std::atomic<bool> staleness_clock_paused_{false};
 
-    // Most-stale predictor bookkeeping.
-    std::atomic<unsigned> max_stale_seen_{0};
+    // Most-stale predictor bookkeeping. Like the per-collection poison
+    // count below, written only by collection hooks (one thread,
+    // world stopped), so plain members.
+    unsigned max_stale_seen_ = 0;
     unsigned most_stale_level_ = 0;
 
     // Per-collection poison count.
-    std::atomic<std::uint64_t> poisoned_this_gc_{0};
+    std::uint64_t poisoned_this_gc_ = 0;
 
     // Outcome of the most recent collection, for shouldKeepCollecting.
     PruningState last_gc_state_ = PruningState::Inactive;

@@ -1,7 +1,8 @@
 #include "gc/tracer.h"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
-#include <vector>
 
 #include "heap/heap.h"
 #include "object/object.h"
@@ -14,15 +15,18 @@ namespace {
 /**
  * The logarithmic staleness clock (paper Section 4.1): collection i
  * increments a counter holding k iff 2^k divides i, so a counter of k
- * means "last used about 2^k collections ago". Runs in the collector,
- * on every object it marks, exactly as in the paper.
+ * means "last used about 2^k collections ago". 2^k divides i exactly
+ * when k <= ctz(i), so the rule is one compare per marked object:
+ * tick iff k < this limit. The collector's claim (Object::tryMarkFor)
+ * applies it to every object it marks, exactly as in the paper.
  */
-inline void
-advanceStaleClock(Object *obj, std::uint64_t epoch)
+unsigned
+staleTickLimit(const TracePolicy &policy)
 {
-    const unsigned k = obj->staleCounter();
-    if (k < kMaxStaleCounter && (epoch & ((std::uint64_t{1} << k) - 1)) == 0)
-        obj->setStaleCounterTraced(k + 1);
+    if (!policy.trackStaleness)
+        return 0;
+    const auto divides = static_cast<unsigned>(std::countr_zero(policy.epoch));
+    return std::min(divides + 1, kMaxStaleCounter);
 }
 
 } // namespace
@@ -56,13 +60,17 @@ Tracer::pushGray(WorkChunk *&out)
 
 void
 Tracer::onMarked(Object *obj, CollectionPlugin *plugin,
-                 const TracePolicy &policy)
+                 const TracePolicy &policy, WorkChunk *&out,
+                 TraceStats &stats)
 {
+    ++stats.objectsMarked;
+    stats.bytesMarked += obj->sizeBytes();
     heap_.noteMarked(obj);
-    if (policy.trackStaleness)
-        advanceStaleClock(obj, policy.epoch);
     if (policy.notifyMarked)
         plugin->objectMarked(obj);
+    if (out->full())
+        pushGray(out);
+    out->push(obj);
 }
 
 void
@@ -92,13 +100,8 @@ Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
             // collection (the barrier only clears it on use).
             if (policy.tagReferences && !refHasStaleCheck(r))
                 *slot = refWithStaleCheck(r);
-            if (tgt->tryMarkFor(trace_parity_)) {
-                ++stats.objectsMarked;
-                onMarked(tgt, plugin, policy);
-                if (out->full())
-                    pushGray(out);
-                out->push(tgt);
-            }
+            if (tgt->tryMarkFor(trace_parity_, tick_below_))
+                onMarked(tgt, plugin, policy, out, stats);
             break;
           case EdgeAction::Defer:
             // The plugin recorded (slot, src class, target) in its
@@ -119,35 +122,12 @@ Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
     });
 }
 
-TraceStats
-Tracer::traceFromRoots(RootProvider &roots, CollectionPlugin *plugin,
-                       unsigned mark_parity)
+void
+Tracer::drain(CollectionPlugin *plugin, const TracePolicy &policy,
+              WorkChunk *out, TraceStats &stats)
 {
-    LP_ASSERT(gray_.empty(), "gray stack not drained by the last closure");
-    const TracePolicy policy = plugin ? plugin->tracePolicy() : TracePolicy{};
-    policy_ = policy;               // remembered for traceSubgraphCounting
-    trace_parity_ = mark_parity & 1; // likewise
-
-    // Seed the gray stack from the root set (stacks/registers +
-    // statics).
-    TraceStats stats;
-    WorkChunk *out = takeChunk();
-    roots.forEachRoot([&](ref_t *slot) {
-        const ref_t r = *slot;
-        if (refIsNull(r) || refIsPoisoned(r))
-            return;
-        Object *tgt = refTarget(r);
-        if (tgt->tryMarkFor(trace_parity_)) {
-            ++stats.objectsMarked;
-            onMarked(tgt, plugin, policy);
-            if (out->full())
-                pushGray(out);
-            out->push(tgt);
-        }
-    });
     if (!out->empty())
         pushGray(out);
-
     // Drain the newest batch to empty before taking the next one; the
     // output batch joins the stack when it fills or its input empties.
     while (!gray_.empty()) {
@@ -160,45 +140,45 @@ Tracer::traceFromRoots(RootProvider &roots, CollectionPlugin *plugin,
         spare_.push_back(in);
     }
     spare_.push_back(out);
+}
+
+TraceStats
+Tracer::traceFromRoots(RootProvider &roots, CollectionPlugin *plugin,
+                       unsigned mark_parity)
+{
+    LP_ASSERT(gray_.empty(), "gray stack not drained by the last closure");
+    const TracePolicy policy = plugin ? plugin->tracePolicy() : TracePolicy{};
+    trace_parity_ = mark_parity & 1; // remembered for traceSubgraph
+    tick_below_ = staleTickLimit(policy);
+
+    // Seed the gray stack from the root set (stacks/registers +
+    // statics).
+    TraceStats stats;
+    WorkChunk *out = takeChunk();
+    roots.forEachRoot([&](ref_t *slot) {
+        const ref_t r = *slot;
+        if (refIsNull(r) || refIsPoisoned(r))
+            return;
+        Object *tgt = refTarget(r);
+        if (tgt->tryMarkFor(trace_parity_, tick_below_))
+            onMarked(tgt, plugin, policy, out, stats);
+    });
+    drain(plugin, policy, out, stats);
     return stats;
 }
 
 std::uint64_t
-Tracer::traceSubgraphCounting(Object *start, CollectionPlugin *plugin,
-                              TraceStats &stats)
+Tracer::traceSubgraph(Object *start, CollectionPlugin *plugin,
+                      const TracePolicy &policy, TraceStats &stats)
 {
-    const TracePolicy &policy = policy_;
-    if (!start->tryMarkFor(trace_parity_))
+    tick_below_ = staleTickLimit(policy);
+    if (!start->tryMarkFor(trace_parity_, tick_below_))
         return 0; // already live via another path (or another candidate)
-    ++stats.objectsMarked;
-    onMarked(start, plugin, policy);
-
-    std::uint64_t bytes = 0;
-    std::vector<Object *> stack;
-    stack.push_back(start);
-    while (!stack.empty()) {
-        Object *obj = stack.back();
-        stack.pop_back();
-        bytes += obj->sizeBytes();
-        const ClassInfo &cls = registry_.info(obj->classId());
-        obj->forEachRefSlot(cls, [&](ref_t *slot) {
-            const ref_t r = *slot;
-            if (refIsNull(r))
-                return;
-            ++stats.edgesVisited;
-            if (refIsPoisoned(r))
-                return;
-            if (policy.tagReferences && !refHasStaleCheck(r))
-                *slot = refWithStaleCheck(r);
-            Object *tgt = refTarget(r);
-            if (tgt->tryMarkFor(trace_parity_)) {
-                ++stats.objectsMarked;
-                onMarked(tgt, plugin, policy);
-                stack.push_back(tgt);
-            }
-        });
-    }
-    return bytes;
+    const std::uint64_t before = stats.bytesMarked;
+    WorkChunk *out = takeChunk();
+    onMarked(start, plugin, policy, out, stats);
+    drain(plugin, policy, out, stats);
+    return stats.bytesMarked - before;
 }
 
 void

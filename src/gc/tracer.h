@@ -9,16 +9,24 @@
  *    reference it traces, and consults the CollectionPlugin per edge
  *    so leak pruning can defer candidates or poison selected ones.
  *
- *  - traceSubgraphCounting(): the stale closure's workhorse. Marks
- *    everything (not already marked) reachable from one candidate
- *    target, returning the bytes this call claimed — the size of the
- *    stale data structure charged to its edge-table entry.
+ *  - traceSubgraph(): the stale closure's workhorse. Marks everything
+ *    (not already marked) reachable from one candidate target and
+ *    returns the bytes this call claimed — the size of the stale data
+ *    structure charged to its edge-table entry.
+ *
+ * Both closures run one scan-and-mark routine (scanObject) over one
+ * gray stack of fixed-size batches; the TracePolicy a closure is given
+ * selects what the routine does per edge (tag, classify, notify) and
+ * per claimed object (tick the staleness clock, notify).
  *
  * Both run on the one collector thread, inside the stop-the-world
  * pause. The paper's MMTk collector runs them on several threads
  * (Section 4.5); at this repository's heap sizes a second collector
  * thread roughly doubled the mark time, so the closures are serial
- * (DESIGN.md "Known deviations: serial collector").
+ * (DESIGN.md "Known deviations: serial collector"). Being the only
+ * thread running, the collector claims an object, ticks its clock and
+ * tallies its chunk's bytes with plain relaxed loads and stores: the
+ * mark loop executes no locked instruction.
  */
 
 #ifndef LP_GC_TRACER_H
@@ -57,6 +65,7 @@ struct TraceStats {
     std::uint64_t edgesVisited = 0;
     std::uint64_t refsPoisoned = 0;
     std::uint64_t edgesDeferred = 0;
+    std::uint64_t bytesMarked = 0; //!< sizes of the objects marked
 };
 
 class Tracer
@@ -84,16 +93,16 @@ class Tracer
                               unsigned mark_parity);
 
     /**
-     * Serially mark the subgraph rooted at @p start, claiming objects
-     * not already marked (at the parity of the in-progress
-     * collection), and return the bytes claimed — folding the objects
-     * and edges visited into @p stats so stale-closure work shows up
-     * in the collection totals. Reference slots inside the subgraph
-     * are stale-check tagged like any traced reference.
+     * Mark the subgraph rooted at @p start during the in-progress
+     * collection (after traceFromRoots, same trace parity), claiming
+     * only objects not already marked, and return the bytes claimed.
+     * @p policy selects the per-edge and per-object work as in the
+     * in-use closure; the caller passes it with classifyEdges off, as
+     * every edge inside the subgraph is traced. The objects and edges
+     * visited fold into @p stats. Must run with the world stopped.
      */
-    std::uint64_t traceSubgraphCounting(Object *start,
-                                        CollectionPlugin *plugin,
-                                        TraceStats &stats);
+    std::uint64_t traceSubgraph(Object *start, CollectionPlugin *plugin,
+                                const TracePolicy &policy, TraceStats &stats);
 
     /**
      * Fold closure work a plugin performed outside traceFromRoots
@@ -122,17 +131,29 @@ class Tracer
     };
 
     /**
-     * Scan one gray object: visit its reference slots, classify each
-     * edge, tag traced references, and push newly claimed targets onto
-     * @p out, which moves to the gray stack when it fills.
+     * The scan-and-mark routine both closures share: visit @p obj's
+     * reference slots and, as @p policy says, classify each edge, tag
+     * traced references and claim their targets (onMarked).
      */
     void scanObject(Object *obj, CollectionPlugin *plugin,
                     const TracePolicy &policy, WorkChunk *&out,
                     TraceStats &stats);
 
-    /** Per-claim bookkeeping (staleness clock, plugin notification). */
+    /**
+     * Per-claim work for an object this closure just marked: tally it,
+     * report it to the plugin if asked, and push it onto @p out, which
+     * moves to the gray stack when it fills.
+     */
     void onMarked(Object *obj, CollectionPlugin *plugin,
-                  const TracePolicy &policy);
+                  const TracePolicy &policy, WorkChunk *&out,
+                  TraceStats &stats);
+
+    /**
+     * Scan the seeded batch @p out, then every gray batch, to empty;
+     * the newest batch is drained before an older one is taken.
+     */
+    void drain(CollectionPlugin *plugin, const TracePolicy &policy,
+               WorkChunk *out, TraceStats &stats);
 
     //! Next empty chunk: from the spare list, else a new one.
     WorkChunk *takeChunk();
@@ -141,14 +162,17 @@ class Tracer
 
     Heap &heap_;
     const ClassRegistry &registry_;
-    TracePolicy policy_; //!< policy of the in-progress collection
     unsigned trace_parity_ = 1; //!< parity of the in-progress collection
+    //! The running closure's stale-clock limit: a claim raises a stale
+    //! counter k to k+1 iff k < tick_below_ (0 when the clock is off).
+    unsigned tick_below_ = 0;
     //! Closure work plugins report via addClosureStats().
     TraceStats extra_;
-    //! The in-use closure's gray objects, in batches. The newest batch
-    //! is drained before an older one is taken; this visit order
-    //! decides which candidate first reaches a shared stale subgraph,
-    //! and so which edge type selection picks.
+    //! The running closure's gray objects, in batches (empty between
+    //! closures). The newest batch is drained before an older one is
+    //! taken; in the in-use closure this visit order decides which
+    //! candidate first reaches a shared stale subgraph, and so which
+    //! edge type selection picks.
     std::vector<WorkChunk *> gray_;
     //! Drained batches, reused across collections so the steady state
     //! allocates nothing on the closure's hot path.

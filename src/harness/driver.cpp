@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/errors.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -213,6 +214,21 @@ RunResult::pausePercentileNanos(double fraction) const
     std::nth_element(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(idx),
                      s.end());
     return s[idx];
+}
+
+std::uint64_t
+RunResult::decisionDigest() const
+{
+    std::vector<std::uint64_t> words;
+    for (const PruneEvent &ev : pruneLog) {
+        words.push_back(ev.epoch);
+        words.push_back(ev.type.srcClass);
+        words.push_back(ev.type.tgtClass);
+        words.push_back(ev.refsPoisoned);
+    }
+    words.push_back(iterations);
+    words.push_back(end == EndReason::OutOfMemory);
+    return fnv1a(words.data(), words.size() * sizeof(words[0]));
 }
 
 RunResult

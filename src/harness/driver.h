@@ -139,6 +139,13 @@ struct RunResult {
             : 0.0;
     }
 
+    /**
+     * FNV-1a over every prune event's (epoch, edge type, refs
+     * poisoned) and the outcome (iterations, out of memory or not).
+     * Equal digests mean the runs made the same pruning decisions.
+     */
+    std::uint64_t decisionDigest() const;
+
     /** True if the run was still alive when the driver stopped it. */
     bool
     survived() const

@@ -288,13 +288,17 @@ Heap::noteMarked(const Object *obj)
     const auto a = reinterpret_cast<word_t>(obj);
     if (a >= arena_base_ && a < arena_base_ + capacity()) {
         const std::size_t c = (a - arena_base_) / kChunkBytes;
-        marked_bytes_[c].fetch_add(chunks_[c].blockBytes,
-                                   std::memory_order_relaxed);
+        std::atomic<std::uint32_t> &tally = marked_bytes_[c];
+        tally.store(tally.load(std::memory_order_relaxed) +
+                        chunks_[c].blockBytes,
+                    std::memory_order_relaxed);
         return;
     }
     // LOS: charge exactly what the allocator charged (page-rounded).
-    marked_large_bytes_.fetch_add(roundUp(obj->sizeBytes(), 4096),
-                                  std::memory_order_relaxed);
+    marked_large_bytes_.store(
+        marked_large_bytes_.load(std::memory_order_relaxed) +
+            roundUp(obj->sizeBytes(), 4096),
+        std::memory_order_relaxed);
 }
 
 Heap::FlipResult

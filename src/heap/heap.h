@@ -205,8 +205,10 @@ class Heap
     /**
      * Account one newly marked object (called exactly once per object
      * per collection, by the collector when it claims the object).
-     * O(1) chunk lookup and a relaxed fetch_add; the collector is the
-     * only writer. Feeds flipMarkEpoch()'s exact live-byte totals.
+     * O(1) chunk lookup, then a relaxed load and a relaxed store: the
+     * collector is the one thread running during the mark, so the
+     * add needs no locked instruction. Feeds flipMarkEpoch()'s exact
+     * live-byte totals.
      */
     void noteMarked(const Object *obj);
 
@@ -439,7 +441,7 @@ class Heap
     //! Epoch-parity state. mark_epoch_ advances under mutex_ at
     //! stop-the-world flips and is read lock-free (allocation parity,
     //! verifier); the mark-time byte tallies are written by the
-    //! collector with relaxed fetch_adds.
+    //! collector in the pause, with relaxed loads and stores.
     std::atomic<std::uint64_t> mark_epoch_{0};
     std::unique_ptr<std::atomic<std::uint32_t>[]> marked_bytes_; //!< per chunk
     std::atomic<std::size_t> marked_large_bytes_{0};

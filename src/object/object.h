@@ -12,8 +12,19 @@
  * clock (Section 4.1): value k means the object was last used about
  * 2^k full-heap collections ago. The mark bit doubles as the
  * collector's claim bit: tryMarkFor() reports whether this visit
- * marked the object, so each object is traced once. The pinned bit models memory the pruner must never
- * reclaim through (e.g. thread stacks in the Mckoi leak, Section 6).
+ * marked the object, so each object is traced once, and advances the
+ * stale counter in the same header store. The pinned bit models memory
+ * the pruner must never reclaim through (e.g. thread stacks in the
+ * Mckoi leak, Section 6).
+ *
+ * Who writes the status word: mutators change only the stale counter
+ * (the read barrier's cold path) and the pinned bit, with atomic
+ * read-modify-writes, and never during a collection pause. The
+ * collector writes the mark, stale and finalizer bits only inside the
+ * pause, where every mutator is parked at a safepoint, so its writes
+ * are a relaxed load and a relaxed store with no locked instruction.
+ * Safepoint entry and exit order the two kinds of writer (DESIGN.md
+ * "Known deviations: serial collector").
  *
  * Payload layouts by ObjectKind:
  *  Scalar:    [ref slots x numRefSlots][raw data bytes]
@@ -132,22 +143,6 @@ class Object
     void clearStaleCounter() { setStaleCounter(0); }
 
     /**
-     * Trace-time stale-counter update. The collector calls it inside
-     * the stop-the-world pause, right after claiming this object (won
-     * tryMarkFor). No other thread writes the header then, so a plain
-     * load and store is exact.
-     */
-    void
-    setStaleCounterTraced(unsigned k)
-    {
-        std::atomic_ref<word_t> st(status_);
-        st.store(setBitField(st.load(std::memory_order_relaxed),
-                             header_bits::kStaleLo, header_bits::kStaleWidth,
-                             k),
-                 std::memory_order_relaxed);
-    }
-
-    /**
      * Epoch-parity mark test: live when the mark bit equals the low
      * bit of @p parity. The bit is never cleared between collections;
      * the heap's markEpoch flip reinterprets it instead (see
@@ -160,22 +155,55 @@ class Object
     }
 
     /**
-     * Parity-aware claim: atomically flip the mark bit toward
-     * @p parity. @return true iff this call made the object marked for
-     * @p parity (the caller owns tracing it).
+     * The collector's claim: if the object is not yet marked for
+     * @p parity, flip its mark bit toward @p parity and, when its stale
+     * counter k is below @p tick_below, raise the counter to k+1 in the
+     * same store. @return true iff this call marked the object (the
+     * caller owns tracing it).
+     *
+     * Collector only, world stopped: a relaxed test and a relaxed
+     * store, exact because no other thread writes the header during
+     * the pause (file comment). @p tick_below is at most
+     * kMaxStaleCounter; 0 leaves the counter alone.
      */
     bool
-    tryMarkFor(unsigned parity)
+    tryMarkFor(unsigned parity, unsigned tick_below = 0)
     {
-        return (parity & 1) ? trySetBit(header_bits::kMarkBit)
-                            : tryClearBit(header_bits::kMarkBit);
+        std::atomic_ref<word_t> st(status_);
+        const word_t old = st.load(std::memory_order_relaxed);
+        constexpr word_t mark = word_t{1} << header_bits::kMarkBit;
+        if (((old & mark) != 0) == ((parity & 1) != 0))
+            return false;
+        const auto k = static_cast<unsigned>(
+            bitField(old, header_bits::kStaleLo, header_bits::kStaleWidth));
+        const word_t ticked =
+            k < tick_below ? setBitField(old, header_bits::kStaleLo,
+                                         header_bits::kStaleWidth, k + 1)
+                           : old;
+        st.store(ticked ^ mark, std::memory_order_relaxed);
+        return true;
     }
 
     bool finalizerEnqueued() const { return testBit(header_bits::kFinalizerEnqueuedBit); }
-    bool tryEnqueueFinalizer() { return trySetBit(header_bits::kFinalizerEnqueuedBit); }
+
+    /**
+     * Claim the finalizer run of an unmarked object. Collector only,
+     * world stopped, like tryMarkFor(). @return true iff this call set
+     * the finalizer-enqueued bit.
+     */
+    bool
+    tryEnqueueFinalizer()
+    {
+        if (finalizerEnqueued())
+            return false;
+        std::atomic_ref<word_t>(status_).store(
+            statusRelaxed() | (word_t{1} << header_bits::kFinalizerEnqueuedBit),
+            std::memory_order_relaxed);
+        return true;
+    }
 
     bool pinned() const { return testBit(header_bits::kPinnedBit); }
-    void setPinned(bool on) { on ? (void)trySetBit(header_bits::kPinnedBit)
+    void setPinned(bool on) { on ? setBit(header_bits::kPinnedBit)
                                  : clearBit(header_bits::kPinnedBit); }
 
     // --- payload access (layout depends on the ClassInfo) -------------
@@ -284,13 +312,11 @@ class Object
         return (statusRelaxed() >> bit) & 1;
     }
 
-    bool
-    trySetBit(unsigned bit)
+    void
+    setBit(unsigned bit)
     {
         std::atomic_ref<word_t> st(status_);
-        const word_t mask = word_t{1} << bit;
-        const word_t old = st.fetch_or(mask, std::memory_order_acq_rel);
-        return (old & mask) == 0;
+        st.fetch_or(word_t{1} << bit, std::memory_order_acq_rel);
     }
 
     void
@@ -298,15 +324,6 @@ class Object
     {
         std::atomic_ref<word_t> st(status_);
         st.fetch_and(~(word_t{1} << bit), std::memory_order_acq_rel);
-    }
-
-    bool
-    tryClearBit(unsigned bit)
-    {
-        std::atomic_ref<word_t> st(status_);
-        const word_t mask = word_t{1} << bit;
-        const word_t old = st.fetch_and(~mask, std::memory_order_acq_rel);
-        return (old & mask) != 0;
     }
 
     word_t status_;

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "gc/tracer.h"
 #include "object/object.h"
 #include "telemetry/telemetry.h"
 #include "util/logging.h"
@@ -173,45 +174,18 @@ DiskOffload::offloadSubgraph(Object *root)
 }
 
 void
-DiskOffload::rescueSubgraph(Object *root)
-{
-    // Deferred but not offloadable: mark the subgraph (at this
-    // collection's trace parity, reporting every claim to the heap's
-    // mark-time accounting) so the epoch flip keeps it — equivalent to
-    // having traced the edge normally. Stub words inside it still
-    // count as live references for the disk GC.
-    std::vector<Object *> work;
-    if (root->tryMarkFor(traceParity())) {
-        rt_.heap().noteMarked(root);
-        work.push_back(root);
-    }
-    while (!work.empty()) {
-        Object *obj = work.back();
-        work.pop_back();
-        const ClassInfo &cls = rt_.classes().info(obj->classId());
-        obj->forEachRefSlot(cls, [&](ref_t *slot) {
-            const ref_t r = *slot;
-            if (refIsNull(r))
-                return;
-            if (refIsPoisoned(r)) {
-                invalidRefSeen(r);
-                return;
-            }
-            Object *tgt = refTarget(r);
-            if (tgt->tryMarkFor(traceParity())) {
-                rt_.heap().noteMarked(tgt);
-                work.push_back(tgt);
-            }
-        });
-    }
-}
-
-void
-DiskOffload::afterInUseClosure(Tracer &)
+DiskOffload::afterInUseClosure(Tracer &tracer)
 {
     if (!offloading_this_gc_)
         return;
     ++stats_.offloadCollections;
+    // A deferred target the full disk cannot take is rescued: marked
+    // with its subgraph so the epoch flip keeps it, as if its edge had
+    // been traced, but without tags or clock ticks. Stub words inside
+    // it still count as live references for the disk GC.
+    TracePolicy rescue;
+    rescue.notifyInvalidRefs = true;
+    TraceStats rescued;
     for (ref_t *slot : candidate_slots_) {
         const ref_t r = *slot;
         if (refIsNull(r) || refIsPoisoned(r))
@@ -222,7 +196,7 @@ DiskOffload::afterInUseClosure(Tracer &)
         if (stats_.diskLiveBytes >= config_.diskBudgetBytes)
             stats_.diskExhausted = true; // how disk-based systems die
         if (stats_.diskExhausted) {
-            rescueSubgraph(tgt);
+            tracer.traceSubgraph(tgt, this, rescue, rescued);
             continue;
         }
         auto it = offload_map_.find(tgt);
@@ -231,6 +205,7 @@ DiskOffload::afterInUseClosure(Tracer &)
         *slot = stubRef(id);
         ++offloaded_this_gc_;
     }
+    tracer.addClosureStats(rescued);
 }
 
 void

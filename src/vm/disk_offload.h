@@ -143,9 +143,6 @@ class DiskOffload : public CollectionPlugin
     /** Serialize the unmarked subgraph rooted at @p root. */
     std::uint64_t offloadSubgraph(Object *root);
 
-    /** Keep a deferred-but-unoffloadable subgraph alive (disk full). */
-    void rescueSubgraph(Object *root);
-
     /**
      * Disk garbage collection (end of each offloading-capable GC):
      * compute the stub ids still reachable — ids seen in live heap

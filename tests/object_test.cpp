@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -87,26 +88,73 @@ TEST(ObjectTest, StaleCounterSaturatesAtSeven)
     EXPECT_EQ(obj->staleCounter(), 7u);
 }
 
-TEST(ObjectTest, MarkClaimIsExclusiveAcrossThreads)
+TEST(ObjectTest, MarkClaimTicksStaleCounterInTheSameStore)
 {
-    // A collection claims toward the parity the object does not hold
-    // yet; raced at both parities, so the bit is both set and cleared.
-    for (unsigned parity : {1u, 0u}) {
-        alignas(8) unsigned char backing[64] = {};
-        Object *obj = Object::format(backing, 1, 64, parity ^ 1);
-        std::atomic<int> claims{0};
-        std::vector<std::thread> threads;
-        for (int t = 0; t < 8; ++t) {
-            threads.emplace_back([&] {
-                if (obj->tryMarkFor(parity))
-                    claims.fetch_add(1);
-            });
+    alignas(8) unsigned char backing[64] = {};
+    Object *obj = Object::format(backing, 9, 64);
+    obj->setStaleCounter(2);
+
+    EXPECT_TRUE(obj->tryMarkFor(1, 3)) << "2 < 3: claim and tick";
+    EXPECT_EQ(obj->staleCounter(), 3u);
+    EXPECT_FALSE(obj->tryMarkFor(1, kMaxStaleCounter)) << "already marked";
+    EXPECT_EQ(obj->staleCounter(), 3u) << "a failed claim never ticks";
+
+    EXPECT_TRUE(obj->tryMarkFor(0, 3)) << "3 is not below 3: no tick";
+    EXPECT_EQ(obj->staleCounter(), 3u);
+    EXPECT_TRUE(obj->tryMarkFor(1)) << "default limit 0: never ticks";
+    EXPECT_EQ(obj->staleCounter(), 3u);
+
+    obj->setStaleCounter(kMaxStaleCounter);
+    EXPECT_TRUE(obj->tryMarkFor(0, kMaxStaleCounter));
+    EXPECT_EQ(obj->staleCounter(), kMaxStaleCounter) << "saturates";
+    EXPECT_TRUE(obj->markedFor(0));
+    EXPECT_EQ(obj->classId(), 9u);
+}
+
+TEST(ObjectTest, MutatorHeaderWritesAreNotLost)
+{
+    // Mutators race on the header outside collection pauses: the read
+    // barrier writes the stale counter, and pinning sets or clears the
+    // pinned bit. Each is an atomic read-modify-write, so no write
+    // undoes another or disturbs the collector-owned bits. One thread
+    // owns each field, so after every write its owner must read back
+    // exactly what it wrote.
+    alignas(8) unsigned char backing[64] = {};
+    Object *obj = Object::format(backing, 777, 64, /*mark_parity=*/1);
+    ASSERT_TRUE(obj->tryEnqueueFinalizer());
+
+    constexpr int kRounds = 200000;
+    std::atomic<int> lost{0};
+    std::thread stale([&] {
+        for (int i = 0; i < kRounds; ++i) {
+            const unsigned k = 1 + static_cast<unsigned>(i) % kMaxStaleCounter;
+            obj->setStaleCounter(k);
+            if (obj->staleCounter() != k)
+                lost.fetch_add(1);
+            obj->clearStaleCounter();
+            if (obj->staleCounter() != 0)
+                lost.fetch_add(1);
         }
-        for (auto &t : threads)
-            t.join();
-        EXPECT_EQ(claims.load(), 1) << "parity " << parity;
-        EXPECT_TRUE(obj->markedFor(parity));
-    }
+    });
+    std::thread pin([&] {
+        for (int i = 0; i < kRounds; ++i) {
+            obj->setPinned(true);
+            if (!obj->pinned())
+                lost.fetch_add(1);
+            obj->setPinned(false);
+            if (obj->pinned())
+                lost.fetch_add(1);
+        }
+    });
+    stale.join();
+    pin.join();
+
+    EXPECT_EQ(lost.load(), 0);
+    EXPECT_EQ(obj->staleCounter(), 0u);
+    EXPECT_FALSE(obj->pinned());
+    EXPECT_TRUE(obj->markedFor(1));
+    EXPECT_TRUE(obj->finalizerEnqueued());
+    EXPECT_EQ(obj->classId(), 777u);
 }
 
 TEST(ObjectTest, ScalarLayoutAndSlots)

@@ -32,10 +32,12 @@ store, every small-object allocation and every object the collector
 marks, must contain no locked read-modify-write (fetch_add, fetch_sub,
 fetch_or, fetch_and, exchange, compare_exchange_*). One shared
 fetch_add per load once cost more than the barrier's tag test; the
-barrier counters are per-thread for that reason, a thread cache carves
-from a chunk it owns, and the one collector thread's mark loop needs
-no lock of its own. Atomic operations belong on the out-of-line cold
-and refill paths.
+barrier counters are per-thread for that reason, and a thread cache
+carves from a chunk it owns. The mark loop (the claim, the chunk byte
+tally, the per-edge and per-object plugin hooks) runs on the one
+collector thread with the world stopped, so its header and counter
+writes are plain stores. Atomic operations belong on the out-of-line
+cold and refill paths.
 
 `--self-test` proves the scanner actually detects offenders by running
 it over tests/lint_fixtures/, which contains a deliberate raw
@@ -98,8 +100,13 @@ FAST_PATHS = [
     ("src/heap/thread_cache.h", "allocateFast"),
     ("src/heap/thread_cache.h", "noteAllocated"),
     ("src/heap/thread_cache.cpp", "carve"),
+    ("src/object/object.h", "tryMarkFor"),
+    ("src/heap/heap.cpp", "noteMarked"),
+    ("src/gc/tracer.cpp", "onMarked"),
     ("src/gc/tracer.cpp", "scanObject"),
     ("src/gc/tracer.cpp", "traceFromRoots"),
+    ("src/core/leak_pruning.cpp", "classifyEdge"),
+    ("src/core/leak_pruning.cpp", "objectMarked"),
 ]
 LOCKED_RMW_RE = re.compile(
     r"\b(fetch_add|fetch_sub|fetch_or|fetch_and|exchange|compare_exchange\w*)\b")
@@ -320,12 +327,13 @@ def main() -> int:
     locked = list(scan_fast_paths(root, FAST_PATHS))
     if locked:
         print(f"lint_barriers: {len(locked)} locked read-modify-write(s) "
-              f"on mutator fast paths:\n")
+              f"on fast paths:\n")
         for rel, lineno, token, line in locked:
             print(f"  {rel}:{lineno}: [{token}] {line}")
         print("\nEvery reference load, small allocation or marked object "
-              "runs these bodies. Count per thread (countOwned) and keep "
-              "atomic RMWs on the cold and refill paths.\n")
+              "runs these bodies. Count per thread (countOwned), use plain "
+              "stores in the world-stopped mark loop, and keep atomic RMWs "
+              "on the cold and refill paths.\n")
     if violations:
         print(f"lint_barriers: {len(violations)} raw tagged-reference "
               f"access(es) outside the allowlisted layers:\n")
