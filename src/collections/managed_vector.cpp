@@ -92,9 +92,14 @@ void
 ManagedVector::forEach(Object *vec, const std::function<void(Object *)> &fn)
 {
     const std::size_t n = size(vec);
-    Object *storage = rt_.readRef(vec, kStorageSlot);
+    // The backing array is rooted for the walk: under the disk-offload
+    // baseline a read may fault an object in, and a collection inside
+    // that fault could otherwise move the array this loop reads out of
+    // the heap.
+    HandleScope scope(rt_.roots());
+    Handle storage = scope.handle(rt_.readRef(vec, kStorageSlot));
     for (std::size_t i = 0; i < n; ++i)
-        fn(rt_.readRef(storage, i));
+        fn(rt_.readRef(storage.get(), i));
 }
 
 } // namespace lp

@@ -115,7 +115,6 @@ Collector::collect()
             plugin_->afterInUseClosure(tracer_);
         const TraceStats extra = tracer_.takeExtraStats();
         trace.objectsMarked += extra.objectsMarked;
-        trace.edgesVisited += extra.edgesVisited;
     });
 
     // Finalizers must run while dead objects still have intact

@@ -83,7 +83,6 @@ Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
         const ref_t r = *slot;
         if (refIsNull(r))
             return;
-        ++stats.edgesVisited;
         if (refIsPoisoned(r)) {
             // Pruned (or offloaded) in an earlier GC: never traced.
             if (policy.notifyInvalidRefs)
@@ -112,7 +111,6 @@ Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
             // pruning.
             if (policy.tagReferences && !refHasStaleCheck(r))
                 *slot = refWithStaleCheck(r);
-            ++stats.edgesDeferred;
             break;
           case EdgeAction::Poison:
             *slot = refPoisoned(r);
@@ -185,7 +183,6 @@ void
 Tracer::addClosureStats(const TraceStats &stats)
 {
     extra_.objectsMarked += stats.objectsMarked;
-    extra_.edgesVisited += stats.edgesVisited;
 }
 
 TraceStats

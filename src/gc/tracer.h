@@ -62,9 +62,7 @@ class RootProvider
 /** Counters from one closure run. */
 struct TraceStats {
     std::uint64_t objectsMarked = 0;
-    std::uint64_t edgesVisited = 0;
     std::uint64_t refsPoisoned = 0;
-    std::uint64_t edgesDeferred = 0;
     std::uint64_t bytesMarked = 0; //!< sizes of the objects marked
 };
 

@@ -175,7 +175,7 @@ Heap::allocateLarge(std::size_t bytes)
 bool
 Heap::leaseChunk(std::size_t size_class, ChunkLease &lease)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     std::size_t chunk = npos;
     if (!partial_[size_class].empty()) {
         // Partial lists hold only unleased chunks with room: nothing
@@ -213,6 +213,10 @@ Heap::leaseChunk(std::size_t size_class, ChunkLease &lease)
     lease.bump = info.bump;
     lease.freeHead = info.freeHead;
     lease.allocated = 0;
+    lock.unlock();
+    telInstant(telemetry_, TracePhase::CacheRefill,
+               static_cast<std::uint32_t>(size_class),
+               static_cast<std::uint64_t>(lease.numBlocks) * lease.blockBytes);
     return true;
 }
 

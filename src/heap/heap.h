@@ -142,7 +142,9 @@ class Heap
      * a free one) and hands the whole thing to the caller. Until the
      * lease is retired the chunk belongs exclusively to that cache —
      * the heap will not lease it again, and its liveBlocks /
-     * usedBytes() contribution is deferred to retire time.
+     * usedBytes() contribution is deferred to retire time. A granted
+     * lease emits a CacheRefill trace instant (size class, chunk
+     * bytes) on the calling thread's track.
      *
      * @return false when no chunk is available (the caller's cue to
      *         collect, counted in failedAllocations); the lease is left
@@ -274,9 +276,10 @@ class Heap
     ObjectSweepState sweepStateOf(const Object *obj) const;
 
     /**
-     * Attach a telemetry engine (may be null): lazy sweeps on the
-     * allocation path emit LazySweep spans and finishSweep() emits a
-     * FinishSweep span. Call before mutators start.
+     * Attach a telemetry engine (may be null): chunk leases emit
+     * CacheRefill instants, lazy sweeps on the allocation path emit
+     * LazySweep spans and finishSweep() emits a FinishSweep span. Call
+     * before mutators start.
      */
     void setTelemetry(Telemetry *telemetry) { telemetry_ = telemetry; }
 

@@ -1,9 +1,5 @@
 #include "heap/thread_cache.h"
 
-#include <atomic>
-#include <thread>
-
-#include "telemetry/telemetry.h"
 #include "util/logging.h"
 
 namespace lp {
@@ -46,9 +42,6 @@ ThreadAllocCache::allocateRefill(std::size_t bytes)
     void *mem = carve(lease);
     LP_ASSERT(mem, "fresh chunk lease has no carvable block");
     noteAllocated(bytes, lease.blockBytes);
-    telInstant(telemetry_, TracePhase::CacheRefill,
-               static_cast<std::uint32_t>(cls),
-               static_cast<std::uint64_t>(lease.numBlocks) * lease.blockBytes);
     return mem;
 }
 
@@ -67,70 +60,6 @@ ThreadAllocCache::flushStats()
     heap_.noteCacheAllocations(pending_allocs_, pending_alloc_bytes_);
     pending_allocs_ = 0;
     pending_alloc_bytes_ = 0;
-}
-
-namespace {
-
-/** Stable id for the calling thread (same scheme as ThreadRegistry). */
-std::uint64_t
-selfId()
-{
-    return std::hash<std::thread::id>{}(std::this_thread::get_id());
-}
-
-thread_local std::uint64_t tls_cache_set_id = 0;
-thread_local ThreadAllocCache *tls_cache = nullptr;
-
-std::atomic<std::uint64_t> next_set_id{1};
-
-} // namespace
-
-AllocCacheSet::AllocCacheSet(Heap &heap)
-    : heap_(heap), set_id_(next_set_id.fetch_add(1, std::memory_order_relaxed))
-{}
-
-AllocCacheSet::~AllocCacheSet()
-{
-    // Cache destructors retire any leases left by exited threads.
-    caches_.clear();
-}
-
-ThreadAllocCache *
-AllocCacheSet::mine()
-{
-    if (tls_cache_set_id == set_id_ && tls_cache)
-        return tls_cache;
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = caches_[selfId()];
-    if (!slot) {
-        slot = std::make_unique<ThreadAllocCache>(heap_);
-        slot->setTelemetry(telemetry_);
-    }
-    tls_cache_set_id = set_id_;
-    tls_cache = slot.get();
-    return slot.get();
-}
-
-void
-AllocCacheSet::setTelemetry(Telemetry *telemetry)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    telemetry_ = telemetry;
-    for (auto &[id, cache] : caches_)
-        cache->setTelemetry(telemetry);
-}
-
-std::uint64_t
-AllocCacheSet::retireAll()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    TelemetrySpan span(telemetry_, TracePhase::CacheRetireAll,
-                       /*gc_track=*/true);
-    std::uint64_t drained = 0;
-    for (auto &[id, cache] : caches_)
-        drained += cache->retireAll();
-    span.setArgs(static_cast<std::uint32_t>(caches_.size()), drained);
-    return drained;
 }
 
 } // namespace lp

@@ -15,20 +15,23 @@
  *    allocation pops the lease's private free list or bump cursor and
  *    sets the in-use bit directly — no atomics, no locks; the chunk is
  *    exclusively owned until retired.
- *  - AllocCacheSet owns one cache per mutator thread (created on first
- *    use, found again through a TLS pointer keyed on a process-unique
- *    set id, so stale TLS from a destroyed Runtime can never alias).
+ *  - Each mutator's cache lives in its ThreadRegistry entry
+ *    (threads/safepoint.h), the one per-thread record, so the
+ *    allocation fast path finds it with the same TLS lookup that finds
+ *    the thread's last-allocation root.
  *
  * Consistency protocol (see DESIGN.md "Allocation fast path & bulk
  * sweep"): caches are retired *centrally* at stop-the-world points —
- * the collector's world-stopped hook calls AllocCacheSet::retireAll()
- * while every owner is parked or blocked, folding private cursors and
- * byte counts back into chunk metadata. Publication is by happens-
- * before through the registry mutex (owner parks, then the collector
- * stops the world), so no per-field synchronization is needed. After
- * the pause each owner finds its leases gone and refills through the
- * runtime's slow path, which is also where GC-trigger accounting
- * (bytes folded into the budget and the staleness clock) happens.
+ * the collector's world-stopped hook calls
+ * ThreadRegistry::retireAllocCaches() while every owner is parked or
+ * blocked, folding private cursors and byte counts back into chunk
+ * metadata — and by their owner when it unregisters. Publication is by
+ * happens-before through the registry mutex (owner parks, then the
+ * collector stops the world), so no per-field synchronization is
+ * needed. After the pause each owner finds its leases gone and refills
+ * through the runtime's slow path, which is also where GC-trigger
+ * accounting (bytes folded into the budget and the staleness clock)
+ * happens.
  */
 
 #ifndef LP_HEAP_THREAD_CACHE_H
@@ -36,22 +39,18 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "heap/heap.h"
 
 namespace lp {
 
-class Telemetry;
-
 /**
  * Per-thread allocation state: one chunk lease per size class plus
  * the allocation tallies not yet folded into shared counters. All
  * methods are owner-thread-only except when the world is stopped
- * (AllocCacheSet::retireAll runs them from the collecting thread).
+ * (ThreadRegistry::retireAllocCaches runs retireAll() from the
+ * collecting thread).
  */
 class ThreadAllocCache
 {
@@ -106,12 +105,10 @@ class ThreadAllocCache
     /**
      * Retire every lease back to the heap and flush pending allocation
      * stats. Returns the drained trigger bytes. Called by the owner
-     * (destruction) or by the collecting thread at stop-the-world.
+     * (unregistration, destruction) or by the collecting thread at
+     * stop-the-world.
      */
     std::uint64_t retireAll();
-
-    /** Attach a telemetry engine (may be null); refills emit events. */
-    void setTelemetry(Telemetry *telemetry) { telemetry_ = telemetry; }
 
   private:
     void *carve(ChunkLease &lease);
@@ -127,54 +124,10 @@ class ThreadAllocCache
     void flushStats();
 
     Heap &heap_;
-    Telemetry *telemetry_ = nullptr;
     std::vector<ChunkLease> leases_;   //!< indexed by size class
     std::uint64_t trigger_bytes_ = 0;  //!< undrained GC-trigger bytes
     std::uint64_t pending_allocs_ = 0; //!< HeapStats not yet flushed
     std::uint64_t pending_alloc_bytes_ = 0;
-};
-
-/**
- * The per-Runtime set of thread allocation caches. mine() is cheap
- * after the first call from a thread (one TLS compare); retireAll()
- * is the collector's stop-the-world flush.
- */
-class AllocCacheSet
-{
-  public:
-    explicit AllocCacheSet(Heap &heap);
-    ~AllocCacheSet();
-
-    AllocCacheSet(const AllocCacheSet &) = delete;
-    AllocCacheSet &operator=(const AllocCacheSet &) = delete;
-
-    /** The calling thread's cache, created on first use. */
-    ThreadAllocCache *mine();
-
-    /**
-     * Retire every thread's leases and flush their stats; returns the
-     * total drained trigger bytes. Must run while every cache owner is
-     * parked, blocked, or the caller itself (stop-the-world, runtime
-     * destruction): cache fields are read without owner cooperation.
-     */
-    std::uint64_t retireAll();
-
-    /**
-     * Attach a telemetry engine; propagated to every existing and
-     * future per-thread cache. Call before mutators start (the runtime
-     * does it in its constructor), never mid-run.
-     */
-    void setTelemetry(Telemetry *telemetry);
-
-  private:
-    Heap &heap_;
-    Telemetry *telemetry_ = nullptr;
-    //! Process-unique id the TLS cache keys on (never an address,
-    //! which a later Runtime could reuse).
-    const std::uint64_t set_id_;
-    mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t, std::unique_ptr<ThreadAllocCache>>
-        caches_;
 };
 
 } // namespace lp

@@ -1,6 +1,7 @@
 #include "threads/safepoint.h"
 
 #include <thread>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -34,8 +35,9 @@ addCounts(BarrierStats &into, const BarrierStats &from)
 
 } // namespace
 
-ThreadRegistry::ThreadRegistry()
-    : registry_id_(next_registry_id.fetch_add(1, std::memory_order_relaxed))
+ThreadRegistry::ThreadRegistry(Heap &heap)
+    : heap_(heap),
+      registry_id_(next_registry_id.fetch_add(1, std::memory_order_relaxed))
 {}
 
 void
@@ -58,9 +60,7 @@ ThreadRegistry::registerMutator()
     // A newly arriving mutator must not start running mid-pause.
     cv_.wait(lock, [&] { return !stop_requested_.load(std::memory_order_relaxed); });
     auto &entry = threads_[selfId()];
-    entry = std::make_unique<ThreadState>();
-    entry->state = State::Running;
-    entry->lastAllocation = 0;
+    entry = std::make_unique<ThreadState>(heap_);
     tls_registry_id_ = registry_id_;
     tls_state_ = entry.get();
 }
@@ -72,9 +72,16 @@ ThreadRegistry::unregisterMutator()
     auto it = threads_.find(selfId());
     if (it == threads_.end())
         return;
-    if (--it->second->depth > 0)
+    ThreadState &self = *it->second;
+    if (--self.depth > 0)
         return; // an outer registration is still live
-    addCounts(exited_barrier_, it->second->barrier);
+    // This thread is running, so no pause can start before the entry
+    // is gone: its leases go back to the heap now rather than at the
+    // next pause, and its counts outlive the entry.
+    LP_ASSERT(self.state == State::Running,
+              "a mutator must leave its blocked region before unregistering");
+    exited_trigger_bytes_ += self.cache.retireAll();
+    addCounts(exited_barrier_, self.barrier);
     threads_.erase(it);
     if (tls_registry_id_ == registry_id_) {
         tls_registry_id_ = 0;
@@ -84,10 +91,8 @@ ThreadRegistry::unregisterMutator()
 }
 
 ThreadRegistry::ThreadState *
-ThreadRegistry::myState()
+ThreadRegistry::currentSlow()
 {
-    if (tls_registry_id_ == registry_id_)
-        return tls_state_;
     std::unique_lock<std::mutex> lock(mutex_);
     auto it = threads_.find(selfId());
     if (it == threads_.end())
@@ -102,16 +107,9 @@ ThreadRegistry::myBarrierStatsSlow()
 {
     // An unregistered reader would otherwise take the mutex on every
     // load; reads, like allocation, are for registered mutators only.
-    ThreadState *state = myState();
+    ThreadState *state = current();
     LP_ASSERT(state, "reference read from a thread not registered as a mutator");
     return state->barrier;
-}
-
-void
-ThreadRegistry::noteAllocation(ref_t obj)
-{
-    if (ThreadState *state = myState())
-        state->lastAllocation = obj;
 }
 
 void
@@ -125,37 +123,37 @@ ThreadRegistry::forEachAllocationRoot(const std::function<void(ref_t *)> &fn)
 void
 ThreadRegistry::park()
 {
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto it = threads_.find(selfId());
-    if (it == threads_.end())
+    ThreadState *self = current();
+    if (!self)
         return; // unregistered threads never park
-    it->second->state = State::Parked;
+    std::unique_lock<std::mutex> lock(mutex_);
+    self->state = State::Parked;
     cv_.notify_all();
     cv_.wait(lock, [&] { return !stop_requested_.load(std::memory_order_relaxed); });
-    it->second->state = State::Running;
+    self->state = State::Running;
 }
 
 void
 ThreadRegistry::enterBlocked()
 {
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto it = threads_.find(selfId());
-    if (it == threads_.end())
+    ThreadState *self = current();
+    if (!self)
         return;
-    it->second->state = State::Blocked;
+    std::unique_lock<std::mutex> lock(mutex_);
+    self->state = State::Blocked;
     cv_.notify_all();
 }
 
 void
 ThreadRegistry::exitBlocked()
 {
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto it = threads_.find(selfId());
-    if (it == threads_.end())
+    ThreadState *self = current();
+    if (!self)
         return;
+    std::unique_lock<std::mutex> lock(mutex_);
     // If a pause is in progress we must not resume mutating under it.
     cv_.wait(lock, [&] { return !stop_requested_.load(std::memory_order_relaxed); });
-    it->second->state = State::Running;
+    self->state = State::Running;
 }
 
 void
@@ -185,6 +183,16 @@ ThreadRegistry::resumeTheWorld()
     cv_.notify_all();
 }
 
+std::uint64_t
+ThreadRegistry::retireAllocCaches()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    std::uint64_t drained = std::exchange(exited_trigger_bytes_, 0);
+    for (auto &[id, state] : threads_)
+        drained += state->cache.retireAll();
+    return drained;
+}
+
 BarrierStats
 ThreadRegistry::barrierTotals() const
 {
@@ -199,12 +207,6 @@ ThreadRegistry::barrierTotals() const
                         {total(&BarrierStats::coldPathHits)},
                         {total(&BarrierStats::staleResets)},
                         {total(&BarrierStats::poisonThrows)}};
-}
-
-bool
-ThreadRegistry::currentThreadRegistered()
-{
-    return myState() != nullptr;
 }
 
 std::size_t

@@ -1,6 +1,7 @@
 /**
  * @file
- * Cooperative stop-the-world safepoints for mutator threads.
+ * Cooperative stop-the-world safepoints for mutator threads, and the
+ * one per-thread record each mutator has.
  *
  * The paper's collector is stop-the-world (Section 5): all mutators
  * must be stopped before the collector traces or sweeps. We implement
@@ -16,8 +17,13 @@
  *    every other registered mutator is parked or blocked, runs the
  *    collection, and then resumeTheWorld().
  *
- * Each registry entry also holds its mutator's read-barrier counters,
- * so the barrier counts without sharing a cache line between threads.
+ * The registry entry (ThreadState) is the mutator's only per-thread
+ * record, as an MMTk mutator context is in Jikes RVM: it holds the
+ * thread's allocation cache (chunk leases), its last-allocation root
+ * and its read-barrier counters. A thread finds it through one cached
+ * thread_local pointer (current()), and the entry lives exactly as
+ * long as the registration: unregistering retires the thread's leases
+ * and folds its counts into the registry before the entry goes.
  */
 
 #ifndef LP_THREADS_SAFEPOINT_H
@@ -31,6 +37,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "heap/thread_cache.h"
 #include "object/ref.h"
 
 namespace lp {
@@ -70,7 +77,40 @@ countOwned(std::atomic<std::uint64_t> &counter)
 class ThreadRegistry
 {
   public:
-    ThreadRegistry();
+    /**
+     * One registered mutator's record; address-stable while the
+     * thread stays registered. The public fields are the owning
+     * thread's, written on its fast paths without a lock; the
+     * collector touches them only while the world is stopped.
+     */
+    struct ThreadState {
+        explicit ThreadState(Heap &heap) : cache(heap) {}
+
+        //! Chunk leases the thread allocates small objects from.
+        ThreadAllocCache cache;
+        /**
+         * The thread's most recent allocation. A fresh object is
+         * invisible to the collector until the caller stores it into
+         * a handle or a field; if another thread triggers a collection
+         * inside that window the object would be swept. This slot is
+         * part of the root set (a library runtime's stand-in for the
+         * register/stack scanning a real VM does), closing the window.
+         */
+        ref_t lastAllocation = 0;
+        //! Written on every reference load; on its own cache line so
+        //! mutators never share one.
+        alignas(64) BarrierStats barrier;
+
+      private:
+        friend class ThreadRegistry;
+        enum class State : std::uint8_t { Running, Parked, Blocked };
+        State state = State::Running; //!< guarded by the registry mutex
+        //! Registration depth: registerMutator() nests (see there).
+        int depth = 1;
+    };
+
+    /** @param heap the heap this registry's mutators allocate from. */
+    explicit ThreadRegistry(Heap &heap);
 
     ThreadRegistry(const ThreadRegistry &) = delete;
     ThreadRegistry &operator=(const ThreadRegistry &) = delete;
@@ -86,7 +126,12 @@ class ThreadRegistry
      */
     void registerMutator();
 
-    /** Unregister the calling thread (must not hold the world). */
+    /**
+     * Unregister the calling thread (must not hold the world). At
+     * depth zero the thread's leases are retired and its counts folded
+     * into the registry before the entry is erased; the thread is
+     * still running then, so no pause can start in between.
+     */
     void unregisterMutator();
 
     /**
@@ -124,32 +169,35 @@ class ThreadRegistry
     std::size_t mutatorCount() const;
 
     /**
-     * True iff the calling thread is a registered mutator of this
-     * registry. Allocation asserts this in debug builds: with
-     * thread-local allocation caches, an unregistered allocator would
-     * not be halted by stop-the-world pauses and could mutate the heap
-     * under a running collection.
+     * The calling thread's entry, or nullptr if it is not a registered
+     * mutator of this registry. The common case is one inline compare
+     * of the thread's cached registry id; a thread that last used
+     * another registry re-caches this one under the mutex once.
      */
-    bool currentThreadRegistered();
-
-    /**
-     * Record the calling mutator's most recent allocation. A fresh
-     * object is invisible to the collector until the caller stores it
-     * into a handle or a field; if another thread triggers a
-     * collection inside that window the object would be swept. This
-     * slot is part of the root set (a library runtime's stand-in for
-     * the register/stack scanning a real VM does), closing the window.
-     */
-    void noteAllocation(ref_t obj);
+    ThreadState *
+    current()
+    {
+        if (tls_registry_id_ == registry_id_) [[likely]]
+            return tls_state_;
+        return currentSlow();
+    }
 
     /** Visit every thread's last-allocation root slot (collector). */
     void forEachAllocationRoot(const std::function<void(ref_t *)> &fn);
 
     /**
-     * The calling mutator's barrier counters. The common case is one
-     * inline compare of the thread's cached registry id; a thread that
-     * last used another registry re-caches this one under the mutex
-     * once. Panics if the calling thread is not a registered mutator.
+     * Retire every live entry's chunk leases and flush its allocation
+     * stats. Returns the GC-trigger bytes drained from them plus those
+     * of threads that unregistered since the last call. World-stopped
+     * (or quiescent) only: cache fields are read without the owners'
+     * cooperation.
+     */
+    std::uint64_t retireAllocCaches();
+
+    /**
+     * The calling mutator's barrier counters (the entry's barrier
+     * field, reached as in current()). Panics if the calling thread
+     * is not a registered mutator.
      */
     BarrierStats &
     myBarrierStats()
@@ -168,21 +216,10 @@ class ThreadRegistry
     BarrierStats barrierTotals() const;
 
   private:
-    enum class State : std::uint8_t { Running, Parked, Blocked };
-
-    /** Per-registered-thread bookkeeping; address-stable. */
-    struct ThreadState {
-        State state = State::Running;
-        ref_t lastAllocation = 0;
-        //! Registration depth: registerMutator() nests (see above).
-        int depth = 1;
-        //! Written only by the owning thread, on every reference load;
-        //! on its own cache line so mutators never share one.
-        alignas(64) BarrierStats barrier;
-    };
+    using State = ThreadState::State;
 
     void park();
-    ThreadState *myState();
+    ThreadState *currentSlow();
     BarrierStats &myBarrierStatsSlow();
 
     //! Per-thread cache of the calling thread's entry, sparing the
@@ -192,6 +229,7 @@ class ThreadRegistry
     static inline thread_local std::uint64_t tls_registry_id_ = 0;
     static inline thread_local ThreadState *tls_state_ = nullptr;
 
+    Heap &heap_;
     //! Process-unique id; the TLS cache keys on it rather than the
     //! object address, which could be reused by a later Runtime.
     const std::uint64_t registry_id_;
@@ -201,6 +239,9 @@ class ThreadRegistry
     std::unordered_map<std::uint64_t, std::unique_ptr<ThreadState>> threads_;
     //! Counts of threads that have unregistered; guarded by mutex_.
     BarrierStats exited_barrier_;
+    //! GC-trigger bytes drained from unregistered threads' caches and
+    //! not yet handed out by retireAllocCaches(); guarded by mutex_.
+    std::uint64_t exited_trigger_bytes_ = 0;
     std::atomic<bool> stop_requested_{false};
     std::atomic<bool> world_stopped_{false};
 };

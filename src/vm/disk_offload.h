@@ -105,11 +105,13 @@ class DiskOffload : public CollectionPlugin
     // --- read-barrier interface ---------------------------------------------
 
     /**
-     * The program loaded a stub handle: retrieve the object from the
-     * backing store into the heap, repair the slot, and return it.
-     * May allocate (and therefore collect). Thread safe.
+     * The program loaded a stub handle from @p slot of @p holder:
+     * retrieve the object from the backing store into the heap, repair
+     * the slot, and return it. May allocate (and therefore collect);
+     * @p holder is rooted meanwhile, so that collection can neither
+     * offload nor free the object whose slot is repaired. Thread safe.
      */
-    Object *faultIn(ref_t *slot, ref_t observed);
+    Object *faultIn(Object *holder, ref_t *slot, ref_t observed);
 
     const DiskOffloadStats &stats() const { return stats_; }
 

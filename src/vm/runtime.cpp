@@ -65,7 +65,6 @@ Runtime::Runtime(const RuntimeConfig &config)
     telemetry_ = std::make_unique<Telemetry>();
     collector_->setTelemetry(telemetry_.get());
     heap_.setTelemetry(telemetry_.get());
-    alloc_caches_.setTelemetry(telemetry_.get());
 #endif
 
     VerifierContext vctx;
@@ -94,9 +93,7 @@ Runtime::Runtime(const RuntimeConfig &config)
     // all leases retired and the verifier's charge-sum invariant needs
     // exact counters. Drained trigger bytes keep feeding the staleness
     // clock so allocation done purely on the fast path still ages it.
-    collector_->setWorldStoppedHook([this] {
-        bytes_since_clock_tick_ += alloc_caches_.retireAll();
-    });
+    collector_->setWorldStoppedHook([this] { retireAllocCaches(); });
 
     threads_.registerMutator(); // the constructing thread is a mutator
 }
@@ -131,7 +128,7 @@ Runtime::verifyHeap()
     threads_.stopTheWorld();
     // Same flush the collector does: the charge-sum invariant is only
     // exact with every thread's chunk leases retired.
-    bytes_since_clock_tick_ += alloc_caches_.retireAll();
+    retireAllocCaches();
     VerifierReport report = verifier_->verify(collector_->epoch());
     threads_.resumeTheWorld();
     return report;
@@ -187,6 +184,16 @@ Runtime::collectLocked(bool exhausted)
             static_cast<std::size_t>(config_.gcTriggerFraction *
                                      static_cast<double>(heap_.capacity())));
     }
+}
+
+void
+Runtime::retireAllocCaches()
+{
+    TelemetrySpan span(telemetry(), TracePhase::CacheRetireAll,
+                       /*gc_track=*/true);
+    const std::uint64_t drained = threads_.retireAllocCaches();
+    bytes_since_clock_tick_ += drained;
+    span.setArgs(static_cast<std::uint32_t>(threads_.mutatorCount()), drained);
 }
 
 void
@@ -270,11 +277,13 @@ Object *
 Runtime::allocateRaw(class_id_t cls, std::size_t bytes)
 {
     threads_.pollSafepoint();
-    // The fast path takes no lock, so an unregistered thread would
-    // not be halted by stop-the-world and could carve blocks under a
-    // running collection.
-    LP_ASSERT(threads_.currentThreadRegistered(),
-              "allocation from a thread not registered as a mutator");
+    // One lookup serves the whole allocation: the thread's registry
+    // entry holds its chunk leases and its last-allocation root. The
+    // fast path takes no lock, so an unregistered thread would not be
+    // halted by stop-the-world and could carve blocks under a running
+    // collection.
+    ThreadRegistry::ThreadState *self = threads_.current();
+    LP_ASSERT(self, "allocation from a thread not registered as a mutator");
 
     // Fast path: carve from this thread's chunk lease — no lock, no
     // atomics. Falls through on a missing/exhausted lease or a large
@@ -282,7 +291,7 @@ Runtime::allocateRaw(class_id_t cls, std::size_t bytes)
     ThreadAllocCache *cache = nullptr;
     void *mem = nullptr;
     if (bytes <= Heap::kLargeThreshold) {
-        cache = alloc_caches_.mine();
+        cache = &self->cache;
         mem = cache->allocateFast(bytes);
     }
     if (!mem) [[unlikely]]
@@ -297,7 +306,7 @@ Runtime::allocateRaw(class_id_t cls, std::size_t bytes)
     // thread may trigger a collection before that happens, and an
     // unrooted new object would be swept (a real VM's stack scan
     // covers this window; a library runtime must do it explicitly).
-    threads_.noteAllocation(makeRef(obj));
+    self->lastAllocation = makeRef(obj);
     return obj;
 }
 
@@ -333,7 +342,6 @@ Object *
 Runtime::readBarrierColdPath(Object *src, const ClassInfo &src_cls,
                              ref_t *addr, ref_t observed)
 {
-    (void)src;
     BarrierStats &counts = threads_.myBarrierStats();
     countOwned(counts.coldPathHits);
 
@@ -343,7 +351,7 @@ Runtime::readBarrierColdPath(Object *src, const ClassInfo &src_cls,
     // object is faulted back in from disk.
     if (refIsPoisoned(observed)) {
         if (offload_)
-            return offload_->faultIn(addr, observed);
+            return offload_->faultIn(src, addr, observed);
         countOwned(counts.poisonThrows);
 #if LP_TELEMETRY_ENABLED
         if (telemetry_) {

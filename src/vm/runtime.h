@@ -10,20 +10,23 @@
  * Reference reads go through the paper's conditional read barrier
  * (Section 4.1): the fast path is a single test of the reference's
  * tag bits, plus a plain count in the reading thread's own registry
- * entry (BarrierStats, see ThreadRegistry); the out-of-line cold path checks for poison (throwing
- * InternalError with the deferred OutOfMemoryError as cause), clears
- * the stale-check bit, zeroes the target's stale counter, and updates
- * the edge table's maxStaleUse.
+ * entry (BarrierStats, see ThreadRegistry); the out-of-line cold path
+ * checks for poison (throwing InternalError with the deferred
+ * OutOfMemoryError as cause), clears the stale-check bit, zeroes the
+ * target's stale counter, and updates the edge table's maxStaleUse.
  *
- * Small allocations take a lock-free fast path: each mutator carves
- * blocks from per-thread chunk leases (ThreadAllocCache), falling into
- * the locked slow path only to refill a chunk, allocate large, or
- * collect. Allocation remains the collection trigger: when the heap
- * cannot serve a request (or the allocation budget since the last
- * collection is spent), the allocating thread stops the world and
- * collects; if space is still short, it keeps collecting while the
- * pruning engine reports progress (SELECT choosing a victim, PRUNE
- * poisoning references) and finally throws OutOfMemoryError.
+ * Each mutator has one record, its ThreadRegistry entry, holding its
+ * chunk leases (ThreadAllocCache), its last-allocation root and its
+ * barrier counters. Small allocations take a lock-free fast path: one
+ * TLS lookup finds the entry, and the thread carves a block from its
+ * leases, falling into the locked slow path only to refill a chunk,
+ * allocate large, or collect. Allocation remains the collection
+ * trigger: when the heap cannot serve a request (or the allocation
+ * budget since the last collection is spent), the allocating thread
+ * stops the world and collects; if space is still short, it keeps
+ * collecting while the pruning engine reports progress (SELECT
+ * choosing a victim, PRUNE poisoning references) and finally throws
+ * OutOfMemoryError.
  */
 
 #ifndef LP_VM_RUNTIME_H
@@ -247,11 +250,16 @@ class Runtime : public RootProvider
     /**
      * Drop the calling thread's last-allocation root slot (each
      * mutator's freshest allocation is conservatively rooted until its
-     * next allocation; see ThreadRegistry::noteAllocation). Call when
-     * asserting a memory-precise state, e.g. before measuring exact
-     * reachability in tests.
+     * next allocation; see ThreadRegistry::ThreadState::lastAllocation).
+     * Call when asserting a memory-precise state, e.g. before measuring
+     * exact reachability in tests.
      */
-    void releaseAllocationRoot() { threads_.noteAllocation(0); }
+    void
+    releaseAllocationRoot()
+    {
+        if (ThreadRegistry::ThreadState *self = threads_.current())
+            self->lastAllocation = 0;
+    }
 
     // --- collection ----------------------------------------------------------
 
@@ -359,6 +367,12 @@ class Runtime : public RootProvider
     void *allocateSlow(std::size_t bytes, ThreadAllocCache *cache);
     void noteAllocated(std::size_t bytes, ThreadAllocCache *cache);
     /**
+     * Retire every mutator's chunk leases (world stopped) and feed
+     * the drained bytes to the staleness clock; emits the
+     * CacheRetireAll span.
+     */
+    void retireAllocCaches();
+    /**
      * Run one collection under the allocation lock. @p exhausted marks
      * a collection run because an allocation failed outright; those
      * always tick the staleness clock (see the definition).
@@ -388,15 +402,15 @@ class Runtime : public RootProvider
     std::size_t audit_seen_prunes_ = 0; //!< pruneLog entries captured
 #endif
     Heap heap_;
-    //! Thread-local allocation caches; declared after heap_ so leases
-    //! are retired (cache destructors) before the heap dies.
-    AllocCacheSet alloc_caches_{heap_};
     std::size_t gc_budget_bytes_ = 0;     //!< allocation between collections
     std::size_t bytes_since_gc_ = 0;      //!< guarded by alloc_mutex_
     //! Allocation since the staleness clock last ticked. Starts at the
     //! quantum so the first collection of a run counts.
     std::size_t bytes_since_clock_tick_ = kClockQuantumBytes;
-    ThreadRegistry threads_;
+    //! Mutator records, each with its allocation cache; declared after
+    //! heap_ so leases are retired (cache destructors) before the heap
+    //! dies.
+    ThreadRegistry threads_{heap_};
     RootTable roots_;
     std::unique_ptr<LeakPruning> pruning_;
     std::unique_ptr<DiskOffload> offload_;

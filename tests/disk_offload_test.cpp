@@ -11,6 +11,7 @@
 
 #include <cstring>
 
+#include "collections/managed_vector.h"
 #include "core/errors.h"
 #include "vm/handles.h"
 #include "vm/runtime.h"
@@ -223,6 +224,45 @@ TEST(DiskOffloadTest, LiveDataNeverMovedWrongly)
     }
     EXPECT_GT(i, 4000u);
     EXPECT_EQ(rt.readRef(hot.get(), 0), hot2.get());
+}
+
+TEST(DiskOffloadTest, FaultsDuringAVectorWalkKeepItsArrayInTheHeap)
+{
+    // DualLeak's shape: every round appends records to a vector and
+    // then walks it, reading each record's detail, so all growth stays
+    // live. Once the heap is full the walk faults records and details
+    // back in, and a collection inside a fault's allocation finds the
+    // vector's backing array, and the record being repaired, stale.
+    // Both must stay in the heap until the walk and the repair are
+    // done; an offloaded copy's slot would be freed memory.
+    Runtime rt(offloadConfig(1u << 20));
+    ManagedVector vectors(rt, "do.Records");
+    const class_id_t record = rt.defineClass("do.Record", 1, 120);
+    const class_id_t detail = rt.defineClass("do.Detail", 0, 120);
+    GlobalRoot records(rt.roots(), vectors.create());
+
+    std::uint64_t walks_with_faults = 0;
+    while (walks_with_faults < 20) {
+        for (int i = 0; i < 8; ++i) {
+            HandleScope scope(rt.roots());
+            Handle d = scope.handle(rt.allocate(detail));
+            Handle r = scope.handle(rt.allocate(record));
+            rt.writeRef(r.get(), 0, d.get());
+            vectors.push(records.get(), r.get());
+        }
+        const std::uint64_t retrieved_before =
+            rt.diskOffload()->stats().objectsRetrieved;
+        std::size_t seen = 0;
+        vectors.forEach(records.get(), [&](Object *rec) {
+            ASSERT_EQ(rec->classId(), record);
+            ASSERT_EQ(rt.readRef(rec, 0)->classId(), detail);
+            ++seen;
+        });
+        ASSERT_EQ(seen, vectors.size(records.get()));
+        if (rt.diskOffload()->stats().objectsRetrieved > retrieved_before)
+            ++walks_with_faults;
+    }
+    EXPECT_GT(rt.diskOffload()->stats().offloadCollections, 0u);
 }
 
 } // namespace

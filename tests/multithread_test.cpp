@@ -394,6 +394,58 @@ TEST(MultithreadTest, TwoRuntimesOnOneThreadCountSeparately)
     EXPECT_EQ(b.barrierStats().reads.load(), 500u);
     EXPECT_EQ(a.barrierStats().coldPathHits.load(), 3u);
     EXPECT_EQ(b.barrierStats().coldPathHits.load(), 5u);
+
+    // Allocation finds its cache through the same per-thread entry:
+    // interleaved allocations must each land in their own heap.
+    const class_id_t a_cls = a.defineClass("mt.A", 0, 16);
+    const class_id_t b_cls = b.defineClass("mt.B", 0, 48);
+    a.collectNow(); // retire both caches: allocation counts now exact
+    b.collectNow();
+    const std::uint64_t a_before = a.heap().stats().allocations;
+    const std::uint64_t b_before = b.heap().stats().allocations;
+    for (int i = 0; i < 100; ++i) {
+        a.allocate(a_cls);
+        b.allocate(b_cls);
+        b.allocate(b_cls);
+    }
+    a.collectNow();
+    b.collectNow();
+    EXPECT_EQ(a.heap().stats().allocations - a_before, 100u);
+    EXPECT_EQ(b.heap().stats().allocations - b_before, 200u);
+}
+
+TEST(MultithreadTest, ExitingMutatorReturnsItsLeasesAtOnce)
+{
+    RuntimeConfig cfg;
+    cfg.heapBytes = 8u << 20;
+    cfg.enableLeakPruning = false;
+    cfg.barrierMode = BarrierMode::None;
+    Runtime rt(cfg);
+    const class_id_t small = rt.defineClass("mt.Small", 0, 16);
+    const class_id_t medium = rt.defineClass("mt.Medium", 0, 200);
+    const std::size_t leased_before = rt.heap().leasedChunkCount();
+    const std::uint64_t allocations_before = rt.heap().stats().allocations;
+    const std::uint64_t collections_before = rt.gcStats().collections;
+
+    std::thread worker([&] {
+        MutatorScope mutator(rt.threads());
+        for (int i = 0; i < 100; ++i) {
+            rt.allocate(small);
+            rt.allocate(medium);
+        }
+        EXPECT_GE(rt.heap().leasedChunkCount(), leased_before + 2);
+    });
+    {
+        BlockedScope blocked(rt.threads());
+        worker.join();
+    }
+
+    // No pause ran, yet the thread's leases are back in the heap and
+    // its allocations are counted: both happen as its record goes.
+    ASSERT_EQ(rt.gcStats().collections, collections_before);
+    EXPECT_EQ(rt.heap().leasedChunkCount(), leased_before);
+    EXPECT_EQ(rt.heap().stats().allocations - allocations_before, 200u);
+    EXPECT_EQ(rt.threads().mutatorCount(), 1u);
 }
 
 } // namespace

@@ -13,9 +13,13 @@
 namespace lp {
 namespace {
 
+/** The registry's mutators allocate from a heap; these tests never do. */
+constexpr std::size_t kHeapBytes = 256 * 1024;
+
 TEST(SafepointTest, StopWaitsForMutatorsToPark)
 {
-    ThreadRegistry reg;
+    Heap heap(kHeapBytes);
+    ThreadRegistry reg(heap);
     reg.registerMutator(); // the "VM" thread
 
     std::atomic<bool> run{true};
@@ -49,7 +53,8 @@ TEST(SafepointTest, StopWaitsForMutatorsToPark)
 
 TEST(SafepointTest, BlockedThreadsDoNotDelayStop)
 {
-    ThreadRegistry reg;
+    Heap heap(kHeapBytes);
+    ThreadRegistry reg(heap);
     reg.registerMutator();
 
     std::atomic<bool> release{false};
@@ -74,7 +79,8 @@ TEST(SafepointTest, BlockedThreadsDoNotDelayStop)
 
 TEST(SafepointTest, ReentrantRegistrationNests)
 {
-    ThreadRegistry reg;
+    Heap heap(kHeapBytes);
+    ThreadRegistry reg(heap);
     reg.registerMutator();
     EXPECT_EQ(reg.mutatorCount(), 1u);
     {
@@ -84,7 +90,7 @@ TEST(SafepointTest, ReentrantRegistrationNests)
         EXPECT_EQ(reg.mutatorCount(), 1u);
     }
     EXPECT_EQ(reg.mutatorCount(), 1u);
-    EXPECT_TRUE(reg.currentThreadRegistered());
+    EXPECT_NE(reg.current(), nullptr);
     reg.unregisterMutator();
     EXPECT_EQ(reg.mutatorCount(), 0u);
 }
@@ -96,7 +102,8 @@ TEST(SafepointTest, ReentrantRegistrationDuringPendingPause)
     // a stop-the-world pause. registerMutator() must not wait for the
     // pause to end (the pause is waiting for THIS thread to reach a
     // safepoint), or both sides deadlock.
-    ThreadRegistry reg;
+    Heap heap(kHeapBytes);
+    ThreadRegistry reg(heap);
     reg.registerMutator(); // outer registration (the "Runtime ctor")
 
     std::atomic<bool> stopping{false};
@@ -125,7 +132,8 @@ TEST(SafepointTest, ReentrantRegistrationDuringPendingPause)
 
 TEST(SafepointTest, RepeatedStopResumeCycles)
 {
-    ThreadRegistry reg;
+    Heap heap(kHeapBytes);
+    ThreadRegistry reg(heap);
     reg.registerMutator();
     std::atomic<bool> run{true};
     std::thread mutator([&] {

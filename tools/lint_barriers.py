@@ -95,6 +95,7 @@ FAST_PATHS = [
     ("src/vm/runtime.h", "writeRef"),
     ("src/threads/safepoint.h", "pollSafepoint"),
     ("src/threads/safepoint.h", "myBarrierStats"),
+    ("src/threads/safepoint.h", "current"),
     ("src/threads/safepoint.h", "countOwned"),
     ("src/object/class_info.h", "info"),
     ("src/heap/thread_cache.h", "allocateFast"),
