@@ -184,10 +184,14 @@ void
 ManagedHashMap::forEach(Object *map,
                         const std::function<void(std::uint64_t, Object *)> &fn)
 {
-    Object *table = rt_.readRef(map, kTableSlot);
-    const std::size_t cap = table->arrayLength();
+    // The bucket array is rooted for the walk, as in
+    // ManagedVector::forEach: a collection inside fn or a fault could
+    // otherwise move it out of the heap mid-walk.
+    HandleScope scope(rt_.roots());
+    Handle table = scope.handle(rt_.readRef(map, kTableSlot));
+    const std::size_t cap = table.get()->arrayLength();
     for (std::size_t i = 0; i < cap; ++i) {
-        Object *entry = rt_.readRef(table, i);
+        Object *entry = rt_.readRef(table.get(), i);
         if (entry && !readData<std::uint64_t>(rt_, entry, kDeletedOffset)) {
             fn(readData<std::uint64_t>(rt_, entry, kKeyOffset),
                rt_.readRef(entry, kValueSlot));

@@ -1,5 +1,7 @@
 #include "collections/managed_list.h"
 
+#include <cstdint>
+
 #include "collections/fields.h"
 #include "vm/handles.h"
 
@@ -59,20 +61,21 @@ ManagedList::size(Object *list) const
 void
 ManagedList::forEach(Object *list, const std::function<void(Object *)> &fn)
 {
-    for (Object *node = rt_.readRef(list, kHeadSlot); node;
-         node = rt_.readRef(node, kNextSlot)) {
-        fn(rt_.readRef(node, kValueSlot));
-    }
+    forEachLimited(list, SIZE_MAX, fn);
 }
 
 void
 ManagedList::forEachLimited(Object *list, std::size_t limit,
                             const std::function<void(Object *)> &fn)
 {
-    std::size_t seen = 0;
-    for (Object *node = rt_.readRef(list, kHeadSlot); node && seen < limit;
-         node = rt_.readRef(node, kNextSlot), ++seen) {
-        fn(rt_.readRef(node, kValueSlot));
+    // The current node is rooted for the walk: under the disk-offload
+    // baseline a collection run inside fn (or inside a fault) could
+    // otherwise move it out of the heap before its next slot is read.
+    HandleScope scope(rt_.roots());
+    Handle node = scope.handle(rt_.readRef(list, kHeadSlot));
+    for (std::size_t seen = 0; node.get() && seen < limit; ++seen) {
+        fn(rt_.readRef(node.get(), kValueSlot));
+        node.set(rt_.readRef(node.get(), kNextSlot));
     }
 }
 

@@ -52,25 +52,55 @@ Tracer::takeChunk()
 }
 
 void
+Tracer::beginClosure(const TracePolicy &policy)
+{
+    tick_below_ = staleTickLimit(policy);
+    claim_late_ = !policy.classifyEdges;
+}
+
+void
 Tracer::pushGray(WorkChunk *&out)
 {
     gray_.push_back(out);
     out = takeChunk();
 }
 
-void
+// The mark loop's helpers (pushObject, onMarked, shade, nextGray) are
+// declared inline so that each edge and each gray object costs no call
+// of its own: out of line, they cost oom_horizon about 9% of its
+// requests per second on a 4-vCPU Xeon host.
+inline void
+Tracer::pushObject(WorkChunk *&out, Object *obj)
+{
+    if (out->full())
+        pushGray(out);
+    out->push(obj);
+}
+
+inline void
 Tracer::onMarked(Object *obj, CollectionPlugin *plugin,
-                 const TracePolicy &policy, WorkChunk *&out,
-                 TraceStats &stats)
+                 const TracePolicy &policy, TraceStats &stats)
 {
     ++stats.objectsMarked;
     stats.bytesMarked += obj->sizeBytes();
     heap_.noteMarked(obj);
     if (policy.notifyMarked)
         plugin->objectMarked(obj);
-    if (out->full())
-        pushGray(out);
-    out->push(obj);
+}
+
+inline void
+Tracer::shade(Object *obj, CollectionPlugin *plugin, const TracePolicy &policy,
+              WorkChunk *&out, TraceStats &stats)
+{
+    // A classifying closure claims at discovery, the order its pruning
+    // decisions read (tracer.h). ROADMAP item 2 deletes this branch
+    // for them once classification no longer depends on trace order.
+    if (!claim_late_) {
+        if (!obj->tryMarkFor(trace_parity_, tick_below_))
+            return;
+        onMarked(obj, plugin, policy, stats);
+    }
+    pushObject(out, obj);
 }
 
 void
@@ -99,8 +129,7 @@ Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
             // collection (the barrier only clears it on use).
             if (policy.tagReferences && !refHasStaleCheck(r))
                 *slot = refWithStaleCheck(r);
-            if (tgt->tryMarkFor(trace_parity_, tick_below_))
-                onMarked(tgt, plugin, policy, out, stats);
+            shade(tgt, plugin, policy, out, stats);
             break;
           case EdgeAction::Defer:
             // The plugin recorded (slot, src class, target) in its
@@ -120,24 +149,70 @@ Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
     });
 }
 
-void
-Tracer::drain(CollectionPlugin *plugin, const TracePolicy &policy,
-              WorkChunk *out, TraceStats &stats)
+inline Object *
+Tracer::nextGray(WorkChunk *&in, WorkChunk *&out)
 {
-    if (!out->empty())
-        pushGray(out);
     // Drain the newest batch to empty before taking the next one; the
     // output batch joins the stack when it fills or its input empties.
-    while (!gray_.empty()) {
-        WorkChunk *in = gray_.back();
-        gray_.pop_back();
-        while (!in->empty())
-            scanObject(in->pop(), plugin, policy, out, stats);
+    while (in->empty()) {
         if (!out->empty())
             pushGray(out);
+        if (gray_.empty())
+            return nullptr;
         spare_.push_back(in);
+        in = gray_.back();
+        gray_.pop_back();
     }
+    return in->pop();
+}
+
+void
+Tracer::drain(CollectionPlugin *plugin, const TracePolicy &policy,
+              WorkChunk *seeded, TraceStats &stats)
+{
+    // A claim-late closure's gray objects are unclaimed: each one
+    // passes through the prefetch ring, which loads its header while
+    // the objects ahead of it are scanned, and is claimed as it leaves.
+    // Such a closure also pushes onto the batch it drains (plain LIFO),
+    // so a scanned object's targets enter the ring next.
+    Object *ring[kPrefetchDepth];
+    std::size_t ring_head = 0;
+    std::size_t ring_count = 0;
+    WorkChunk *in = seeded;
+    WorkChunk *out = takeChunk();
+    WorkChunk *&gray_out = claim_late_ ? in : out;
+    while (true) {
+        Object *obj = nextGray(in, out);
+        if (claim_late_) {
+            if (obj) {
+                __builtin_prefetch(obj);
+                if (ring_count < kPrefetchDepth) {
+                    ring[(ring_head + ring_count++) % kPrefetchDepth] = obj;
+                    continue;
+                }
+                // Full: the newest entry takes the oldest one's place.
+                std::swap(obj, ring[ring_head]);
+            } else if (ring_count > 0) {
+                obj = ring[ring_head];
+                --ring_count;
+            } else {
+                break;
+            }
+            ring_head = (ring_head + 1) % kPrefetchDepth;
+            if (!obj->tryMarkFor(trace_parity_, tick_below_))
+                continue; // reached along another path first
+            onMarked(obj, plugin, policy, stats);
+        } else if (!obj) {
+            break;
+        }
+        scanObject(obj, plugin, policy, gray_out, stats);
+    }
+    spare_.push_back(in);
     spare_.push_back(out);
+    while (spare_.size() > kRetainedChunks) {
+        delete spare_.back();
+        spare_.pop_back();
+    }
 }
 
 TraceStats
@@ -147,21 +222,19 @@ Tracer::traceFromRoots(RootProvider &roots, CollectionPlugin *plugin,
     LP_ASSERT(gray_.empty(), "gray stack not drained by the last closure");
     const TracePolicy policy = plugin ? plugin->tracePolicy() : TracePolicy{};
     trace_parity_ = mark_parity & 1; // remembered for traceSubgraph
-    tick_below_ = staleTickLimit(policy);
+    beginClosure(policy);
 
     // Seed the gray stack from the root set (stacks/registers +
     // statics).
     TraceStats stats;
-    WorkChunk *out = takeChunk();
+    WorkChunk *seeded = takeChunk();
     roots.forEachRoot([&](ref_t *slot) {
         const ref_t r = *slot;
         if (refIsNull(r) || refIsPoisoned(r))
             return;
-        Object *tgt = refTarget(r);
-        if (tgt->tryMarkFor(trace_parity_, tick_below_))
-            onMarked(tgt, plugin, policy, out, stats);
+        shade(refTarget(r), plugin, policy, seeded, stats);
     });
-    drain(plugin, policy, out, stats);
+    drain(plugin, policy, seeded, stats);
     return stats;
 }
 
@@ -169,13 +242,13 @@ std::uint64_t
 Tracer::traceSubgraph(Object *start, CollectionPlugin *plugin,
                       const TracePolicy &policy, TraceStats &stats)
 {
-    tick_below_ = staleTickLimit(policy);
-    if (!start->tryMarkFor(trace_parity_, tick_below_))
-        return 0; // already live via another path (or another candidate)
+    beginClosure(policy);
+    // A start object already live via another path (or an earlier
+    // candidate) is not claimed again, so the call returns 0.
     const std::uint64_t before = stats.bytesMarked;
-    WorkChunk *out = takeChunk();
-    onMarked(start, plugin, policy, out, stats);
-    drain(plugin, policy, out, stats);
+    WorkChunk *seeded = takeChunk();
+    shade(start, plugin, policy, seeded, stats);
+    drain(plugin, policy, seeded, stats);
     return stats.bytesMarked - before;
 }
 

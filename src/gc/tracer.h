@@ -19,6 +19,26 @@
  * selects what the routine does per edge (tag, classify, notify) and
  * per claimed object (tick the staleness clock, notify).
  *
+ * The policy also picks where an object is claimed:
+ *
+ *  - At discovery, when the closure classifies edges (leak pruning's
+ *    SELECT and PRUNE, disk offload's offloading collections). Their
+ *    decisions read trace order: classifyEdge sees a target's stale
+ *    counter before or after the claim ticks it, and the first
+ *    candidate to reach a shared subgraph is charged for it. So these
+ *    closures keep the pinned batch order (the newest batch drains to
+ *    empty before the next is taken) that
+ *    AppsTest.EclipseCpPruneLogIsPinned pins. ROADMAP item 2 deletes
+ *    this path once decisions no longer depend on trace order.
+ *
+ *  - At scan, in every other closure. A traced target is pushed
+ *    unclaimed onto the batch being drained (plain LIFO); drain passes
+ *    each popped object through a small FIFO ring that prefetches its
+ *    header, and claims it as it leaves. Such a closure decides
+ *    nothing, and what it leaves behind (the marked set, one clock
+ *    tick per claim, tags, byte tallies, the set of stub words seen)
+ *    is the same in any order.
+ *
  * Both run on the one collector thread, inside the stop-the-world
  * pause. The paper's MMTk collector runs them on several threads
  * (Section 4.5); at this repository's heap sizes a second collector
@@ -93,7 +113,8 @@ class Tracer
     /**
      * Mark the subgraph rooted at @p start during the in-progress
      * collection (after traceFromRoots, same trace parity), claiming
-     * only objects not already marked, and return the bytes claimed.
+     * only objects not already marked, and return the bytes claimed
+     * (0 when @p start was already marked).
      * @p policy selects the per-edge and per-object work as in the
      * in-use closure; the caller passes it with classifyEdges off, as
      * every edge inside the subgraph is traced. The objects and edges
@@ -115,6 +136,17 @@ class Tracer
 
     const ClassRegistry &registry() const { return registry_; }
 
+    //! Empty gray batches kept for the next closure; the rest are freed
+    //! when a closure ends. A claim-late closure pushes every traced
+    //! edge's target, marked or not, so its peak grows with the edges
+    //! it scans (read_mostly's in-use closure peaks near 240 batches);
+    //! 64 covers the peaks of the leak_server and oom_horizon closures,
+    //! so their steady state allocates no batch.
+    static constexpr std::size_t kRetainedChunks = 64;
+
+    //! Empty gray batches held between closures (at most kRetainedChunks).
+    std::size_t retainedChunks() const { return spare_.size(); }
+
   private:
     /** Fixed-size batch of gray objects. */
     struct WorkChunk {
@@ -128,35 +160,58 @@ class Tracer
         Object *pop() { return items[--count]; }
     };
 
+    //! Gray objects a claim-late closure keeps in flight: each one's
+    //! header is prefetched this many objects before it is claimed.
+    //! On a 4-vCPU Xeon host, 4 and 8 measured alike on leak_server
+    //! and 16 measured no better than claiming at discovery.
+    static constexpr std::size_t kPrefetchDepth = 8;
+
     /**
      * The scan-and-mark routine both closures share: visit @p obj's
      * reference slots and, as @p policy says, classify each edge, tag
-     * traced references and claim their targets (onMarked).
+     * traced references and shade their targets onto @p out.
      */
     void scanObject(Object *obj, CollectionPlugin *plugin,
                     const TracePolicy &policy, WorkChunk *&out,
                     TraceStats &stats);
 
     /**
-     * Per-claim work for an object this closure just marked: tally it,
-     * report it to the plugin if asked, and push it onto @p out, which
-     * moves to the gray stack when it fills.
+     * Make @p obj gray: push it onto @p out, claiming it first
+     * (onMarked) unless the closure claims late; then drain claims it.
      */
-    void onMarked(Object *obj, CollectionPlugin *plugin,
-                  const TracePolicy &policy, WorkChunk *&out,
-                  TraceStats &stats);
+    void shade(Object *obj, CollectionPlugin *plugin,
+               const TracePolicy &policy, WorkChunk *&out,
+               TraceStats &stats);
 
     /**
-     * Scan the seeded batch @p out, then every gray batch, to empty;
-     * the newest batch is drained before an older one is taken.
+     * Per-claim work for an object this closure just marked: tally it
+     * and report it to the plugin if asked.
+     */
+    void onMarked(Object *obj, CollectionPlugin *plugin,
+                  const TracePolicy &policy, TraceStats &stats);
+
+    /**
+     * Scan the seeded batch @p seeded, then every gray batch, to
+     * empty; the newest batch is drained before an older one is taken.
+     * A claim-late closure pushes onto the batch it drains, passes
+     * each popped object through the prefetch ring and claims it as
+     * it leaves; one already claimed is skipped.
      */
     void drain(CollectionPlugin *plugin, const TracePolicy &policy,
-               WorkChunk *out, TraceStats &stats);
+               WorkChunk *seeded, TraceStats &stats);
 
+    //! The next gray object in batch order, or null when none is left;
+    //! @p in is the batch being drained, @p out the one being filled.
+    Object *nextGray(WorkChunk *&in, WorkChunk *&out);
+
+    //! Set the per-closure state that @p policy implies.
+    void beginClosure(const TracePolicy &policy);
     //! Next empty chunk: from the spare list, else a new one.
     WorkChunk *takeChunk();
     //! Move a full (or input-drained) output chunk onto the gray stack.
     void pushGray(WorkChunk *&out);
+    //! Push @p obj onto @p out, moving a full @p out onto the stack.
+    void pushObject(WorkChunk *&out, Object *obj);
 
     Heap &heap_;
     const ClassRegistry &registry_;
@@ -164,16 +219,19 @@ class Tracer
     //! The running closure's stale-clock limit: a claim raises a stale
     //! counter k to k+1 iff k < tick_below_ (0 when the clock is off).
     unsigned tick_below_ = 0;
+    //! The running closure claims at scan, through the prefetch ring,
+    //! rather than at discovery: it classifies no edge.
+    bool claim_late_ = false;
     //! Closure work plugins report via addClosureStats().
     TraceStats extra_;
     //! The running closure's gray objects, in batches (empty between
     //! closures). The newest batch is drained before an older one is
-    //! taken; in the in-use closure this visit order decides which
-    //! candidate first reaches a shared stale subgraph, and so which
-    //! edge type selection picks.
+    //! taken; in a classifying in-use closure this visit order decides
+    //! which candidate first reaches a shared stale subgraph, and so
+    //! which edge type selection picks.
     std::vector<WorkChunk *> gray_;
-    //! Drained batches, reused across collections so the steady state
-    //! allocates nothing on the closure's hot path.
+    //! Drained batches, reused across closures (up to kRetainedChunks)
+    //! so the steady state allocates nothing on the closure's hot path.
     std::vector<WorkChunk *> spare_;
 };
 

@@ -340,9 +340,9 @@ Runtime::allocateByteArray(class_id_t cls, std::size_t length)
 
 Object *
 Runtime::readBarrierColdPath(Object *src, const ClassInfo &src_cls,
-                             ref_t *addr, ref_t observed)
+                             ref_t *addr, ref_t observed,
+                             BarrierStats &counts)
 {
-    BarrierStats &counts = threads_.myBarrierStats();
     countOwned(counts.coldPathHits);
 
     // Check for an invalidated reference first. Under leak pruning the

@@ -189,11 +189,12 @@ class Runtime : public RootProvider
         const ClassInfo &cls = registry_.info(src->classId());
         ref_t *addr = src->refSlotAddr(cls, slot);
         if (barriers_enabled_) {
-            countOwned(threads_.myBarrierStats().reads);
+            BarrierStats &counts = threads_.myBarrierStats();
+            countOwned(counts.reads);
             const ref_t r =
                 std::atomic_ref<ref_t>(*addr).load(std::memory_order_relaxed);
             if ((r & kTagMask) != 0) [[unlikely]]
-                return readBarrierColdPath(src, cls, addr, r);
+                return readBarrierColdPath(src, cls, addr, r, counts);
             return refTarget(r);
         }
         return refTarget(*addr);
@@ -379,9 +380,13 @@ class Runtime : public RootProvider
      */
     void collectLocked(bool exhausted = false);
 
-    [[noreturn]] Object *readBarrierPoisoned();
+    /**
+     * The barrier's path for a tagged slot. @p counts is the calling
+     * thread's entry, which readRef already looked up.
+     */
     Object *readBarrierColdPath(Object *src, const ClassInfo &src_cls,
-                                ref_t *addr, ref_t observed);
+                                ref_t *addr, ref_t observed,
+                                BarrierStats &counts);
 
 #if LP_TELEMETRY_ENABLED
     /**

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 
+#include "collections/managed_hash_map.h"
+#include "collections/managed_list.h"
 #include "collections/managed_vector.h"
 #include "core/errors.h"
 #include "vm/handles.h"
@@ -263,6 +266,95 @@ TEST(DiskOffloadTest, FaultsDuringAVectorWalkKeepItsArrayInTheHeap)
             ++walks_with_faults;
     }
     EXPECT_GT(rt.diskOffload()->stats().offloadCollections, 0u);
+}
+
+/**
+ * DualLeak's round (see the vector walk test above) over a list and a
+ * map: append records, then walk each collection with a callback that
+ * reads every record's detail, so faults run inside the walks. Returns
+ * once @p rounds walks have faulted.
+ */
+template <class Append, class Walk>
+void
+walkWhileFaulting(Runtime &rt, class_id_t record, class_id_t detail,
+                  std::uint64_t rounds, Append append, Walk walk)
+{
+    std::uint64_t walks_with_faults = 0;
+    while (walks_with_faults < rounds) {
+        for (int i = 0; i < 8; ++i) {
+            HandleScope scope(rt.roots());
+            Handle d = scope.handle(rt.allocate(detail));
+            Handle r = scope.handle(rt.allocate(record));
+            rt.writeRef(r.get(), 0, d.get());
+            append(r.get());
+        }
+        const std::uint64_t retrieved_before =
+            rt.diskOffload()->stats().objectsRetrieved;
+        walk([&](Object *rec) {
+            ASSERT_EQ(rec->classId(), record);
+            ASSERT_EQ(rt.readRef(rec, 0)->classId(), detail);
+        });
+        if (rt.diskOffload()->stats().objectsRetrieved > retrieved_before)
+            ++walks_with_faults;
+    }
+    EXPECT_GT(rt.diskOffload()->stats().offloadCollections, 0u);
+}
+
+TEST(DiskOffloadTest, CollectionsDuringAListWalkKeepItsNodeInTheHeap)
+{
+    // A callback that fills the heap across several clock-ticking
+    // collections ages the node the walk stands on past the offload
+    // threshold, and the walk then reads that node's next slot.
+    Runtime rt(offloadConfig(1u << 20));
+    ManagedList lists(rt, "do.RecordList");
+    const class_id_t record = rt.defineClass("do.Record", 1, 120);
+    const class_id_t detail = rt.defineClass("do.Detail", 0, 120);
+    const class_id_t garbage = rt.defineByteArrayClass("do.Garbage");
+    GlobalRoot records(rt.roots(), lists.create());
+    std::uint64_t round = 0;
+    walkWhileFaulting(
+        rt, record, detail, 20,
+        [&](Object *rec) { lists.pushFront(records.get(), rec); },
+        [&](const std::function<void(Object *)> &visit) {
+            std::size_t seen = 0;
+            const auto count = [&](Object *rec) {
+                visit(rec);
+                if (++seen == 2) {
+                    HandleScope scope(rt.roots());
+                    for (int i = 0; i < 8; ++i) {
+                        scope.handle(rt.allocateByteArray(garbage, 48 * 1024));
+                        rt.collectNow();
+                    }
+                }
+            };
+            if (++round % 2)
+                lists.forEach(records.get(), count);
+            else
+                lists.forEachLimited(records.get(), ~std::size_t{0}, count);
+            ASSERT_EQ(seen, lists.size(records.get()));
+        });
+}
+
+TEST(DiskOffloadTest, FaultsDuringAMapWalkKeepItsBucketArrayInTheHeap)
+{
+    // The same for the bucket array a map walk reads its entries from.
+    Runtime rt(offloadConfig(1u << 20));
+    ManagedHashMap maps(rt, "do.RecordMap");
+    const class_id_t record = rt.defineClass("do.Record", 1, 120);
+    const class_id_t detail = rt.defineClass("do.Detail", 0, 120);
+    GlobalRoot records(rt.roots(), maps.create());
+    std::uint64_t next_key = 0;
+    walkWhileFaulting(
+        rt, record, detail, 20,
+        [&](Object *rec) { maps.put(records.get(), next_key++, rec); },
+        [&](const std::function<void(Object *)> &visit) {
+            std::size_t seen = 0;
+            maps.forEach(records.get(), [&](std::uint64_t, Object *rec) {
+                visit(rec);
+                ++seen;
+            });
+            ASSERT_EQ(seen, maps.size(records.get()));
+        });
 }
 
 } // namespace

@@ -1,17 +1,25 @@
 /**
  * @file
  * Tests for GC internals: the TracePolicy seam (hooks fire exactly
- * when the policy asks) and the stale closure leak pruning runs in its
- * SELECT state.
+ * when the policy asks), the stale closure leak pruning runs in its
+ * SELECT state, and an oracle that checks both closures against a
+ * plain recursive walk of a seeded random graph.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <random>
+#include <set>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "core/leak_pruning.h"
 #include "gc/plugin.h"
+#include "gc/tracer.h"
 #include "vm/handles.h"
 #include "vm/runtime.h"
 
@@ -217,6 +225,327 @@ TEST(StaleClosureTest, SharedSubgraphIsChargedToTheFirstCandidateOnly)
     // v; the collection's totals include both.
     EXPECT_EQ(outcome.objectsMarked, 5u);
     EXPECT_EQ(rt.gcStats().objectsMarkedTotal, 5u);
+}
+
+// --- Closure-equivalence oracle -------------------------------------------------
+//
+// A seeded random graph with cycles, shared subgraphs, null and
+// poisoned slots, byte arrays, a RefArray longer than one gray batch
+// and a large (LOS) object. Each case predicts what a collection must
+// leave behind with a plain recursive walk over the same root set, and
+// compares: the marked set, every stale counter, every slot word, the
+// marked-object count and the live bytes of the epoch flip.
+
+/** OBSERVE's policy (plus the disk GC's poisoned-slot scan); with
+ *  @c defer non-empty, edges into those targets are deferred and the
+ *  stale closure sizes them afterwards, as leak pruning's SELECT does. */
+class OraclePlugin : public CollectionPlugin
+{
+  public:
+    TracePolicy policy;
+    std::unordered_set<Object *> defer;
+    std::vector<Object *> candidates;     //!< deferred targets, in order
+    std::vector<std::uint64_t> bytes;     //!< traceSubgraph's result each
+    std::multiset<ref_t> invalid;
+    std::size_t retained = 0; //!< batches the tracer kept after them
+
+    TracePolicy tracePolicy() const override { return policy; }
+
+    EdgeAction
+    classifyEdge(Object *, const ClassInfo &, ref_t *, Object *tgt) override
+    {
+        if (!defer.count(tgt))
+            return EdgeAction::Trace;
+        candidates.push_back(tgt);
+        return EdgeAction::Defer;
+    }
+
+    void invalidRefSeen(ref_t ref) override { invalid.insert(ref); }
+
+    void
+    afterInUseClosure(Tracer &tracer) override
+    {
+        TracePolicy stale = policy;
+        stale.classifyEdges = false;
+        TraceStats closure;
+        for (Object *c : candidates)
+            bytes.push_back(tracer.traceSubgraph(c, this, stale, closure));
+        tracer.addClosureStats(closure);
+        retained = tracer.retainedChunks();
+    }
+};
+
+/** The graph, the runtime it lives in, and its pre-collection state. */
+struct OracleGraph {
+    static constexpr unsigned kTickBelow = 3; //!< epoch 12: ctz 2, +1
+
+    std::unique_ptr<Runtime> rt;
+    std::vector<Object *> objects;
+    std::vector<std::unique_ptr<GlobalRoot>> roots;
+    //! Per object: its slot words and its stale counter before the GC.
+    std::unordered_map<Object *, std::vector<ref_t>> slots;
+    std::unordered_map<Object *, unsigned> counters;
+
+    OracleGraph(unsigned seed, std::size_t heap_bytes)
+    {
+        RuntimeConfig cfg;
+        cfg.heapBytes = heap_bytes;
+        cfg.enableLeakPruning = false;
+        cfg.barrierMode = BarrierMode::None;
+        cfg.gcTriggerFraction = 0;
+        cfg.verifier.enabled = false;
+        rt = std::make_unique<Runtime>(cfg);
+        std::mt19937 rng(seed);
+        const auto below = [&](std::size_t n) {
+            return static_cast<std::size_t>(rng() % n);
+        };
+        const class_id_t node = rt->defineClass("eq.Node", 3, 8);
+        const class_id_t bytes = rt->defineByteArrayClass("eq.Bytes");
+        const class_id_t array = rt->defineRefArrayClass("eq.Node[]");
+
+        HandleScope scope(rt->roots());
+        constexpr std::size_t kNodes = 400, kByteArrays = 40;
+        Handle keep = scope.handle(rt->allocateRefArray(array, 1024));
+        const auto hold = [&](Object *obj) {
+            rt->writeRef(keep.get(), objects.size(), obj);
+            objects.push_back(obj);
+        };
+        for (std::size_t i = 0; i < kNodes; ++i)
+            hold(rt->allocate(node));
+        for (std::size_t i = 0; i < kByteArrays; ++i)
+            hold(rt->allocateByteArray(bytes, 1 + below(400)));
+        Object *large = rt->allocateByteArray(bytes, 3 * Heap::kLargeThreshold);
+        hold(large);
+        Object *wide = rt->allocateRefArray(array, 300); // > one batch
+        hold(wide);
+
+        // Random edges: nulls, poisoned words and targets anywhere
+        // (cycles, shared subgraphs); some already carry the tag.
+        const auto wire = [&](Object *src, std::size_t slot) {
+            const std::size_t roll = below(100);
+            if (roll < 15)
+                return;
+            Object *tgt = objects[roll < 80 ? below(kNodes)
+                                            : below(objects.size())];
+            rt->writeRef(src, slot, tgt);
+            ref_t *addr =
+                src->refSlotAddr(rt->classes().info(src->classId()), slot);
+            if (roll < 20)
+                *addr = refPoisoned(*addr);
+            else if (roll < 40)
+                *addr = refWithStaleCheck(*addr);
+        };
+        for (std::size_t i = 0; i < kNodes; ++i)
+            for (std::size_t s = 0; s < 3; ++s)
+                wire(objects[i], s);
+        for (std::size_t s = 0; s < 300; ++s)
+            wire(wide, s);
+        rt->writeRef(objects[below(kNodes)], 0, wide);
+        rt->writeRef(objects[below(kNodes)], 1, large);
+
+        for (int i = 0; i < 3; ++i)
+            roots.push_back(std::make_unique<GlobalRoot>(
+                rt->roots(), objects[below(kNodes)]));
+        keep.set(nullptr); // the rest is garbage unless reachable
+
+        for (Object *obj : objects) {
+            obj->setStaleCounter(static_cast<unsigned>(below(8)));
+            counters[obj] = obj->staleCounter();
+            std::vector<ref_t> &words = slots[obj];
+            obj->forEachRefSlot(rt->classes().info(obj->classId()),
+                                [&](ref_t *slot) { words.push_back(*slot); });
+        }
+    }
+
+    /** The root set the collector will trace, from the runtime itself. */
+    std::vector<Object *>
+    rootTargets()
+    {
+        std::vector<Object *> out;
+        static_cast<RootProvider &>(*rt).forEachRoot([&](ref_t *slot) {
+            if (!refIsNull(*slot) && !refIsPoisoned(*slot))
+                out.push_back(refTarget(*slot));
+        });
+        return out;
+    }
+
+    /**
+     * The reference walk: add to @p marked everything reachable from
+     * @p from through objects not yet in it, skipping edges into
+     * @p defer; @return the sizes of the objects it added.
+     */
+    std::uint64_t
+    walk(Object *from, std::unordered_set<Object *> &marked,
+         const std::unordered_set<Object *> &defer = {})
+    {
+        if (!marked.insert(from).second)
+            return 0;
+        std::uint64_t bytes = from->sizeBytes();
+        for (ref_t r : slots.at(from)) {
+            if (refIsNull(r) || refIsPoisoned(r) || defer.count(refTarget(r)))
+                continue;
+            bytes += walk(refTarget(r), marked, defer);
+        }
+        return bytes;
+    }
+
+    /** Block bytes the heap's mark-time accounting charges @p obj. */
+    std::uint64_t
+    chargedBytes(Object *obj)
+    {
+        const std::size_t size = obj->sizeBytes();
+        if (size > Heap::kLargeThreshold)
+            return (size + 4095) / 4096 * 4096;
+        return rt->heap().sizeClassBytes(rt->heap().sizeClassFor(size));
+    }
+
+    /**
+     * Compare the heap after the collection with @p marked: the marked
+     * set, counters ticked once per marked object, traced slots tagged
+     * and everything else untouched, and the poisoned words seen.
+     */
+    void
+    expectMatches(const std::unordered_set<Object *> &marked,
+                  const CollectionOutcome &outcome,
+                  const std::multiset<ref_t> &invalid)
+    {
+        std::uint64_t live = 0;
+        std::multiset<ref_t> poisoned;
+        for (Object *obj : objects) {
+            const bool in = marked.count(obj) != 0;
+            EXPECT_EQ(obj->markedFor(rt->heap().markParity()), in);
+            const unsigned k = counters.at(obj);
+            EXPECT_EQ(obj->staleCounter(),
+                      in && k < kTickBelow ? k + 1 : k);
+            std::size_t i = 0;
+            obj->forEachRefSlot(
+                rt->classes().info(obj->classId()), [&](ref_t *slot) {
+                    const ref_t before = slots.at(obj)[i++];
+                    const bool traced = in && !refIsNull(before) &&
+                                        !refIsPoisoned(before);
+                    EXPECT_EQ(*slot,
+                              traced ? refWithStaleCheck(before) : before);
+                    if (in && refIsPoisoned(before))
+                        poisoned.insert(before);
+                });
+            if (in)
+                live += chargedBytes(obj);
+        }
+        EXPECT_EQ(outcome.objectsMarked, marked.size());
+        EXPECT_EQ(outcome.liveBytes, live);
+        EXPECT_EQ(invalid, poisoned);
+    }
+};
+
+TracePolicy
+observePolicy()
+{
+    TracePolicy policy;
+    policy.tagReferences = true;
+    policy.trackStaleness = true;
+    policy.notifyInvalidRefs = true;
+    policy.epoch = 12;
+    return policy;
+}
+
+TEST(ClosureOracleTest, InUseClosureMatchesARecursiveWalk)
+{
+    for (unsigned seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        OracleGraph g(seed, 4u << 20);
+        OraclePlugin plugin;
+        plugin.policy = observePolicy();
+        std::unordered_set<Object *> marked;
+        for (Object *root : g.rootTargets())
+            g.walk(root, marked);
+        ASSERT_LT(marked.size(), g.objects.size()) << "some garbage";
+
+        g.rt->installPluginForTesting(&plugin);
+        const CollectionOutcome outcome = g.rt->collectNow();
+        g.expectMatches(marked, outcome, plugin.invalid);
+    }
+}
+
+TEST(ClosureOracleTest, EachStaleClosureClaimsWhatTheWalkDoes)
+{
+    for (unsigned seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        OracleGraph g(seed, 4u << 20);
+        OraclePlugin plugin;
+        plugin.policy = observePolicy();
+        plugin.policy.classifyEdges = true;
+        std::mt19937 rng(seed);
+        const std::vector<Object *> root_targets = g.rootTargets();
+        while (plugin.defer.size() < 12) {
+            Object *obj = g.objects[rng() % g.objects.size()];
+            if (std::find(root_targets.begin(), root_targets.end(), obj) ==
+                root_targets.end())
+                plugin.defer.insert(obj);
+        }
+
+        g.rt->installPluginForTesting(&plugin);
+        const CollectionOutcome outcome = g.rt->collectNow();
+
+        // The in-use closure stops at deferred edges; then each
+        // candidate, in the order its edges were deferred, claims what
+        // is reachable from it and not yet marked.
+        std::unordered_set<Object *> marked;
+        for (Object *root : root_targets)
+            g.walk(root, marked, plugin.defer);
+        ASSERT_EQ(plugin.bytes.size(), plugin.candidates.size());
+        std::size_t repeats = 0;
+        for (std::size_t i = 0; i < plugin.candidates.size(); ++i) {
+            const std::uint64_t want = g.walk(plugin.candidates[i], marked);
+            EXPECT_EQ(plugin.bytes[i], want) << "candidate " << i;
+            repeats += want == 0;
+        }
+        EXPECT_GT(repeats, 0u) << "candidates overlap";
+        g.expectMatches(marked, outcome, plugin.invalid);
+    }
+}
+
+// A stale closure pushes the target of every edge it traces, marked or
+// not, so a wide array of live objects needs one batch per 256 slots;
+// the tracer keeps only a fixed number of them once the closure ends.
+TEST(StaleClosureTest, WideArrayOfLiveTargetsKeepsFewBatches)
+{
+    RuntimeConfig cfg;
+    cfg.heapBytes = 8u << 20;
+    cfg.enableLeakPruning = false;
+    cfg.barrierMode = BarrierMode::None;
+    cfg.gcTriggerFraction = 0;
+    cfg.verifier.enabled = false;
+    Runtime rt(cfg);
+    const class_id_t node = rt.defineClass("wide.Node", 0, 8);
+    const class_id_t array = rt.defineRefArrayClass("wide.Node[]");
+
+    constexpr std::size_t kLive = 256, kSlots = 128 * 256;
+    HandleScope scope(rt.roots());
+    Handle holder = scope.handle(rt.allocateRefArray(array, 2));
+    // Allocated before the nodes: the newest allocation is a root.
+    Handle wide = scope.handle(rt.allocateRefArray(array, kSlots));
+    Handle live = scope.handle(rt.allocateRefArray(array, kLive));
+    rt.writeRef(holder.get(), 0, live.get());
+    for (std::size_t i = 0; i < kLive; ++i)
+        rt.writeRef(live.get(), i, rt.allocate(node));
+    for (std::size_t s = 0; s < kSlots; ++s)
+        rt.writeRef(wide.get(), s, rt.readRef(live.get(), s % kLive));
+    rt.writeRef(holder.get(), 1, wide.get());
+    GlobalRoot root(rt.roots(), holder.get());
+    OraclePlugin plugin;
+    plugin.policy = observePolicy();
+    plugin.policy.classifyEdges = true;
+    plugin.defer.insert(wide.get());
+    Object *const wide_obj = wide.get();
+    live.set(nullptr);
+    wide.set(nullptr);
+
+    rt.installPluginForTesting(&plugin);
+    rt.collectNow();
+    ASSERT_EQ(plugin.candidates, std::vector<Object *>{wide_obj});
+    EXPECT_EQ(plugin.bytes, std::vector<std::uint64_t>{wide_obj->sizeBytes()})
+        << "only the array itself is claimed";
+    EXPECT_LE(plugin.retained, Tracer::kRetainedChunks);
 }
 
 } // namespace

@@ -104,8 +104,12 @@ FAST_PATHS = [
     ("src/object/object.h", "tryMarkFor"),
     ("src/heap/heap.cpp", "noteMarked"),
     ("src/gc/tracer.cpp", "onMarked"),
+    ("src/gc/tracer.cpp", "shade"),
     ("src/gc/tracer.cpp", "scanObject"),
+    ("src/gc/tracer.cpp", "nextGray"),
+    ("src/gc/tracer.cpp", "drain"),
     ("src/gc/tracer.cpp", "traceFromRoots"),
+    ("src/gc/tracer.cpp", "traceSubgraph"),
     ("src/core/leak_pruning.cpp", "classifyEdge"),
     ("src/core/leak_pruning.cpp", "objectMarked"),
 ]
