@@ -15,8 +15,6 @@
  *   --disk-multiple X   disk budget as a multiple of the heap (def. 4)
  *   --predictor P       default | most-stale | indiv-refs   (Section 6.1)
  *   --trigger T         after-select | only-when-exhausted  (Section 3.1)
- *   --eager-sweep       complete sweeps inside the pause (default:
- *                       lazy sweeping on the allocation slow path)
  *   --heap MB           heap size in MB (default: the workload's)
  *   --iters N           iteration cap (default 200000)
  *   --seconds S         wall-clock cap (default 20)
@@ -59,8 +57,8 @@ listWorkloads()
 usage()
 {
     std::fprintf(stderr, "usage: run_leak --list | --workload NAME "
-                         "[--no-pruning] [--predictor P] [--trigger T] "
-                         "[--eager-sweep] "
+                         "[--no-pruning] [--disk-offload] "
+                         "[--disk-multiple X] [--predictor P] [--trigger T] "
                          "[--heap MB] [--iters N] [--seconds S] [--series] "
                          "[--mutators N] [--trace PATH] [--metrics PATH] "
                          "[--verbose]\n");
@@ -108,8 +106,6 @@ main(int argc, char **argv)
             else if (t == "only-when-exhausted")
                 config.pruneTrigger = PruneTrigger::OnlyWhenExhausted;
             else usage();
-        } else if (arg == "--eager-sweep") {
-            config.lazySweep = false;
         } else if (arg == "--heap") {
             config.heapBytes = std::strtoull(next().c_str(), nullptr, 10) << 20;
         } else if (arg == "--iters") {

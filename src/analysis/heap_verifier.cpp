@@ -114,6 +114,11 @@ HeapVerifier::verify(std::uint64_t epoch)
     heap.checkIntegrity([&](const std::string &msg) {
         addViolation(report, InvariantCheck::Accounting, msg);
     });
+    // The flip clears every side mark, so between collections none is
+    // set: a stray one would make the next trace skip its object.
+    heap.checkMarksClear([&](const std::string &msg) {
+        addViolation(report, InvariantCheck::MarkBits, msg);
+    });
 
     // --- Phase 1: object walk (live set, headers, byte accounting) -------
     std::unordered_set<const Object *> live;
@@ -130,19 +135,6 @@ HeapVerifier::verify(std::uint64_t epoch)
                                         " has unregistered class id ", cls_id));
             return; // layout unknown: skip the shape check
         }
-        // Epoch-parity marking: in swept storage every object's mark
-        // bit must carry the heap's live parity. Objects in chunks
-        // still pending a lazy sweep legitimately hold either parity
-        // (dead ones keep the stale bit until first touch), so the
-        // check is gated on the sweep state.
-        if (heap.sweepStateOf(obj) == Heap::ObjectSweepState::Swept &&
-            !obj->markedFor(heap.markParity()))
-            addViolation(report, InvariantCheck::MarkBits,
-                         detail::concat("object ", obj, " (",
-                                        registry.info(cls_id).name,
-                                        ") mark bit disagrees with the live "
-                                        "parity outside a collection"));
-
         const ClassInfo &cls = registry.info(cls_id);
         std::size_t expected = 0;
         switch (cls.kind) {
@@ -188,9 +180,6 @@ HeapVerifier::verify(std::uint64_t epoch)
         const class_id_t cls_id = obj->classId();
         if (cls_id >= num_classes)
             continue; // already reported; layout unknown
-        if (heap.sweepStateOf(obj) == Heap::ObjectSweepState::PendingDead)
-            continue; // dead, awaiting its lazy sweep: its references
-                      // may target storage that was already recycled
         const ClassInfo &cls = registry.info(cls_id);
         obj->forEachRefSlot(cls, [&](ref_t *slot) {
             const ref_t r = *slot;

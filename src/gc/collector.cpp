@@ -17,12 +17,10 @@ pauseStageName(PauseStage stage)
     switch (stage) {
       case PauseStage::RetireCaches:   return "retire-caches";
       case PauseStage::DrainTelemetry: return "drain-telemetry";
-      case PauseStage::CompleteSweep:  return "complete-sweep";
       case PauseStage::Mark:           return "mark";
       case PauseStage::Plugin:         return "plugin";
       case PauseStage::FinalizerScan:  return "finalizer-scan";
       case PauseStage::EpochFlip:      return "epoch-flip";
-      case PauseStage::EagerSweep:     return "eager-sweep";
       case PauseStage::Verify:         return "verify";
       case PauseStage::kCount:         break;
     }
@@ -84,27 +82,15 @@ Collector::collect()
 #endif
     });
 
-    // Sweep-completeness: one parity bit cannot describe liveness
-    // across two flips, so every chunk still pending from the last
-    // collection must be swept before this one marks. Under lazySweep
-    // the allocator usually got here first and this is a no-op.
-    stage(PauseStage::CompleteSweep,
-          [&] { heap_.finishSweep(/*in_pause=*/true); });
-
     ++epoch_;
-    LP_ASSERT(heap_.markEpoch() + 1 == epoch_,
-              "collector epoch and heap mark epoch fell out of lockstep");
-    const unsigned trace_parity = static_cast<unsigned>(epoch_ & 1);
     if (plugin_)
         plugin_->beginCollection(epoch_);
 
-    // The in-use transitive closure from the roots, marking at this
-    // collection's parity (opposite the heap's current live parity).
+    // The in-use transitive closure from the roots, claiming in the
+    // heap's side mark bitmaps (all clear between collections).
     TraceStats trace;
-    stage(PauseStage::Mark, [&] {
-        heap_.beginMark();
-        trace = tracer_.traceFromRoots(roots_, plugin_, trace_parity);
-    });
+    stage(PauseStage::Mark,
+          [&] { trace = tracer_.traceFromRoots(roots_, plugin_); });
 
     // Plugin phase — in SELECT this is the stale closure and edge-type
     // selection; in other states it is a no-op. Closure work the
@@ -117,18 +103,16 @@ Collector::collect()
         trace.objectsMarked += extra.objectsMarked;
     });
 
-    // Finalizers must run while dead objects still have intact
-    // headers, i.e. before any sweeping — under lazySweep the blocks
-    // may not be reclaimed for a long time, but the flip already
-    // declares them dead. By default the paper (and we) keep calling
-    // finalizers after pruning starts (Section 2).
+    // Finalizers run before the flip reclaims dead blocks, while the
+    // marks still tell live from dead. By default the paper (and we)
+    // keep calling finalizers after pruning starts (Section 2).
     std::uint64_t finalized = 0;
     const bool finalizers_on = !plugin_ || plugin_->finalizersEnabled();
     stage(PauseStage::FinalizerScan, [&] {
         if (!finalizers_on || !registry_.anyFinalizers())
             return;
         heap_.forEachObject([&](Object *obj) {
-            if (obj->markedFor(trace_parity))
+            if (heap_.isMarked(obj))
                 return;
             const ClassInfo &cls = registry_.info(obj->classId());
             if (!cls.hasFinalizer())
@@ -140,17 +124,11 @@ Collector::collect()
         });
     });
 
-    // The epoch flip is the logical end of the collection: live parity
-    // becomes the trace parity, unmarked objects are dead in O(1), and
-    // chunks with any dead block queue for sweeping.
+    // The epoch flip is the end of the collection and the whole sweep:
+    // unmarked blocks and large objects are reclaimed from the side
+    // bitmaps, and the marks are cleared for the next collection.
     Heap::FlipResult flip;
     stage(PauseStage::EpochFlip, [&] { flip = heap_.flipMarkEpoch(); });
-
-    // Eager baseline: complete every queued sweep inside the pause.
-    stage(PauseStage::EagerSweep, [&] {
-        if (!lazy_sweep_)
-            heap_.finishSweep(/*in_pause=*/true);
-    });
 
     CollectionOutcome outcome;
     outcome.epoch = epoch_;
@@ -165,9 +143,7 @@ Collector::collect()
 
     stats_.collections += 1;
     stats_.totalMarkNanos += timing(PauseStage::Mark).nanos();
-    stats_.totalSweepNanos += timing(PauseStage::CompleteSweep).nanos() +
-                              timing(PauseStage::EpochFlip).nanos() +
-                              timing(PauseStage::EagerSweep).nanos();
+    stats_.totalSweepNanos += timing(PauseStage::EpochFlip).nanos();
     stats_.objectsMarkedTotal += trace.objectsMarked;
     stats_.objectsFinalized += finalized;
     stats_.refsPoisonedTotal += trace.refsPoisoned;
@@ -179,8 +155,7 @@ Collector::collect()
     stats_.safepointWaitHistogram.add(safepoint_wait);
 
     // Post-collection analysis (heap verification) runs inside the
-    // existing pause: no mutator can race the walk, and lazySweep's
-    // pending-sweep chunks are visible to the verifier as such.
+    // existing pause: no mutator can race the walk.
     stage(PauseStage::Verify, [&] {
         if (post_collection_hook_)
             post_collection_hook_(outcome);
@@ -214,14 +189,13 @@ Collector::collect()
         telemetry_->emitSpan(TracePhase::GcEpochFlip,
                              timing(PauseStage::EpochFlip).start,
                              timing(PauseStage::EpochFlip).end,
-                             static_cast<std::uint32_t>(flip.pendingChunks),
+                             static_cast<std::uint32_t>(flip.freedChunks),
                              flip.liveBytes, true);
-        // In-pause reclamation span: the flip plus the eager sweep.
-        // Under lazySweep this covers just the flip; the deferred work
-        // shows up as LazySweep/FinishSweep spans on mutator tracks.
+        // Reclamation span: the finalizer scan's end through the flip,
+        // which is the whole sweep.
         telemetry_->emitSpan(TracePhase::GcSweep,
                              timing(PauseStage::FinalizerScan).end,
-                             timing(PauseStage::EagerSweep).end,
+                             timing(PauseStage::EpochFlip).end,
                              static_cast<std::uint32_t>(finalized),
                              flip.liveBytes, true);
         if (post_collection_hook_)

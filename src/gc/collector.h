@@ -3,15 +3,12 @@
  * The stop-the-world mark collector: an explicit staged pipeline.
  *
  * One collection runs the fixed PauseStage sequence inside the pause:
- * retire thread caches, drain telemetry rings, complete pending lazy
- * sweeps (the sweep-completeness rule), run the in-use closure (with
- * plugin edge hooks), let the plugin run its stale closure and
+ * retire thread caches, drain telemetry rings, run the in-use closure
+ * (with plugin edge hooks), let the plugin run its stale closure and
  * selection, scan for and run finalizers on dead objects, flip the
- * heap's mark epoch (turning unmarked objects dead in O(1)), and
- * verify. Reclamation itself happens *outside* the pause by default:
- * the allocation slow path sweeps chunks on first touch after the
- * flip (lazySweep=true); the eager baseline completes all sweeps
- * in-pause instead. See DESIGN.md "GC pipeline & lazy sweeping".
+ * heap's mark epoch (which reclaims every unmarked block from the side
+ * bitmaps and clears the marks), and verify. Nothing is left to sweep
+ * after the pause. See DESIGN.md "GC pipeline".
  */
 
 #ifndef LP_GC_COLLECTOR_H
@@ -39,12 +36,10 @@ class ThreadRegistry;
 enum class PauseStage : std::uint8_t {
     RetireCaches,   //!< fold thread-local allocation caches back
     DrainTelemetry, //!< drain per-thread trace rings (quiescent SPSC)
-    CompleteSweep,  //!< finish pending lazy sweeps (sweep-completeness)
     Mark,           //!< the in-use transitive closure
     Plugin,         //!< stale closure + edge selection (leak pruning)
     FinalizerScan,  //!< run finalizers on dead objects, pre-reclaim
-    EpochFlip,      //!< advance live parity; queue lazy sweeps
-    EagerSweep,     //!< complete all sweeps in-pause (lazySweep=false)
+    EpochFlip,      //!< reclaim unmarked blocks, clear the marks
     Verify,         //!< post-collection hook (heap verifier)
     kCount,
 };
@@ -113,16 +108,6 @@ class Collector
     void setTelemetry(Telemetry *telemetry) { telemetry_ = telemetry; }
 
     /**
-     * Choose the sweep discipline. Lazy (the default) queues unswept
-     * chunks at the epoch flip and lets the allocation slow path sweep
-     * them on first touch; eager completes every sweep inside the
-     * pause (the pre-pipeline baseline). Must not be toggled while a
-     * collection is in progress.
-     */
-    void setLazySweep(bool on) { lazy_sweep_ = on; }
-    bool lazySweep() const { return lazy_sweep_; }
-
-    /**
      * Install a hook run at the end of every collection, after the
      * sweep and the plugin's endCollection but before the world
      * resumes. The heap verifier uses this to piggyback its full-heap
@@ -170,7 +155,6 @@ class Collector
     std::function<void(const CollectionOutcome &)> post_collection_hook_;
     GcStats stats_;
     std::uint64_t epoch_ = 0;
-    bool lazy_sweep_ = true;
 };
 
 } // namespace lp

@@ -17,8 +17,8 @@ namespace {
  * increments a counter holding k iff 2^k divides i, so a counter of k
  * means "last used about 2^k collections ago". 2^k divides i exactly
  * when k <= ctz(i), so the rule is one compare per marked object:
- * tick iff k < this limit. The collector's claim (Object::tryMarkFor)
- * applies it to every object it marks, exactly as in the paper.
+ * tick iff k < this limit. The tracer applies it once to every object
+ * it marks (Object::tickStaleCounter), exactly as in the paper.
  */
 unsigned
 staleTickLimit(const TracePolicy &policy)
@@ -55,7 +55,7 @@ void
 Tracer::beginClosure(const TracePolicy &policy)
 {
     tick_below_ = staleTickLimit(policy);
-    claim_late_ = !policy.classifyEdges;
+    visit_at_scan_ = !policy.classifyEdges;
 }
 
 void
@@ -81,9 +81,9 @@ inline void
 Tracer::onMarked(Object *obj, CollectionPlugin *plugin,
                  const TracePolicy &policy, TraceStats &stats)
 {
+    obj->tickStaleCounter(tick_below_);
     ++stats.objectsMarked;
     stats.bytesMarked += obj->sizeBytes();
-    heap_.noteMarked(obj);
     if (policy.notifyMarked)
         plugin->objectMarked(obj);
 }
@@ -92,14 +92,13 @@ inline void
 Tracer::shade(Object *obj, CollectionPlugin *plugin, const TracePolicy &policy,
               WorkChunk *&out, TraceStats &stats)
 {
-    // A classifying closure claims at discovery, the order its pruning
-    // decisions read (tracer.h). ROADMAP item 2 deletes this branch
-    // for them once classification no longer depends on trace order.
-    if (!claim_late_) {
-        if (!obj->tryMarkFor(trace_parity_, tick_below_))
-            return;
+    // Every closure claims at discovery, in the side bitmap, so only a
+    // first discovery is pushed. A classifying closure also visits the
+    // header now, the order its pruning decisions read (tracer.h).
+    if (!heap_.tryMark(obj))
+        return;
+    if (!visit_at_scan_)
         onMarked(obj, plugin, policy, stats);
-    }
     pushObject(out, obj);
 }
 
@@ -170,20 +169,20 @@ void
 Tracer::drain(CollectionPlugin *plugin, const TracePolicy &policy,
               WorkChunk *seeded, TraceStats &stats)
 {
-    // A claim-late closure's gray objects are unclaimed: each one
-    // passes through the prefetch ring, which loads its header while
-    // the objects ahead of it are scanned, and is claimed as it leaves.
-    // Such a closure also pushes onto the batch it drains (plain LIFO),
-    // so a scanned object's targets enter the ring next.
+    // A closure that visits at scan passes each popped object through
+    // the prefetch ring, which loads its header while the objects
+    // ahead of it are scanned, and visits it as it leaves. Such a
+    // closure also pushes onto the batch it drains (plain LIFO), so a
+    // scanned object's targets enter the ring next.
     Object *ring[kPrefetchDepth];
     std::size_t ring_head = 0;
     std::size_t ring_count = 0;
     WorkChunk *in = seeded;
     WorkChunk *out = takeChunk();
-    WorkChunk *&gray_out = claim_late_ ? in : out;
+    WorkChunk *&gray_out = visit_at_scan_ ? in : out;
     while (true) {
         Object *obj = nextGray(in, out);
-        if (claim_late_) {
+        if (visit_at_scan_) {
             if (obj) {
                 __builtin_prefetch(obj);
                 if (ring_count < kPrefetchDepth) {
@@ -199,8 +198,6 @@ Tracer::drain(CollectionPlugin *plugin, const TracePolicy &policy,
                 break;
             }
             ring_head = (ring_head + 1) % kPrefetchDepth;
-            if (!obj->tryMarkFor(trace_parity_, tick_below_))
-                continue; // reached along another path first
             onMarked(obj, plugin, policy, stats);
         } else if (!obj) {
             break;
@@ -216,14 +213,11 @@ Tracer::drain(CollectionPlugin *plugin, const TracePolicy &policy,
 }
 
 TraceStats
-Tracer::traceFromRoots(RootProvider &roots, CollectionPlugin *plugin,
-                       unsigned mark_parity)
+Tracer::traceFromRoots(RootProvider &roots, CollectionPlugin *plugin)
 {
     LP_ASSERT(gray_.empty(), "gray stack not drained by the last closure");
     const TracePolicy policy = plugin ? plugin->tracePolicy() : TracePolicy{};
-    trace_parity_ = mark_parity & 1; // remembered for traceSubgraph
     beginClosure(policy);
-
     // Seed the gray stack from the root set (stacks/registers +
     // statics).
     TraceStats stats;

@@ -17,36 +17,40 @@
  * Both closures run one scan-and-mark routine (scanObject) over one
  * gray stack of fixed-size batches; the TracePolicy a closure is given
  * selects what the routine does per edge (tag, classify, notify) and
- * per claimed object (tick the staleness clock, notify).
+ * per marked object (tick the staleness clock, notify).
  *
- * The policy also picks where an object is claimed:
+ * Every closure claims an object at discovery, with the heap's side
+ * mark bitmap (Heap::tryMark), so only a first discovery is pushed and
+ * the gray stack is bounded by marked objects, never by edges. The
+ * policy picks when the object's header is visited (the clock tick,
+ * the byte tally, the plugin's notification):
  *
  *  - At discovery, when the closure classifies edges (leak pruning's
  *    SELECT and PRUNE, disk offload's offloading collections). Their
  *    decisions read trace order: classifyEdge sees a target's stale
- *    counter before or after the claim ticks it, and the first
- *    candidate to reach a shared subgraph is charged for it. So these
- *    closures keep the pinned batch order (the newest batch drains to
- *    empty before the next is taken) that
- *    AppsTest.EclipseCpPruneLogIsPinned pins. ROADMAP item 2 deletes
- *    this path once decisions no longer depend on trace order.
+ *    counter before or after the tick, and the first candidate to
+ *    reach a shared subgraph is charged for it. So these closures keep
+ *    the pinned batch order (the newest batch drains to empty before
+ *    the next is taken) that AppsTest.EclipseCpPruneLogIsPinned pins.
+ *    ROADMAP item 1 makes decisions independent of this order.
  *
- *  - At scan, in every other closure. A traced target is pushed
- *    unclaimed onto the batch being drained (plain LIFO); drain passes
- *    each popped object through a small FIFO ring that prefetches its
- *    header, and claims it as it leaves. Such a closure decides
- *    nothing, and what it leaves behind (the marked set, one clock
- *    tick per claim, tags, byte tallies, the set of stub words seen)
- *    is the same in any order.
+ *  - At scan, in every other closure. A claimed target is pushed onto
+ *    the batch being drained (plain LIFO); drain passes each popped
+ *    object through a small FIFO ring that prefetches its header, and
+ *    visits it as it leaves, so the header is touched once, after the
+ *    prefetch. Such a closure decides nothing, and what it leaves
+ *    behind (the marked set, one clock tick per marked object, tags,
+ *    byte tallies, the set of stub words seen) is the same in any
+ *    order.
  *
  * Both run on the one collector thread, inside the stop-the-world
  * pause. The paper's MMTk collector runs them on several threads
  * (Section 4.5); at this repository's heap sizes a second collector
  * thread roughly doubled the mark time, so the closures are serial
  * (DESIGN.md "Known deviations: serial collector"). Being the only
- * thread running, the collector claims an object, ticks its clock and
- * tallies its chunk's bytes with plain relaxed loads and stores: the
- * mark loop executes no locked instruction.
+ * thread running, the collector sets mark bits and ticks clocks with
+ * plain loads and stores: the mark loop executes no locked
+ * instruction.
  */
 
 #ifndef LP_GC_TRACER_H
@@ -90,8 +94,7 @@ class Tracer
 {
   public:
     /**
-     * @param heap marked objects are reported to the heap's mark-time
-     *        byte accounting (Heap::noteMarked).
+     * @param heap owns the side mark bitmaps the closures claim in.
      * @param registry class layouts for slot iteration.
      */
     Tracer(Heap &heap, const ClassRegistry &registry);
@@ -103,16 +106,14 @@ class Tracer
 
     /**
      * Run the in-use closure: mark everything reachable from
-     * @p roots with @p mark_parity (the collection's trace parity,
-     * one ahead of the heap's live parity), classifying edges through
-     * @p plugin (may be null). Must run with the world stopped.
+     * @p roots, classifying edges through @p plugin (may be null).
+     * Must run with the world stopped.
      */
-    TraceStats traceFromRoots(RootProvider &roots, CollectionPlugin *plugin,
-                              unsigned mark_parity);
+    TraceStats traceFromRoots(RootProvider &roots, CollectionPlugin *plugin);
 
     /**
      * Mark the subgraph rooted at @p start during the in-progress
-     * collection (after traceFromRoots, same trace parity), claiming
+     * collection (after traceFromRoots), claiming
      * only objects not already marked, and return the bytes claimed
      * (0 when @p start was already marked).
      * @p policy selects the per-edge and per-object work as in the
@@ -137,11 +138,8 @@ class Tracer
     const ClassRegistry &registry() const { return registry_; }
 
     //! Empty gray batches kept for the next closure; the rest are freed
-    //! when a closure ends. A claim-late closure pushes every traced
-    //! edge's target, marked or not, so its peak grows with the edges
-    //! it scans (read_mostly's in-use closure peaks near 240 batches);
-    //! 64 covers the peaks of the leak_server and oom_horizon closures,
-    //! so their steady state allocates no batch.
+    //! when a closure ends, so a closure that once held many objects
+    //! gray does not pin their batches for the runtime's lifetime.
     static constexpr std::size_t kRetainedChunks = 64;
 
     //! Empty gray batches held between closures (at most kRetainedChunks).
@@ -160,8 +158,8 @@ class Tracer
         Object *pop() { return items[--count]; }
     };
 
-    //! Gray objects a claim-late closure keeps in flight: each one's
-    //! header is prefetched this many objects before it is claimed.
+    //! Gray objects a visit-at-scan closure keeps in flight: each one's
+    //! header is prefetched this many objects before it is visited.
     //! On a 4-vCPU Xeon host, 4 and 8 measured alike on leak_server
     //! and 16 measured no better than claiming at discovery.
     static constexpr std::size_t kPrefetchDepth = 8;
@@ -176,16 +174,17 @@ class Tracer
                     TraceStats &stats);
 
     /**
-     * Make @p obj gray: push it onto @p out, claiming it first
-     * (onMarked) unless the closure claims late; then drain claims it.
+     * Claim @p obj and, if this call claimed it, make it gray: push it
+     * onto @p out, visiting it first (onMarked) unless the closure
+     * visits at scan.
      */
     void shade(Object *obj, CollectionPlugin *plugin,
                const TracePolicy &policy, WorkChunk *&out,
                TraceStats &stats);
 
     /**
-     * Per-claim work for an object this closure just marked: tally it
-     * and report it to the plugin if asked.
+     * Header work for an object this closure marked, once: tick its
+     * staleness clock, tally it and report it to the plugin if asked.
      */
     void onMarked(Object *obj, CollectionPlugin *plugin,
                   const TracePolicy &policy, TraceStats &stats);
@@ -193,9 +192,9 @@ class Tracer
     /**
      * Scan the seeded batch @p seeded, then every gray batch, to
      * empty; the newest batch is drained before an older one is taken.
-     * A claim-late closure pushes onto the batch it drains, passes
-     * each popped object through the prefetch ring and claims it as
-     * it leaves; one already claimed is skipped.
+     * A visit-at-scan closure pushes onto the batch it drains, passes
+     * each popped object through the prefetch ring and visits it as it
+     * leaves.
      */
     void drain(CollectionPlugin *plugin, const TracePolicy &policy,
                WorkChunk *seeded, TraceStats &stats);
@@ -215,13 +214,12 @@ class Tracer
 
     Heap &heap_;
     const ClassRegistry &registry_;
-    unsigned trace_parity_ = 1; //!< parity of the in-progress collection
     //! The running closure's stale-clock limit: a claim raises a stale
     //! counter k to k+1 iff k < tick_below_ (0 when the clock is off).
     unsigned tick_below_ = 0;
-    //! The running closure claims at scan, through the prefetch ring,
-    //! rather than at discovery: it classifies no edge.
-    bool claim_late_ = false;
+    //! The running closure visits headers at scan, through the prefetch
+    //! ring, rather than at discovery: it classifies no edge.
+    bool visit_at_scan_ = false;
     //! Closure work plugins report via addClosureStats().
     TraceStats extra_;
     //! The running closure's gray objects, in batches (empty between

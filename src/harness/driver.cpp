@@ -97,7 +97,6 @@ runWorkload(const WorkloadInfo &info, const DriverConfig &config)
     RuntimeConfig rc;
     rc.heapBytes = config.heapBytes ? config.heapBytes
                                     : workload->defaultHeapBytes();
-    rc.lazySweep = config.lazySweep;
     rc.enableLeakPruning = config.enablePruning;
     rc.tolerance = config.tolerance;
     rc.offload.diskBudgetBytes = static_cast<std::size_t>(

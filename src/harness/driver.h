@@ -59,13 +59,6 @@ struct DriverConfig {
     /** Edge-table slots (paper default 16K). */
     std::size_t edgeTableSlots = 16 * 1024;
     /**
-     * Sweep discipline (forwarded to RuntimeConfig::lazySweep): lazy
-     * moves reclamation out of the pause onto the allocation slow
-     * path; eager (false) is the all-in-pause baseline the pause
-     * benchmarks compare against.
-     */
-    bool lazySweep = true;
-    /**
      * Heap-verifier deployment for the run (forwarded to
      * RuntimeConfig::verifier): enable with everyNCollections=1 and
      * FailFast to assert a workload never violates a heap invariant.

@@ -1,6 +1,7 @@
 #include "heap/heap.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -38,18 +39,23 @@ Heap::Heap(std::size_t capacity)
     : num_chunks_(std::max<std::size_t>(capacity / kChunkBytes, 1)),
       storage_(new unsigned char[num_chunks_ * kChunkBytes + kChunkBytes]),
       class_sizes_(buildSizeClasses()),
+      class_of_step_(kLargeThreshold / kWordBytes + 1),
       partial_(class_sizes_.size()),
-      pending_(class_sizes_.size()),
       chunks_(num_chunks_),
-      marked_bytes_(new std::atomic<std::uint32_t>[num_chunks_])
+      bits_(new ChunkBits[num_chunks_]())
 {
     // Align the usable arena to a chunk-ish boundary (word alignment
     // is all objects need; chunk alignment simplifies nothing here, so
     // just word-align).
     arena_base_ = roundUp(reinterpret_cast<word_t>(storage_.get()), kWordBytes);
     free_chunks_.store(num_chunks_, std::memory_order_relaxed);
-    for (std::size_t c = 0; c < num_chunks_; ++c)
-        marked_bytes_[c].store(0, std::memory_order_relaxed);
+    LP_ASSERT(class_sizes_.size() <= 256, "size class ids must fit a byte");
+    std::size_t cls = 0;
+    for (std::size_t step = 0; step < class_of_step_.size(); ++step) {
+        while (class_sizes_[cls] < std::max(step * kWordBytes, kMinBlockBytes))
+            ++cls;
+        class_of_step_[step] = static_cast<std::uint8_t>(cls);
+    }
 }
 
 Heap::~Heap() = default;
@@ -76,24 +82,8 @@ Heap::contains(const void *p) const
 }
 
 std::size_t
-Heap::sizeClassFor(std::size_t bytes) const
-{
-    // Binary search the ordered class table for the smallest class
-    // that fits.
-    const auto it = std::lower_bound(
-        class_sizes_.begin(), class_sizes_.end(),
-        static_cast<std::uint32_t>(std::max(bytes, kMinBlockBytes)));
-    LP_ASSERT(it != class_sizes_.end(), "size not covered by classes");
-    return static_cast<std::size_t>(it - class_sizes_.begin());
-}
-
-std::size_t
 Heap::takeFreeChunkLocked()
 {
-    // Dead large objects awaiting a lazy sweep still count against the
-    // committed budget; reconcile the LOS first so lazy sweeping never
-    // fails (or collects) where an eager sweep would have succeeded.
-    sweepLosLocked();
     // The large-object space draws on the same byte budget, so a free
     // chunk may exist yet be unaffordable.
     if (free_chunks_.load(std::memory_order_relaxed) == 0 ||
@@ -116,21 +106,43 @@ Heap::commissionChunkLocked(std::size_t chunk, std::size_t cls)
     info.blockBytes = block_bytes;
     info.numBlocks = static_cast<std::uint32_t>(kChunkBytes / block_bytes);
     info.liveBlocks = 0;
-    info.bump = 0;
-    info.freeHead = -1;
-    info.inUse.assign((info.numBlocks + 63) / 64, 0);
     info.leased = false;
-    info.sweptEpoch = mark_epoch_.load(std::memory_order_relaxed);
+    // Free chunks keep zeroed bitmaps, so only the reciprocal is new.
+    bits_[chunk].blockRecip = static_cast<std::uint32_t>(
+        ((std::uint64_t{1} << 32) + block_bytes - 1) / block_bytes);
     free_chunks_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+word_t &
+Heap::largeMark(const Object *obj)
+{
+    return reinterpret_cast<word_t *>(const_cast<Object *>(obj))[-1];
+}
+
+bool
+Heap::tryMarkLarge(const Object *obj)
+{
+    word_t &mark = largeMark(obj);
+    if (mark)
+        return false;
+    mark = 1;
+    return true;
+}
+
+bool
+Heap::isMarked(const Object *obj) const
+{
+    const word_t off = reinterpret_cast<word_t>(obj) - arena_base_;
+    if (off >= capacity())
+        return largeMark(obj) != 0;
+    const ChunkBits &bits = bits_[off / kChunkBytes];
+    const std::size_t block = blockIndex(bits, off);
+    return (bits.mark[block / 64] >> (block % 64)) & 1;
 }
 
 void *
 Heap::allocateLargeLocked(std::size_t bytes)
 {
-    // Reconcile dead large objects first: their committed bytes must
-    // never make a budget check fail (or trigger a collection) that an
-    // eager sweep would have passed.
-    sweepLosLocked();
     // Charge page-rounded bytes against the heap budget; the backing
     // memory is a fresh host allocation (MMTk-style LOS: virtual
     // contiguity is free, only total bytes are bounded).
@@ -138,18 +150,17 @@ Heap::allocateLargeLocked(std::size_t bytes)
     if (committedBytes() + charged > capacity())
         return nullptr;
     LargeAlloc alloc;
-    alloc.storage.reset(new (std::nothrow) unsigned char[charged + kWordBytes]);
+    // One word of alignment slack, then the side mark word in front of
+    // the object.
+    alloc.storage.reset(
+        new (std::nothrow) unsigned char[charged + 2 * kWordBytes]);
     if (!alloc.storage)
         return nullptr;
     alloc.bytes = charged;
-    alloc.object = reinterpret_cast<Object *>(
-        roundUp(reinterpret_cast<word_t>(alloc.storage.get()), kWordBytes));
-    // The entry is visible to lazy LOS sweeps the moment it joins the
-    // index, but the caller formats the header only after the heap
-    // lock drops: stamp a live-parity status word now so a concurrent
-    // sweep cannot misread uninitialized memory as a dead mark.
-    *reinterpret_cast<word_t *>(alloc.object) =
-        static_cast<word_t>(markParity()) << header_bits::kMarkBit;
+    alloc.object = reinterpret_cast<Object *>(roundUp(
+        reinterpret_cast<word_t>(alloc.storage.get()) + kWordBytes,
+        kWordBytes));
+    largeMark(alloc.object) = 0;
     large_objects_.push_back(std::move(alloc));
     large_bytes_.fetch_add(charged, std::memory_order_relaxed);
     used_bytes_.fetch_add(charged, std::memory_order_relaxed);
@@ -183,17 +194,7 @@ Heap::leaseChunk(std::size_t size_class, ChunkLease &lease)
         chunk = partial_[size_class].back();
         partial_[size_class].pop_back();
         LP_ASSERT(chunks_[chunk].hasRoom(), "full chunk on a partial list");
-    }
-    while (chunk == npos) {
-        // Sweep pending chunks of this class on first touch; a swept
-        // chunk may turn out fully live (no space), so keep looking.
-        const std::size_t pend = takePendingChunkLocked(size_class);
-        if (pend == npos)
-            break;
-        if (chunks_[pend].hasRoom())
-            chunk = pend;
-    }
-    if (chunk == npos) {
+    } else {
         chunk = takeFreeChunkLocked();
         if (chunk == npos) {
             ++stats_.failedAllocations;
@@ -207,16 +208,16 @@ Heap::leaseChunk(std::size_t size_class, ChunkLease &lease)
     ++leased_chunks_;
     lease.chunkIndex = chunk;
     lease.base = chunkBase(chunk);
-    lease.inUse = info.inUse.data();
+    lease.inUse = bits_[chunk].inUse;
     lease.blockBytes = info.blockBytes;
-    lease.numBlocks = info.numBlocks;
-    lease.bump = info.bump;
-    lease.freeHead = info.freeHead;
+    lease.room = info.numBlocks - info.liveBlocks;
+    lease.word = 0;
     lease.allocated = 0;
+    const std::uint64_t chunk_bytes =
+        static_cast<std::uint64_t>(info.numBlocks) * info.blockBytes;
     lock.unlock();
     telInstant(telemetry_, TracePhase::CacheRefill,
-               static_cast<std::uint32_t>(size_class),
-               static_cast<std::uint64_t>(lease.numBlocks) * lease.blockBytes);
+               static_cast<std::uint32_t>(size_class), chunk_bytes);
     return true;
 }
 
@@ -228,8 +229,6 @@ Heap::retireChunk(ChunkLease &lease)
     std::lock_guard<std::mutex> lock(mutex_);
     ChunkInfo &info = chunks_[lease.chunkIndex];
     LP_ASSERT(info.leased, "retiring a chunk that is not leased");
-    info.bump = lease.bump;
-    info.freeHead = lease.freeHead;
     info.liveBlocks += lease.allocated;
     info.leased = false;
     --leased_chunks_;
@@ -237,7 +236,7 @@ Heap::retireChunk(ChunkLease &lease)
         static_cast<std::size_t>(lease.allocated) * lease.blockBytes,
         std::memory_order_relaxed);
 
-    if (info.liveBlocks == 0 && info.bump == 0) {
+    if (info.liveBlocks == 0) {
         // Fresh chunk the cache never carved from: back to the pool.
         makeChunkFree(lease.chunkIndex);
     } else if (info.hasRoom()) {
@@ -267,43 +266,12 @@ Heap::leasedChunkCount() const
 void
 Heap::makeChunkFree(std::size_t chunk)
 {
-    ChunkInfo &info = chunks_[chunk];
-    info = ChunkInfo{};
+    chunks_[chunk] = ChunkInfo{};
+    bits_[chunk] = ChunkBits{};
     free_chunks_.fetch_add(1, std::memory_order_relaxed);
 }
 
-// --- epoch-parity collection protocol ---------------------------------------
-
-void
-Heap::beginMark()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    LP_ASSERT(!sweepPending(),
-              "mark phase started with pending sweeps (run finishSweep "
-              "first: one parity bit cannot span two flips)");
-    for (std::size_t c = 0; c < num_chunks_; ++c)
-        marked_bytes_[c].store(0, std::memory_order_relaxed);
-    marked_large_bytes_.store(0, std::memory_order_relaxed);
-}
-
-void
-Heap::noteMarked(const Object *obj)
-{
-    const auto a = reinterpret_cast<word_t>(obj);
-    if (a >= arena_base_ && a < arena_base_ + capacity()) {
-        const std::size_t c = (a - arena_base_) / kChunkBytes;
-        std::atomic<std::uint32_t> &tally = marked_bytes_[c];
-        tally.store(tally.load(std::memory_order_relaxed) +
-                        chunks_[c].blockBytes,
-                    std::memory_order_relaxed);
-        return;
-    }
-    // LOS: charge exactly what the allocator charged (page-rounded).
-    marked_large_bytes_.store(
-        marked_large_bytes_.load(std::memory_order_relaxed) +
-            roundUp(obj->sizeBytes(), 4096),
-        std::memory_order_relaxed);
-}
+// --- side-mark collection protocol ------------------------------------------
 
 Heap::FlipResult
 Heap::flipMarkEpoch()
@@ -313,237 +281,71 @@ Heap::flipMarkEpoch()
               "epoch flip with outstanding chunk leases (retire at safepoint)");
     ++stats_.sweeps;
 
-    const std::uint64_t old_epoch = mark_epoch_.load(std::memory_order_relaxed);
-    const std::uint64_t new_epoch = old_epoch + 1;
-    const unsigned parity = static_cast<unsigned>(new_epoch & 1);
-
+    // Rebuild every partial list in lease order (flipMarkEpoch's
+    // contract): mixed chunks are pushed as they are met, in ascending
+    // index, and the fully live chunks with room go on top of them
+    // afterwards, so the highest-indexed of those is leased first.
     for (auto &list : partial_)
         list.clear();
+    flip_scratch_.clear();
 
+    FlipResult result;
     std::size_t live_small = 0;
-    std::size_t pending = 0;
+    std::size_t freed_bytes = 0;
     for (std::size_t c = 0; c < num_chunks_; ++c) {
         ChunkInfo &info = chunks_[c];
         if (info.kind != ChunkKind::Small)
             continue;
-        LP_ASSERT(info.sweptEpoch == old_epoch,
-                  "epoch flip over an unswept chunk (sweep-completeness "
-                  "rule violated)");
-        const std::size_t marked = marked_bytes_[c].load(std::memory_order_relaxed);
-        const std::size_t allocated =
-            static_cast<std::size_t>(info.liveBlocks) * info.blockBytes;
-        live_small += marked;
+        ChunkBits &bits = bits_[c];
+        const std::uint32_t marked = bits.marked;
+        LP_ASSERT(marked <= info.liveBlocks, "more blocks marked than in use");
+        const std::uint32_t dead = info.liveBlocks - marked;
+        stats_.objectsFreed += dead;
+        freed_bytes += static_cast<std::size_t>(dead) * info.blockBytes;
+        live_small += static_cast<std::size_t>(marked) * info.blockBytes;
         if (marked == 0) {
-            // Every allocated block is dead: reclaim the whole chunk
-            // from metadata alone, no header walks.
-            stats_.objectsFreed += info.liveBlocks;
-            stats_.bytesFreed += allocated;
-            used_bytes_.fetch_sub(allocated, std::memory_order_relaxed);
             makeChunkFree(c);
+            ++result.freedChunks;
             continue;
         }
-        if (marked == allocated) {
-            // Fully live: nothing for a sweep to find.
-            info.sweptEpoch = new_epoch;
-            marked_bytes_[c].store(0, std::memory_order_relaxed);
-            if (info.hasRoom())
-                partial_[info.sizeClass].push_back(
-                    static_cast<std::uint32_t>(c));
-            continue;
+        for (std::size_t w = 0; w < (info.numBlocks + 63) / 64; ++w) {
+            bits.inUse[w] &= bits.mark[w];
+            bits.mark[w] = 0;
         }
-        // Mixed chunk: queue for a lazy sweep on first allocation
-        // touch (or the next finishSweep). marked_bytes_ keeps the
-        // mark-time total so the sweep can cross-check against it.
-        pending_[info.sizeClass].push_back(static_cast<std::uint32_t>(c));
-        ++pending;
+        bits.marked = 0;
+        info.liveBlocks = marked;
+        if (dead != 0)
+            partial_[info.sizeClass].push_back(static_cast<std::uint32_t>(c));
+        else if (info.hasRoom())
+            flip_scratch_.push_back(static_cast<std::uint32_t>(c));
     }
+    for (std::uint32_t c : flip_scratch_)
+        partial_[chunks_[c].sizeClass].push_back(c);
 
     std::size_t live_large = 0;
-    bool any_large_dead = false;
-    for (const LargeAlloc &alloc : large_objects_) {
-        if (alloc.object->markedFor(parity))
-            live_large += alloc.bytes;
-        else
-            any_large_dead = true;
-    }
-    LP_ASSERT(live_large == marked_large_bytes_.load(std::memory_order_relaxed),
-              "LOS mark-time byte accounting drift (a marker bypassed "
-              "noteMarked)");
-
-    mark_epoch_.store(new_epoch, std::memory_order_relaxed);
-    pending_chunks_.store(pending, std::memory_order_relaxed);
-    if (any_large_dead)
-        los_pending_.store(true, std::memory_order_relaxed);
-    else
-        los_swept_epoch_ = new_epoch;
-
-    FlipResult result;
-    result.liveBytes = live_small + live_large;
-    // Dead-but-unswept large objects are excluded: committed space as
-    // an eager sweep would have left it, so fullness() decisions are
-    // mode-independent.
-    result.committedBytes =
-        (num_chunks_ - free_chunks_.load(std::memory_order_relaxed)) *
-            kChunkBytes +
-        live_large;
-    result.pendingChunks = pending;
-    return result;
-}
-
-void
-Heap::sweepChunkImpl(std::size_t chunk, SweepTally &tally)
-{
-    ChunkInfo &info = chunks_[chunk];
-    const std::uint64_t epoch = mark_epoch_.load(std::memory_order_relaxed);
-    const unsigned parity = static_cast<unsigned>(epoch & 1);
-    unsigned char *base = chunkBase(chunk);
-    std::size_t live_bytes = 0;
-    for (std::uint32_t b = 0; b < info.bump; ++b) {
-        const std::uint64_t bit = std::uint64_t{1} << (b % 64);
-        if (!(info.inUse[b / 64] & bit))
-            continue;
-        auto *obj = reinterpret_cast<Object *>(
-            base + static_cast<std::size_t>(b) * info.blockBytes);
-        if (obj->markedFor(parity)) {
-            live_bytes += info.blockBytes;
-            continue;
-        }
-        info.inUse[b / 64] &= ~bit;
-        --info.liveBlocks;
-        *reinterpret_cast<word_t *>(
-            base + static_cast<std::size_t>(b) * info.blockBytes) =
-            static_cast<word_t>(info.freeHead + 1);
-        info.freeHead = static_cast<std::int32_t>(b);
-        ++tally.objectsFreed;
-        tally.bytesFreed += info.blockBytes;
-    }
-    info.sweptEpoch = epoch;
-    LP_ASSERT(live_bytes == marked_bytes_[chunk].load(std::memory_order_relaxed),
-              "lazy sweep live bytes disagree with mark-time accounting");
-    marked_bytes_[chunk].store(0, std::memory_order_relaxed);
-}
-
-std::size_t
-Heap::takePendingChunkLocked(std::size_t cls)
-{
-    if (pending_[cls].empty())
-        return npos;
-    const std::size_t chunk = pending_[cls].back();
-    pending_[cls].pop_back();
-    pending_chunks_.fetch_sub(1, std::memory_order_relaxed);
-    TelemetrySpan span(telemetry_, TracePhase::LazySweep);
-    SweepTally tally;
-    sweepChunkImpl(chunk, tally);
-    used_bytes_.fetch_sub(tally.bytesFreed, std::memory_order_relaxed);
-    stats_.objectsFreed += tally.objectsFreed;
-    stats_.bytesFreed += tally.bytesFreed;
-    span.setArgs(static_cast<std::uint32_t>(chunk), tally.bytesFreed);
-    return chunk;
-}
-
-std::size_t
-Heap::sweepLosLocked()
-{
-    if (!los_pending_.load(std::memory_order_relaxed))
-        return 0;
-    const std::uint64_t epoch = mark_epoch_.load(std::memory_order_relaxed);
-    const unsigned parity = static_cast<unsigned>(epoch & 1);
-    TelemetrySpan span(telemetry_, TracePhase::LazySweep);
-    std::uint64_t freed = 0;
-    std::size_t freed_bytes = 0;
     std::size_t keep = 0;
     for (std::size_t i = 0; i < large_objects_.size(); ++i) {
         LargeAlloc &alloc = large_objects_[i];
-        if (alloc.object->markedFor(parity)) {
+        word_t &mark = largeMark(alloc.object);
+        if (mark) {
+            mark = 0;
+            live_large += alloc.bytes;
             if (keep != i)
                 large_objects_[keep] = std::move(alloc);
             ++keep;
             continue;
         }
-        ++freed;
+        ++stats_.objectsFreed;
         freed_bytes += alloc.bytes;
         large_bytes_.fetch_sub(alloc.bytes, std::memory_order_relaxed);
-        used_bytes_.fetch_sub(alloc.bytes, std::memory_order_relaxed);
     }
     large_objects_.resize(keep);
-    stats_.objectsFreed += freed;
     stats_.bytesFreed += freed_bytes;
-    los_swept_epoch_ = epoch;
-    los_pending_.store(false, std::memory_order_relaxed);
-    span.setArgs(static_cast<std::uint32_t>(freed), freed_bytes);
-    return freed_bytes;
-}
+    used_bytes_.fetch_sub(freed_bytes, std::memory_order_relaxed);
 
-std::size_t
-Heap::finishSweep(bool in_pause)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!sweepPending())
-        return 0;
-    TelemetrySpan span(telemetry_, TracePhase::FinishSweep,
-                       /*gc_track=*/in_pause);
-
-    std::vector<std::uint32_t> work;
-    for (auto &list : pending_) {
-        work.insert(work.end(), list.begin(), list.end());
-        list.clear();
-    }
-    pending_chunks_.store(0, std::memory_order_relaxed);
-
-    SweepTally total;
-    for (std::uint32_t c : work)
-        sweepChunkImpl(c, total);
-    used_bytes_.fetch_sub(total.bytesFreed, std::memory_order_relaxed);
-    stats_.objectsFreed += total.objectsFreed;
-    stats_.bytesFreed += total.bytesFreed;
-
-    // Disposition: every swept chunk kept at least one live block (a
-    // fully dead chunk was freed at the flip), so none can go back to
-    // the free pool; list the ones with room.
-    for (std::uint32_t c : work) {
-        ChunkInfo &info = chunks_[c];
-        LP_ASSERT(info.liveBlocks > 0,
-                  "pending chunk swept down to empty (flip should have "
-                  "freed it)");
-        if (info.hasRoom())
-            partial_[info.sizeClass].push_back(c);
-    }
-
-    const std::size_t los_freed = sweepLosLocked();
-
-    // With everything reconciled (and no leases to hide carves), the
-    // chunk metadata and the byte counter must agree exactly.
-    if (leased_chunks_ == 0) {
-        std::size_t metadata_live = large_bytes_.load(std::memory_order_relaxed);
-        for (std::size_t c = 0; c < num_chunks_; ++c) {
-            const ChunkInfo &info = chunks_[c];
-            if (info.kind == ChunkKind::Small)
-                metadata_live +=
-                    static_cast<std::size_t>(info.liveBlocks) * info.blockBytes;
-        }
-        LP_ASSERT(metadata_live == used_bytes_.load(std::memory_order_relaxed),
-                  "finishSweep live-bytes drift vs chunk metadata");
-    }
-
-    const std::size_t freed_bytes = total.bytesFreed + los_freed;
-    span.setArgs(static_cast<std::uint32_t>(work.size()), freed_bytes);
-    return freed_bytes;
-}
-
-Heap::ObjectSweepState
-Heap::sweepStateOf(const Object *obj) const
-{
-    const std::uint64_t epoch = mark_epoch_.load(std::memory_order_relaxed);
-    const auto a = reinterpret_cast<word_t>(obj);
-    if (a >= arena_base_ && a < arena_base_ + capacity()) {
-        const std::size_t c = (a - arena_base_) / kChunkBytes;
-        if (chunks_[c].sweptEpoch == epoch)
-            return ObjectSweepState::Swept;
-    } else if (los_swept_epoch_ == epoch) {
-        return ObjectSweepState::Swept;
-    }
-    return obj->markedFor(markParity()) ? ObjectSweepState::PendingLive
-                                        : ObjectSweepState::PendingDead;
+    result.liveBytes = live_small + live_large;
+    result.committedBytes = committedBytes();
+    return result;
 }
 
 void
@@ -562,15 +364,13 @@ Heap::forEachObjectWithCharge(
         const ChunkInfo &info = chunks_[c];
         if (info.kind != ChunkKind::Small)
             continue;
-        // A leased chunk's bump cursor lives in the lease, so the
-        // recorded one is stale; the bitmap is authoritative. Walk all
-        // blocks (bits never appear beyond the true cursor).
-        const std::uint32_t limit = info.leased ? info.numBlocks : info.bump;
-        for (std::uint32_t b = 0; b < limit; ++b) {
-            if (info.inUse[b / 64] & (std::uint64_t{1} << (b % 64))) {
-                fn(reinterpret_cast<Object *>(
-                       chunkBase(c) +
-                       static_cast<std::size_t>(b) * info.blockBytes),
+        // The bitmap is authoritative, leased or not.
+        for (std::size_t w = 0; w < kBitmapWords; ++w) {
+            for (std::uint64_t word = bits_[c].inUse[w]; word != 0;
+                 word &= word - 1) {
+                const std::size_t b =
+                    w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+                fn(reinterpret_cast<Object *>(chunkBase(c) + b * info.blockBytes),
                    info.blockBytes);
             }
         }
@@ -625,20 +425,30 @@ Heap::checkIntegrity(
                               large_bytes_.load(std::memory_order_relaxed)));
     for (std::size_t c = 0; c < num_chunks_; ++c) {
         const ChunkInfo &info = chunks_[c];
+        std::uint32_t bits = 0;
+        bool past_end = false;
+        for (std::size_t w = 0; w < kBitmapWords; ++w) {
+            const std::uint64_t word = bits_[c].inUse[w];
+            bits += static_cast<std::uint32_t>(std::popcount(word));
+            // The word's bits at or past numBlocks (all of a free
+            // chunk's) must be clear.
+            const std::size_t first = w * 64;
+            const std::uint64_t beyond =
+                info.numBlocks <= first ? ~std::uint64_t{0}
+                : info.numBlocks - first >= 64
+                    ? 0
+                    : ~std::uint64_t{0} << (info.numBlocks - first);
+            if (word & beyond)
+                past_end = true;
+        }
+        if (past_end)
+            report(detail::concat("chunk ", c, ": in-use bit at or past its ",
+                                  info.numBlocks, " blocks"));
         switch (info.kind) {
           case ChunkKind::Free:
             ++free_seen;
             break;
-          case ChunkKind::Small: {
-            std::uint32_t bits = 0;
-            for (std::uint32_t b = 0; b < info.numBlocks; ++b) {
-                if (info.inUse[b / 64] & (std::uint64_t{1} << (b % 64))) {
-                    ++bits;
-                    if (!info.leased && b >= info.bump)
-                        report(detail::concat("chunk ", c,
-                                              ": in-use bit beyond bump"));
-                }
-            }
+          case ChunkKind::Small:
             if (info.leased) {
                 // The owning cache has carved an unknown number of
                 // blocks past the flushed counters; the bitmap can
@@ -658,7 +468,6 @@ Heap::checkIntegrity(
                     static_cast<std::size_t>(info.liveBlocks) * info.blockBytes;
             }
             break;
-          }
         }
     }
     if (free_seen != free_chunks_.load(std::memory_order_relaxed))
@@ -677,6 +486,34 @@ Heap::checkIntegrity(
         report(detail::concat("used-bytes accounting drift: walked ", used,
                               ", recorded ", recorded));
     }
+}
+
+void
+Heap::checkMarksClear(FunctionRef<void(const std::string &)> report) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t c = 0; c < num_chunks_; ++c) {
+        bool set = bits_[c].marked != 0;
+        for (std::size_t w = 0; w < kBitmapWords; ++w)
+            set |= bits_[c].mark[w] != 0;
+        if (set)
+            report(detail::concat("chunk ", c, ": ", bits_[c].marked,
+                                  " block(s) marked outside a collection"));
+    }
+    for (const LargeAlloc &alloc : large_objects_) {
+        if (largeMark(alloc.object) != 0)
+            report(detail::concat("large object ", alloc.object,
+                                  ": side mark set outside a collection"));
+    }
+}
+
+void
+Heap::toggleInUseBitForTesting(const Object *in_chunk, std::size_t block)
+{
+    const word_t off = reinterpret_cast<word_t>(in_chunk) - arena_base_;
+    LP_ASSERT(off < capacity() && block < 64 * kBitmapWords);
+    bits_[off / kChunkBytes].inUse[block / 64] ^= std::uint64_t{1}
+                                                  << (block % 64);
 }
 
 } // namespace lp

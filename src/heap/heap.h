@@ -6,13 +6,14 @@
  * needs its non-moving, hard-bounded character).
  *
  * Layout: the arena is divided into 16KB chunks, each either free or
- * dedicated to one small-object size class (blocks of one fixed size,
- * carved by a bump cursor and recycled through a chunk-local free
- * list). Per-chunk side metadata (kind, class, in-use bitmap) lives
- * outside the arena, so objects need no boundary tags. Objects above
- * the large threshold live in a separate large-object space (LOS):
- * each is its own host allocation, charged against the same capacity
- * budget. That mirrors MMTk's LOS, where large objects draw on
+ * dedicated to one small-object size class (blocks of one fixed size).
+ * Per-chunk side metadata lives outside the arena, so objects need no
+ * boundary tags and their headers no mark bit: each small chunk has an
+ * in-use bit and a mark bit per block, in dense per-chunk rows
+ * (ChunkBits). Objects above the large threshold live in a separate
+ * large-object space (LOS): each is its own host allocation, charged
+ * against the same capacity budget, with its mark in a word in front
+ * of the object. That mirrors MMTk's LOS, where large objects draw on
  * page-granular *virtual* memory and the heap bound is on total
  * bytes, never on physical contiguity — essential here, because a
  * growing hash table's backing array must stay allocatable while
@@ -26,12 +27,19 @@
  * then became unallocatable at 43% occupancy because freed 2KB
  * payloads interleaved with live 40-byte entries. See DESIGN.md.)
  *
+ * Collection (MMTk's side mark metadata): the collector claims an
+ * object with tryMark(), a test-and-set of its side mark bit, and the
+ * epoch flip is the whole sweep. It reclaims every dead block from the
+ * bitmaps alone (in-use &= mark, a few word operations per chunk) and
+ * zeroes the marks, so reclamation never reads or writes a dead block;
+ * a cache carves the next zero in-use bit when it hands one out again.
+ *
  * Synchronization (MMTk-style, see DESIGN.md "Allocation fast path &
- * bulk sweep"): small objects are never allocated here. Whole
+ * sweep"): small objects are never allocated here. Whole
  * chunks are leased to per-thread caches (ThreadAllocCache), which
  * carve blocks with no synchronization. The central operations —
- * chunk lease/retire, LOS allocation, lazy sweeps — are serialized by
- * a short internal mutex. Whole-heap operations (the epoch flip,
+ * chunk lease/retire and LOS allocation — are serialized by a short
+ * internal mutex. Whole-heap operations (the epoch flip,
  * forEachObject*, verifyIntegrity) and the mark run with the world
  * stopped and every lease retired, on the thread that stopped it.
  */
@@ -50,6 +58,7 @@
 #include "object/object.h"
 #include "util/bits.h"
 #include "util/function_ref.h"
+#include "util/logging.h"
 
 namespace lp {
 
@@ -60,7 +69,7 @@ struct HeapStats {
     std::uint64_t allocations = 0;      //!< successful allocations
     std::uint64_t bytesAllocated = 0;   //!< cumulative bytes handed out
     std::uint64_t failedAllocations = 0;//!< allocations that needed help
-    std::uint64_t sweeps = 0;           //!< mark-epoch flips (collections)
+    std::uint64_t sweeps = 0;           //!< epoch flips (collections)
     std::uint64_t objectsFreed = 0;     //!< objects reclaimed by sweeps
     std::uint64_t bytesFreed = 0;       //!< bytes reclaimed by sweeps
 };
@@ -68,11 +77,11 @@ struct HeapStats {
 /**
  * One chunk on loan to a thread-local allocation cache. The lease
  * carries everything the cache needs to carve blocks without touching
- * the heap: the data base, the in-use bitmap of the (exclusively
- * owned) chunk, and private copies of the bump/free-list cursors that
- * are written back at retire time. `allocated` counts blocks carved
- * since the lease was taken; the heap folds it into liveBlocks and
- * usedBytes() when the lease is retired.
+ * the heap: the data base and the in-use bitmap of the (exclusively
+ * owned) chunk, the number of free blocks it had when leased, and a
+ * word cursor below which every bitmap word is full. `allocated`
+ * counts blocks carved since the lease was taken; the heap folds it
+ * into liveBlocks and usedBytes() when the lease is retired.
  */
 struct ChunkLease {
     static constexpr std::size_t kNoChunk = static_cast<std::size_t>(-1);
@@ -81,9 +90,8 @@ struct ChunkLease {
     unsigned char *base = nullptr;
     std::uint64_t *inUse = nullptr;   //!< leased chunk's bitmap words
     std::uint32_t blockBytes = 0;
-    std::uint32_t numBlocks = 0;
-    std::uint32_t bump = 0;           //!< private cursor, written back
-    std::int32_t freeHead = -1;       //!< private cursor, written back
+    std::uint32_t room = 0;           //!< free blocks when leased
+    std::uint32_t word = 0;           //!< carve cursor (bitmap word)
     std::uint32_t allocated = 0;      //!< blocks carved under this lease
 
     bool valid() const { return chunkIndex != kNoChunk; }
@@ -100,6 +108,10 @@ class Heap
 
     /** Requests above this take whole chunk runs (the LOS boundary). */
     static constexpr std::size_t kLargeThreshold = kChunkBytes / 2;
+
+    /** Bitmap words per chunk: one bit per block of the smallest class. */
+    static constexpr std::size_t kBitmapWords =
+        (kChunkBytes / kMinBlockBytes + 63) / 64;
 
     /**
      * @param capacity arena size in bytes (rounded down to whole
@@ -126,8 +138,16 @@ class Heap
     /** Number of small-object size classes (cache table dimension). */
     std::size_t numSizeClasses() const { return class_sizes_.size(); }
 
-    /** Index of the smallest size class that fits @p bytes. */
-    std::size_t sizeClassFor(std::size_t bytes) const;
+    /**
+     * Index of the smallest size class that fits @p bytes (at most
+     * kLargeThreshold): one load from a table indexed by 8-byte step.
+     */
+    std::size_t
+    sizeClassFor(std::size_t bytes) const
+    {
+        LP_ASSERT(bytes <= kLargeThreshold, "size not covered by classes");
+        return class_of_step_[(bytes + kWordBytes - 1) / kWordBytes];
+    }
 
     /** Block size of size class @p cls. */
     std::uint32_t
@@ -153,10 +173,10 @@ class Heap
     bool leaseChunk(std::size_t size_class, ChunkLease &lease);
 
     /**
-     * Return a leased chunk: write back the bump/free-list cursors,
-     * fold the carved blocks into liveBlocks and usedBytes(), and make
-     * the chunk allocatable again (partial list or free pool). Safe to
-     * call with an invalid lease (no-op). Resets @p lease.
+     * Return a leased chunk: fold the carved blocks into liveBlocks
+     * and usedBytes(), and make the chunk allocatable again (partial
+     * list or free pool). Safe to call with an invalid lease (no-op).
+     * Resets @p lease.
      */
     void retireChunk(ChunkLease &lease);
 
@@ -169,117 +189,70 @@ class Heap
      */
     std::size_t leasedChunkCount() const;
 
-    // --- epoch-parity collection protocol ----------------------------------
+    // --- side-mark collection protocol -----------------------------------
     //
-    // The staged collector never clears mark bits. An object is live
-    // when its mark bit equals the low bit of the heap's markEpoch
-    // ("live parity"); a collection marks with the *next* parity and
-    // flips markEpoch at the end of the pause, turning every
-    // unmarked object dead in O(1). Reclamation then happens outside
-    // the pause: chunks and the LOS carry a sweptEpoch, and the
-    // allocation slow path sweeps a chunk on first touch after a
-    // flip. Because one bit cannot distinguish three epochs, every
-    // pending sweep must complete before the next mark phase begins
-    // (the sweep-completeness rule): the collector runs finishSweep()
-    // at the start of each pause, and flipMarkEpoch() asserts it.
-
-    /** Live mark parity: an object is live iff markedFor(markParity()). */
-    unsigned
-    markParity() const
-    {
-        return static_cast<unsigned>(mark_epoch_.load(std::memory_order_relaxed) & 1);
-    }
-
-    /** Number of mark-epoch flips so far (one per completed collection). */
-    std::uint64_t
-    markEpoch() const
-    {
-        return mark_epoch_.load(std::memory_order_relaxed);
-    }
+    // A collection claims each reachable object once with tryMark(),
+    // then flipMarkEpoch() reclaims every unmarked block and large
+    // object and clears the marks, all inside the pause. Between
+    // collections every mark bit is zero.
 
     /**
-     * Start a mark phase: zero the per-chunk and LOS mark-time byte
-     * accounting that noteMarked() accumulates. World-stopped, after
-     * finishSweep() (the sweep-completeness rule).
+     * The collector's claim: set @p obj's side mark bit. @return true
+     * iff this call set it (the caller owns tracing the object).
+     *
+     * Collector only, world stopped: a plain test and plain stores to
+     * a bitmap and a counter that only the collector writes, so no
+     * locked instruction. A small object's block index comes from its offset
+     * in the chunk times the chunk's reciprocal of its block size,
+     * exact for every word-aligned offset below 2^14. The claim touches
+     * the reciprocal, the marked count and one mark word of the chunk's
+     * ChunkBits and nothing else, never the header.
      */
-    void beginMark();
+    bool
+    tryMark(const Object *obj)
+    {
+        const word_t off = reinterpret_cast<word_t>(obj) - arena_base_;
+        if (off >= capacity()) [[unlikely]]
+            return tryMarkLarge(obj);
+        ChunkBits &bits = bits_[off / kChunkBytes];
+        const std::size_t block = blockIndex(bits, off);
+        std::uint64_t &word = bits.mark[block / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (block % 64);
+        if (word & bit)
+            return false;
+        word |= bit;
+        ++bits.marked;
+        return true;
+    }
 
-    /**
-     * Account one newly marked object (called exactly once per object
-     * per collection, by the collector when it claims the object).
-     * O(1) chunk lookup, then a relaxed load and a relaxed store: the
-     * collector is the one thread running during the mark, so the
-     * add needs no locked instruction. Feeds flipMarkEpoch()'s exact
-     * live-byte totals.
-     */
-    void noteMarked(const Object *obj);
+    /** Is @p obj's side mark bit set? World-stopped. */
+    bool isMarked(const Object *obj) const;
 
-    /** What flipMarkEpoch() learned from the mark-time accounting. */
+    /** What flipMarkEpoch() reclaimed and left. */
     struct FlipResult {
         std::size_t liveBytes = 0;      //!< exact bytes surviving this GC
-        std::size_t committedBytes = 0; //!< as if the sweep had run eagerly
-        std::size_t pendingChunks = 0;  //!< chunks left for lazy sweeping
+        std::size_t committedBytes = 0; //!< committed after reclamation
+        std::size_t freedChunks = 0;    //!< chunks returned to the pool
     };
 
     /**
-     * End of pause: advance markEpoch so the mark bits just written
-     * become the live parity. Fully-dead chunks are freed immediately
-     * from metadata alone (no header walks); chunks with a mix of
-     * live and dead blocks are queued for lazy sweeping, as is the
-     * LOS if any large object died. World-stopped, leases retired,
-     * every chunk swept (asserted). The returned committedBytes
-     * excludes dead large objects — exactly what an eager sweep would
-     * have left — so CollectionOutcome::fullness() is identical in
-     * lazy and eager modes.
+     * End of pause, and the whole sweep: per small chunk, the marked
+     * blocks are its live ones. A chunk with none returns to the free
+     * pool; a mixed chunk keeps in-use &= mark and counts its freed
+     * blocks; then its marks are zeroed. Unmarked large objects are
+     * freed. No dead block is read or written. World-stopped, leases
+     * retired (asserted).
+     *
+     * The lease order it leaves decides which chunks fill, and so
+     * committedBytes() and every fullness decision: per class, chunks
+     * retired during the cycle and fully live chunks with room first,
+     * then mixed chunks, highest index first, then free chunks.
      */
     FlipResult flipMarkEpoch();
 
     /**
-     * Complete every pending sweep now (all queued chunks plus the
-     * LOS). Safe while mutators run (the central lock serializes it
-     * against allocation). @p in_pause only picks the telemetry track:
-     * the collector's in-pause call is drawn on the GC track.
-     * Runtime::allocateSlow must call this (and retry) before
-     * reporting memory exhaustion.
-     *
-     * @return bytes freed.
-     */
-    std::size_t finishSweep(bool in_pause = false);
-
-    /** Any chunks or LOS entries still awaiting a lazy sweep? */
-    bool
-    sweepPending() const
-    {
-        return pending_chunks_.load(std::memory_order_relaxed) != 0 ||
-               los_pending_.load(std::memory_order_relaxed);
-    }
-
-    /** Chunks awaiting a lazy sweep (telemetry gauge). */
-    std::size_t
-    pendingSweepChunks() const
-    {
-        return pending_chunks_.load(std::memory_order_relaxed);
-    }
-
-    /** Sweep progress of the space one object lives in (verifier). */
-    enum class ObjectSweepState : std::uint8_t {
-        Swept,       //!< space reconciled: object must be live parity
-        PendingLive, //!< sweep pending; object is marked live
-        PendingDead, //!< sweep pending; object is garbage awaiting free
-    };
-
-    /**
-     * Classify @p obj (which must be a currently allocated block or
-     * LOS object) against the sweep state of its chunk/space. Exact
-     * only at stop-the-world points.
-     */
-    ObjectSweepState sweepStateOf(const Object *obj) const;
-
-    /**
      * Attach a telemetry engine (may be null): chunk leases emit
-     * CacheRefill instants, lazy sweeps on the allocation path emit
-     * LazySweep spans and finishSweep() emits a FinishSweep span. Call
-     * before mutators start.
+     * CacheRefill instants. Call before mutators start.
      */
     void setTelemetry(Telemetry *telemetry) { telemetry_ = telemetry; }
 
@@ -353,12 +326,23 @@ class Heap
     /**
      * Check chunk metadata and byte accounting, reporting each
      * inconsistency through @p report instead of panicking (the heap
-     * verifier's log-only mode needs the non-fatal form). With leases
-     * outstanding the byte checks degrade to inequalities (the walked
-     * bitmaps lead the flushed counters by the unretired carves).
+     * verifier's log-only mode needs the non-fatal form): in-use bits
+     * at or past a chunk's block count, liveBlocks against the bitmap
+     * of every unleased chunk, and the free-chunk and byte counters.
+     * With leases outstanding the byte checks degrade to inequalities
+     * (the walked bitmaps lead the flushed counters by the unretired
+     * carves).
      */
     void
     checkIntegrity(FunctionRef<void(const std::string &)> report) const;
+
+    /**
+     * Report every set mark bit, small or large, through @p report.
+     * Between collections there must be none: a stray bit would make
+     * the next trace skip its object as already claimed, or keep a
+     * free block's chunk alive.
+     */
+    void checkMarksClear(FunctionRef<void(const std::string &)> report) const;
 
     /**
      * Corrupt the used-bytes counter by @p delta (fault-injection
@@ -375,6 +359,13 @@ class Heap
             std::memory_order_relaxed);
     }
 
+    /**
+     * Flip in-use bit @p block of the chunk holding @p in_chunk (a
+     * small object) without touching liveBlocks or usedBytes()
+     * (fault-injection tests of the heap verifier only).
+     */
+    void toggleInUseBitForTesting(const Object *in_chunk, std::size_t block);
+
   private:
     enum class ChunkKind : std::uint8_t { Free, Small };
 
@@ -385,42 +376,53 @@ class Heap
         Object *object = nullptr;  //!< aligned object address
     };
 
-    /** Side metadata for one chunk. */
+    /** Per-chunk bookkeeping read by the central paths. */
     struct ChunkInfo {
         ChunkKind kind = ChunkKind::Free;
         std::uint16_t sizeClass = 0;   //!< Small: index into class table
         std::uint32_t blockBytes = 0;  //!< Small: block size
         std::uint32_t numBlocks = 0;   //!< Small: blocks per chunk
         std::uint32_t liveBlocks = 0;  //!< Small: blocks in use (flushed)
-        std::uint32_t bump = 0;        //!< Small: blocks ever carved
-        std::int32_t freeHead = -1;    //!< Small: chunk-local free list
         bool leased = false;           //!< on loan to a thread cache
-        std::uint64_t sweptEpoch = 0;  //!< last markEpoch this was swept to
-        std::vector<std::uint64_t> inUse; //!< Small: per-block bitmap
 
-        /** Small: a block is free or never carved. */
-        bool hasRoom() const { return freeHead >= 0 || bump < numBlocks; }
+        /** Small: some block is free. */
+        bool hasRoom() const { return liveBlocks < numBlocks; }
     };
 
-    /** Free/byte tallies from sweeping some chunks (merged serially). */
-    struct SweepTally {
-        std::uint64_t objectsFreed = 0;
-        std::size_t bytesFreed = 0;
+    /**
+     * One chunk's side bitmaps, one bit per block, the reciprocal
+     * tryMark() finds a block with and the count of its marked blocks.
+     * Cache-line aligned, so carving threads never share a line, and
+     * laid out so a claim's mark word, reciprocal and count span at
+     * most two lines. Zero for a free chunk.
+     */
+    struct alignas(64) ChunkBits {
+        std::uint64_t inUse[kBitmapWords];
+        std::uint64_t mark[kBitmapWords];
+        std::uint32_t blockRecip; //!< ceil(2^32 / blockBytes)
+        //! Blocks claimed this collection: the flip's live count without
+        //! a popcount (baseline x86-64 has no popcnt instruction, and
+        //! std::popcount then costs a dozen instructions a word).
+        std::uint32_t marked;
     };
 
     static std::vector<std::uint32_t> buildSizeClasses();
 
+    //! Block holding arena offset @p off in the chunk @p bits describes.
+    static std::size_t
+    blockIndex(const ChunkBits &bits, word_t off)
+    {
+        return ((off % kChunkBytes) * bits.blockRecip) >> 32;
+    }
+
     unsigned char *chunkBase(std::size_t chunk) const;
+    bool tryMarkLarge(const Object *obj);
+    //! A large object's side mark: the word in front of it.
+    static word_t &largeMark(const Object *obj);
     void *allocateLargeLocked(std::size_t bytes);
     std::size_t takeFreeChunkLocked();      //!< returns index or npos
     void commissionChunkLocked(std::size_t chunk, std::size_t cls);
     void makeChunkFree(std::size_t chunk);
-    //! Reclaim dead blocks of one pending chunk (no shared-state writes
-    //! beyond the chunk's own metadata and atomics).
-    void sweepChunkImpl(std::size_t chunk, SweepTally &tally);
-    //! Pop one pending chunk of @p cls, sweep it, fold the tallies.
-    std::size_t takePendingChunkLocked(std::size_t cls);
-    std::size_t sweepLosLocked(); //!< returns bytes freed
 
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
@@ -432,29 +434,22 @@ class Heap
     std::atomic<std::size_t> used_bytes_{0};
     std::atomic<std::size_t> free_chunks_{0};
     std::vector<std::uint32_t> class_sizes_;      //!< block size per class
-    //! Per class: unleased swept chunks with room (guarded by mutex_).
+    //! Size class per 8-byte request step, 0 to kLargeThreshold / 8.
+    std::vector<std::uint8_t> class_of_step_;
+    //! Per class: unleased chunks with room, leased from the back
+    //! (guarded by mutex_; flipMarkEpoch() sets the order).
     std::vector<std::vector<std::uint32_t>> partial_;
-    //! Per class: chunks with live data awaiting a lazy sweep. Never
-    //! allocated from or leased until swept (guarded by mutex_).
-    std::vector<std::vector<std::uint32_t>> pending_;
     std::vector<ChunkInfo> chunks_;
+    std::unique_ptr<ChunkBits[]> bits_;           //!< per chunk
+    //! Fully live chunks with room, gathered during a flip.
+    std::vector<std::uint32_t> flip_scratch_;
     std::vector<LargeAlloc> large_objects_;       //!< the LOS
     std::atomic<std::size_t> large_bytes_{0};     //!< LOS occupancy
     std::size_t leased_chunks_ = 0;               //!< guarded by mutex_
-    //! Epoch-parity state. mark_epoch_ advances under mutex_ at
-    //! stop-the-world flips and is read lock-free (allocation parity,
-    //! verifier); the mark-time byte tallies are written by the
-    //! collector in the pause, with relaxed loads and stores.
-    std::atomic<std::uint64_t> mark_epoch_{0};
-    std::unique_ptr<std::atomic<std::uint32_t>[]> marked_bytes_; //!< per chunk
-    std::atomic<std::size_t> marked_large_bytes_{0};
-    std::atomic<std::size_t> pending_chunks_{0};
-    std::atomic<bool> los_pending_{false};
-    std::uint64_t los_swept_epoch_ = 0;           //!< guarded by mutex_
     Telemetry *telemetry_ = nullptr;
     HeapStats stats_;
-    //! Serializes the central paths (lease/retire, LOS, lazy sweeps)
-    //! against each other. Never held across a safepoint.
+    //! Serializes the central paths (lease/retire, LOS) against each
+    //! other. Never held across a safepoint.
     mutable std::mutex mutex_;
 };
 

@@ -1,5 +1,7 @@
 #include "heap/thread_cache.h"
 
+#include <bit>
+
 #include "util/logging.h"
 
 namespace lp {
@@ -7,27 +9,23 @@ namespace lp {
 void *
 ThreadAllocCache::carve(ChunkLease &lease)
 {
-    std::int32_t block;
-    if (lease.freeHead >= 0) {
-        block = lease.freeHead;
-        // The freed block's first word chains to the next free one
-        // (stored as index+1 so 0 means "end").
-        lease.freeHead =
-            static_cast<std::int32_t>(*reinterpret_cast<word_t *>(
-                lease.base +
-                static_cast<std::size_t>(block) * lease.blockBytes)) -
-            1;
-    } else if (lease.bump < lease.numBlocks) {
-        block = static_cast<std::int32_t>(lease.bump++);
-    } else {
+    if (lease.allocated == lease.room)
         return nullptr;
-    }
-    // Exclusive chunk ownership makes this a plain store: nobody else
-    // reads or writes the leased chunk's bitmap until retire.
-    lease.inUse[static_cast<std::size_t>(block) / 64] |=
-        std::uint64_t{1} << (static_cast<std::size_t>(block) % 64);
+    // Take the lowest free block at or past the cursor. Every word
+    // below the cursor is full, and the room count guarantees a free
+    // block below numBlocks, so the zero bits past numBlocks in the
+    // last word are never reached. Exclusive chunk ownership makes the
+    // bitmap update a plain store: nobody else reads or writes the
+    // leased chunk's bitmap until retire.
+    std::uint64_t free_bits;
+    while ((free_bits = ~lease.inUse[lease.word]) == 0)
+        ++lease.word;
+    const std::uint64_t lowest = free_bits & (~free_bits + 1);
+    lease.inUse[lease.word] |= lowest;
     ++lease.allocated;
-    return lease.base + static_cast<std::size_t>(block) * lease.blockBytes;
+    const std::size_t block = std::size_t{lease.word} * 64 +
+                              static_cast<std::size_t>(std::countr_zero(lowest));
+    return lease.base + block * lease.blockBytes;
 }
 
 void *

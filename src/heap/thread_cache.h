@@ -12,20 +12,20 @@
  * segregated-fit heap:
  *
  *  - ThreadAllocCache holds one ChunkLease per size class. The common
- *    allocation pops the lease's private free list or bump cursor and
- *    sets the in-use bit directly — no atomics, no locks; the chunk is
- *    exclusively owned until retired.
+ *    allocation takes the lowest zero bit of the leased chunk's in-use
+ *    bitmap and sets it directly — no atomics, no locks, and no read
+ *    of the dead block it hands out; the chunk is exclusively owned
+ *    until retired.
  *  - Each mutator's cache lives in its ThreadRegistry entry
  *    (threads/safepoint.h), the one per-thread record, so the
  *    allocation fast path finds it with the same TLS lookup that finds
  *    the thread's last-allocation root.
  *
- * Consistency protocol (see DESIGN.md "Allocation fast path & bulk
+ * Consistency protocol (see DESIGN.md "Allocation fast path &
  * sweep"): caches are retired *centrally* at stop-the-world points —
  * the collector's world-stopped hook calls
  * ThreadRegistry::retireAllocCaches() while every owner is parked or
- * blocked, folding private cursors and byte counts back into chunk
- * metadata — and by their owner when it unregisters. Publication is by
+ * blocked, folding carved-block counts back into chunk metadata — and by their owner when it unregisters. Publication is by
  * happens-before through the registry mutex (owner parks, then the
  * collector stops the world), so no per-field synchronization is
  * needed. After the pause each owner finds its leases gone and refills

@@ -5,22 +5,22 @@
  * Every object starts with a two-word header:
  *
  *  word 0 (status): class id (20 bits) | stale counter (3 bits) |
- *                   mark bit | finalizer-enqueued bit | pinned bit
+ *                   finalizer-enqueued bit | pinned bit
  *  word 1 (size):   total object size in bytes, header included
  *
  * The three-bit stale counter is the paper's logarithmic staleness
  * clock (Section 4.1): value k means the object was last used about
- * 2^k full-heap collections ago. The mark bit doubles as the
- * collector's claim bit: tryMarkFor() reports whether this visit
- * marked the object, so each object is traced once, and advances the
- * stale counter in the same header store. The pinned bit models memory
- * the pruner must never reclaim through (e.g. thread stacks in the
- * Mckoi leak, Section 6).
+ * 2^k full-heap collections ago. The header holds no mark bit: the
+ * collector claims objects in the heap's side mark bitmaps
+ * (Heap::tryMark) and touches the header only to tick the clock
+ * (tickStaleCounter) as it visits each marked object. The pinned bit
+ * models memory the pruner must never reclaim through (e.g. thread
+ * stacks in the Mckoi leak, Section 6).
  *
  * Who writes the status word: mutators change only the stale counter
  * (the read barrier's cold path) and the pinned bit, with atomic
  * read-modify-writes, and never during a collection pause. The
- * collector writes the mark, stale and finalizer bits only inside the
+ * collector writes the stale and finalizer bits only inside the
  * pause, where every mutator is parked at a safepoint, so its writes
  * are a relaxed load and a relaxed store with no locked instruction.
  * Safepoint entry and exit order the two kinds of writer (DESIGN.md
@@ -52,9 +52,8 @@ constexpr unsigned kClassIdLo = 0;
 constexpr unsigned kClassIdWidth = 20;
 constexpr unsigned kStaleLo = 20;
 constexpr unsigned kStaleWidth = 3;
-constexpr unsigned kMarkBit = 23;
-constexpr unsigned kFinalizerEnqueuedBit = 24;
-constexpr unsigned kPinnedBit = 25;
+constexpr unsigned kFinalizerEnqueuedBit = 23;
+constexpr unsigned kPinnedBit = 24;
 } // namespace header_bits
 
 /** Maximum value the 3-bit logarithmic stale counter can hold. */
@@ -73,24 +72,18 @@ class Object
     // --- formatting (called by the allocator only) -------------------
 
     /**
-     * Format a freshly allocated block as an object: zero the payload
-     * and initialize the header. @p mark_parity is the heap's current
-     * live parity (Heap::markParity()) so a fresh allocation is born
-     * live under epoch-parity marking. Objects formatted outside any
-     * heap (unit tests) may leave it 0.
+     * Format a freshly allocated block as an object: initialize the
+     * header and zero the payload. A reused block holds whatever its
+     * dead predecessor left (reclamation never touches it), so every
+     * byte of the object is written here.
      */
     static Object *
-    format(void *mem, class_id_t cls, std::size_t total_bytes,
-           unsigned mark_parity = 0)
+    format(void *mem, class_id_t cls, std::size_t total_bytes)
     {
         auto *obj = static_cast<Object *>(mem);
-        // Relaxed atomic store: a lazy LOS sweep may concurrently read
-        // the mark bit of a just-allocated object (the allocator
-        // pre-stamps the same live parity, so either value is correct).
+        // Relaxed atomic store, like every other status-word access.
         std::atomic_ref<word_t>(obj->status_)
-            .store(setBitField(word_t{mark_parity & 1}
-                                   << header_bits::kMarkBit,
-                               header_bits::kClassIdLo,
+            .store(setBitField(word_t{0}, header_bits::kClassIdLo,
                                header_bits::kClassIdWidth, cls),
                    std::memory_order_relaxed);
         obj->size_ = total_bytes;
@@ -120,7 +113,7 @@ class Object
 
     /**
      * Set the stale counter with a CAS loop so concurrent updates of
-     * other header bits (mark, finalizer) are not lost — the paper's
+     * other header bits (finalizer, pinned) are not lost — the paper's
      * barrier performs the same atomic header update (Section 4.1).
      */
     void
@@ -143,52 +136,32 @@ class Object
     void clearStaleCounter() { setStaleCounter(0); }
 
     /**
-     * Epoch-parity mark test: live when the mark bit equals the low
-     * bit of @p parity. The bit is never cleared between collections;
-     * the heap's markEpoch flip reinterprets it instead (see
-     * Heap::flipMarkEpoch and DESIGN.md "GC pipeline & lazy sweeping").
-     */
-    bool
-    markedFor(unsigned parity) const
-    {
-        return testBit(header_bits::kMarkBit) == ((parity & 1) != 0);
-    }
-
-    /**
-     * The collector's claim: if the object is not yet marked for
-     * @p parity, flip its mark bit toward @p parity and, when its stale
-     * counter k is below @p tick_below, raise the counter to k+1 in the
-     * same store. @return true iff this call marked the object (the
-     * caller owns tracing it).
+     * The collector's staleness tick for an object it marked: when
+     * the stale counter k is below @p tick_below, raise it to k+1.
      *
-     * Collector only, world stopped: a relaxed test and a relaxed
-     * store, exact because no other thread writes the header during
-     * the pause (file comment). @p tick_below is at most
-     * kMaxStaleCounter; 0 leaves the counter alone.
+     * Collector only, world stopped: a relaxed load and, only when the
+     * counter moves, a relaxed store, exact because no other thread
+     * writes the header during the pause (file comment). @p tick_below
+     * is at most kMaxStaleCounter; 0 leaves the counter alone.
      */
-    bool
-    tryMarkFor(unsigned parity, unsigned tick_below = 0)
+    void
+    tickStaleCounter(unsigned tick_below)
     {
         std::atomic_ref<word_t> st(status_);
         const word_t old = st.load(std::memory_order_relaxed);
-        constexpr word_t mark = word_t{1} << header_bits::kMarkBit;
-        if (((old & mark) != 0) == ((parity & 1) != 0))
-            return false;
         const auto k = static_cast<unsigned>(
             bitField(old, header_bits::kStaleLo, header_bits::kStaleWidth));
-        const word_t ticked =
-            k < tick_below ? setBitField(old, header_bits::kStaleLo,
-                                         header_bits::kStaleWidth, k + 1)
-                           : old;
-        st.store(ticked ^ mark, std::memory_order_relaxed);
-        return true;
+        if (k < tick_below)
+            st.store(setBitField(old, header_bits::kStaleLo,
+                                 header_bits::kStaleWidth, k + 1),
+                     std::memory_order_relaxed);
     }
 
     bool finalizerEnqueued() const { return testBit(header_bits::kFinalizerEnqueuedBit); }
 
     /**
      * Claim the finalizer run of an unmarked object. Collector only,
-     * world stopped, like tryMarkFor(). @return true iff this call set
+     * world stopped, like tickStaleCounter(). @return true iff this call set
      * the finalizer-enqueued bit.
      */
     bool

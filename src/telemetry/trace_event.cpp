@@ -22,8 +22,6 @@ tracePhaseName(TracePhase phase)
       case TracePhase::OffloadFault: return "offload.fault";
       case TracePhase::PoisonAccess: return "barrier.poison_access";
       case TracePhase::AllocStall: return "alloc.stall";
-      case TracePhase::LazySweep: return "gc.lazy_sweep";
-      case TracePhase::FinishSweep: return "gc.finish_sweep";
       case TracePhase::kCount: break;
     }
     return "?";

@@ -33,11 +33,11 @@ enum class TracePhase : std::uint8_t {
     GcPause,       //!< the whole stop-the-world pause
     GcMark,        //!< in-use closure (mark phase)
     GcPlugin,      //!< plugin phase (stale closure + selection)
-    GcSweep,       //!< in-pause reclamation (epoch flip + eager sweep)
+    GcSweep,       //!< in-pause reclamation (the epoch flip)
     GcVerify,      //!< heap-verifier pass inside the pause
     CacheRetireAll, //!< stop-the-world retire of all thread caches
     GcFinalizerScan, //!< finalizer scan over dead objects
-    GcEpochFlip,     //!< the mark-epoch flip (O(1) reclamation point)
+    GcEpochFlip,     //!< the epoch flip: reclaim from the side bitmaps
 
     // GC-track instants.
     PruneDecision, //!< a PRUNE collection poisoned references
@@ -49,8 +49,6 @@ enum class TracePhase : std::uint8_t {
     OffloadFault,  //!< disk-offload: object faulted back in (span)
     PoisonAccess,  //!< barrier cold path hit a pruned reference
     AllocStall,    //!< allocation ran >= 1 collection before success
-    LazySweep,     //!< allocation slow path swept a pending chunk/LOS
-    FinishSweep,   //!< on-demand completion of all pending sweeps
 
     kCount,
 };

@@ -118,7 +118,7 @@ DiskOffload::offloadSubgraph(Object *root)
                 if (refIsNull(r) || refIsPoisoned(r))
                     return;
                 Object *tgt = refTarget(r);
-                if (tgt->markedFor(traceParity()) || offload_map_.count(tgt))
+                if (rt_.heap().isMarked(tgt) || offload_map_.count(tgt))
                     return; // live, or already in some cohort
                 offload_map_.emplace(tgt, next_stub_id_++);
                 cohort.push_back(tgt);
@@ -191,7 +191,7 @@ DiskOffload::afterInUseClosure(Tracer &tracer)
         if (refIsNull(r) || refIsPoisoned(r))
             continue;
         Object *tgt = refTarget(r);
-        if (tgt->markedFor(traceParity()))
+        if (rt_.heap().isMarked(tgt))
             continue; // reached via a live path after all
         if (stats_.diskLiveBytes >= config_.diskBudgetBytes)
             stats_.diskExhausted = true; // how disk-based systems die

@@ -164,16 +164,6 @@ class DiskOffload : public CollectionPlugin
     DiskOffloadStats stats_;
 
     // Collection-scoped state.
-    /**
-     * Mark parity of the in-progress collection (the collector traces
-     * at epoch & 1, one flip ahead of the heap's live parity). Only
-     * meaningful between beginCollection and the epoch flip.
-     */
-    unsigned traceParity() const
-    {
-        return static_cast<unsigned>(epoch_ & 1);
-    }
-
     bool observing_ = false;
     bool offload_pending_ = false;   //!< next GC should offload
     bool offloading_this_gc_ = false;

@@ -59,7 +59,6 @@ Runtime::Runtime(const RuntimeConfig &config)
     }
     collector_ = std::make_unique<Collector>(heap_, registry_, *this, threads_);
     collector_->setPlugin(tolerance_plugin_);
-    collector_->setLazySweep(config_.lazySweep);
 
 #if LP_TELEMETRY_ENABLED
     telemetry_ = std::make_unique<Telemetry>();
@@ -248,14 +247,6 @@ Runtime::allocateSlow(std::size_t bytes, ThreadAllocCache *cache)
         collectLocked(/*exhausted=*/tolerance_plugin_ &&
                       tolerance_plugin_->agesUnderExhaustion());
         mem = try_alloc();
-        if (!mem && heap_.sweepPending()) {
-            // Lazy sweeping defers reclamation to first touch, but the
-            // heap must not be declared exhausted while reclaimable
-            // bytes are still sitting in pending chunks: complete every
-            // sweep and retry before escalating.
-            heap_.finishSweep();
-            mem = try_alloc();
-        }
         if (mem) {
             noteAllocated(bytes, cache);
             return mem;
@@ -297,11 +288,7 @@ Runtime::allocateRaw(class_id_t cls, std::size_t bytes)
     if (!mem) [[unlikely]]
         mem = allocateSlow(bytes, cache);
 
-    // Fresh objects are born live: their mark bit carries the heap's
-    // current live parity, so a collection between now and first trace
-    // (which marks at the *other* parity) still treats swept state
-    // consistently.
-    Object *obj = Object::format(mem, cls, bytes, heap_.markParity());
+    Object *obj = Object::format(mem, cls, bytes);
     // Root the fresh object until the caller publishes it: another
     // thread may trigger a collection before that happens, and an
     // unrooted new object would be swept (a real VM's stack scan
@@ -488,9 +475,7 @@ Runtime::writeMetricsJson(const std::string &path)
            << "\n    \"gc.collections\": " << gc.collections << ","
            << "\n    \"gc.objects_finalized\": " << gc.objectsFinalized
            << "\n  },\n  \"gauges\": {"
-           << "\n    \"gc.live_bytes\": " << gc.lastLiveBytes << ","
-           << "\n    \"gc.pending_sweep_chunks\": "
-           << heap_.pendingSweepChunks();
+           << "\n    \"gc.live_bytes\": " << gc.lastLiveBytes;
         if (const Telemetry *t = telemetry())
             os << ",\n    \"telemetry.dropped_events\": " << t->droppedEvents()
                << ",\n    \"telemetry.threads\": " << t->threadCount();

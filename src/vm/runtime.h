@@ -87,15 +87,6 @@ struct RuntimeConfig {
      * only for callers that still set it.
      */
     std::size_t gcThreads = 1;
-    /**
-     * Sweep lazily: the collection pause ends at the mark-epoch flip
-     * and reclamation happens on the allocation slow path, one chunk
-     * per first touch. Off = the pre-pipeline baseline that completes
-     * every sweep inside the pause. Collection outcomes (live bytes,
-     * fullness, pruning decisions) are identical either way; only
-     * where the sweep time is spent differs.
-     */
-    bool lazySweep = true;
     BarrierMode barrierMode = BarrierMode::AllTheTime;
     /** Master switch; false forces ToleranceMode::None. */
     bool enableLeakPruning = true;

@@ -1,19 +1,19 @@
 /**
  * @file
- * Tests for the staged GC pipeline: epoch-parity mark bits, lazy
- * sweeping (reclamation on the allocation slow path), the
- * sweep-completeness rule at pause entry, the exhaustion protocol
- * (finishSweep-and-retry before OutOfMemoryError), and lazy-vs-eager
- * outcome equivalence — same survival point, same pruning decisions,
- * with the heap verifier in FailFast mode after every collection in
- * both modes.
+ * Tests for the staged GC pipeline: the pause stages, reclamation at
+ * the epoch flip from the side bitmaps alone (dead blocks are neither
+ * read nor written, and the next carve reuses them), survival and
+ * pruning outcomes pinned across sweep designs, the heap verifier in
+ * FailFast mode after every collection, and concurrent carving.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -46,17 +46,16 @@ TEST(PauseStageTest, EveryStageHasADistinctName)
     EXPECT_EQ(std::string(pauseStageName(PauseStage::EpochFlip)), "epoch-flip");
 }
 
-// --- sweep discipline --------------------------------------------------------
+// --- reclamation at the flip ------------------------------------------------
 
 class GcPipelineTest : public ::testing::Test
 {
   protected:
     std::unique_ptr<Runtime>
-    makeRuntime(bool lazy, std::size_t heap_bytes = 8u << 20)
+    makeRuntime(std::size_t heap_bytes = 8u << 20)
     {
         RuntimeConfig cfg;
         cfg.heapBytes = heap_bytes;
-        cfg.lazySweep = lazy;
         cfg.enableLeakPruning = false;
         cfg.barrierMode = BarrierMode::None;
         cfg.gcTriggerFraction = 0; // collect only when told to
@@ -66,98 +65,101 @@ class GcPipelineTest : public ::testing::Test
 
     /**
      * Allocate @p pairs (kept, dropped) object pairs: the kept ones
-     * form a rooted chain, the dropped ones die at the next collection.
-     * Alternation makes every touched chunk mixed live/dead, so the
-     * epoch flip must queue it for sweeping rather than free it whole.
+     * form a rooted chain, the dropped ones die at the next collection
+     * and are returned in allocation order, each with its data bytes
+     * set to a pattern. Alternation makes every touched chunk mixed
+     * live/dead, so the epoch flip must keep it and reclaim blocks
+     * inside it.
      */
-    class_id_t
+    std::vector<Object *>
     buildMixedChunks(Runtime &rt, HandleScope &scope, std::size_t pairs)
     {
         const class_id_t cls = rt.defineClass("pipe.Node", 1, 32);
+        const ClassInfo &info = rt.classes().info(cls);
+        std::vector<Object *> dropped;
+        const auto drop = [&] {
+            Object *obj = rt.allocate(cls);
+            std::memset(obj->dataPtr(info), 0xA5, info.dataBytes);
+            dropped.push_back(obj);
+        };
         Handle head = scope.handle(rt.allocate(cls));
         Handle cur = scope.handle(head.get());
         for (std::size_t i = 1; i < pairs; ++i) {
-            rt.allocate(cls); // dropped immediately
+            drop();
             Handle next = scope.handle(rt.allocate(cls));
             rt.writeRef(cur.get(), 0, next.get());
             cur.set(next.get());
         }
-        rt.allocate(cls); // last garbage object
+        drop();
         rt.releaseAllocationRoot();
-        return cls;
+        return dropped;
     }
 
     static constexpr std::size_t kPairs = 2000;
 };
 
-TEST_F(GcPipelineTest, LazySweepDefersReclamationToFirstAllocatorTouch)
+TEST_F(GcPipelineTest, FlipReclaimsDeadBlocksWithoutTouchingThem)
 {
-    auto rt = makeRuntime(/*lazy=*/true);
+    auto rt = makeRuntime();
     HandleScope scope(rt->roots());
-    const class_id_t cls = buildMixedChunks(*rt, scope, kPairs);
+    const std::vector<Object *> dropped =
+        buildMixedChunks(*rt, scope, kPairs);
+    const std::size_t block = dropped.front()->sizeBytes();
+    std::vector<std::vector<unsigned char>> before;
+    for (Object *obj : dropped) {
+        const auto *bytes = reinterpret_cast<const unsigned char *>(obj);
+        before.emplace_back(bytes, bytes + block);
+    }
 
     rt->collectNow();
-    EXPECT_TRUE(rt->heap().sweepPending())
-        << "mixed chunks must be queued, not swept, inside the pause";
-    const std::size_t pending_after_gc = rt->heap().pendingSweepChunks();
-    EXPECT_GT(pending_after_gc, 0u);
-    EXPECT_LT(rt->heap().stats().objectsFreed, kPairs)
-        << "lazy mode must not have reclaimed the full garbage set in-pause";
-
-    // The allocation slow path sweeps pending chunks on first touch:
-    // allocating into this size class consumes them without any
-    // explicit sweep call.
-    for (int i = 0; i < 64; ++i)
-        rt->allocate(cls);
-    EXPECT_LT(rt->heap().pendingSweepChunks(), pending_after_gc)
-        << "allocation must sweep pending chunks on first touch";
-    EXPECT_GT(rt->heap().stats().objectsFreed, 0u);
-
-    // finishSweep completes the rest; afterwards exactly the dropped
-    // objects have been reclaimed.
-    rt->heap().finishSweep();
-    EXPECT_FALSE(rt->heap().sweepPending());
-    EXPECT_EQ(rt->heap().pendingSweepChunks(), 0u);
+    // Everything dead is reclaimed inside the pause; the chain stays.
     EXPECT_EQ(rt->heap().stats().objectsFreed, kPairs);
+    EXPECT_EQ(rt->heap().usedBytes(), kPairs * block);
+    // ...from the side bitmaps alone: no dead block was read or
+    // written, so each still holds exactly what its object left.
+    for (std::size_t i = 0; i < dropped.size(); ++i)
+        ASSERT_EQ(std::memcmp(dropped[i], before[i].data(), block), 0)
+            << "dead block " << i << " was written by reclamation";
+    // The in-use bitmaps now hold exactly the marked set: the chain.
+    std::set<Object *> in_use;
+    rt->heap().forEachObject([&](Object *obj) { in_use.insert(obj); });
+    EXPECT_EQ(in_use.size(), kPairs);
+    for (Object *obj : dropped)
+        EXPECT_EQ(in_use.count(obj), 0u);
 }
 
-TEST_F(GcPipelineTest, EagerModeCompletesEverySweepInsideThePause)
+TEST_F(GcPipelineTest, NextCarveReusesAFreedBlock)
 {
-    auto rt = makeRuntime(/*lazy=*/false);
+    auto rt = makeRuntime();
     HandleScope scope(rt->roots());
-    buildMixedChunks(*rt, scope, kPairs);
+    const std::vector<Object *> dropped =
+        buildMixedChunks(*rt, scope, kPairs);
+    const class_id_t cls = dropped.front()->classId();
+    const std::set<Object *> freed(dropped.begin(), dropped.end());
 
     rt->collectNow();
-    EXPECT_FALSE(rt->heap().sweepPending());
-    EXPECT_EQ(rt->heap().pendingSweepChunks(), 0u);
-    EXPECT_EQ(rt->heap().stats().objectsFreed, kPairs)
-        << "the eager baseline reclaims all garbage before the world resumes";
+    // Every chunk of the class is mixed, so the next carve takes a
+    // freed block inside one, not a fresh chunk, and format rewrites
+    // the whole object over what the dead one left.
+    Object *obj = rt->allocate(cls);
+    EXPECT_EQ(freed.count(obj), 1u) << "carved a block that was never freed";
+    const ClassInfo &info = rt->classes().info(cls);
+    const auto *data = static_cast<const unsigned char *>(obj->dataPtr(info));
+    for (std::size_t i = 0; i < info.dataBytes; ++i)
+        ASSERT_EQ(data[i], 0) << "payload byte " << i << " not zeroed";
+    EXPECT_EQ(obj->staleCounter(), 0u);
+    rt->releaseAllocationRoot();
+    EXPECT_TRUE(rt->verifyHeap().clean());
 }
 
-TEST_F(GcPipelineTest, FinishSweepReturnsFreedBytesAndIsIdempotent)
+TEST_F(GcPipelineTest, EpochFlipRunsOncePerCollection)
 {
-    auto rt = makeRuntime(/*lazy=*/true);
-    HandleScope scope(rt->roots());
-    buildMixedChunks(*rt, scope, kPairs);
-
-    rt->collectNow();
-    ASSERT_TRUE(rt->heap().sweepPending());
-    const std::size_t used_before = rt->heap().usedBytes();
-    const std::size_t freed = rt->heap().finishSweep();
-    EXPECT_GT(freed, 0u);
-    EXPECT_EQ(rt->heap().usedBytes(), used_before - freed);
-    EXPECT_EQ(rt->heap().finishSweep(), 0u) << "nothing left to sweep";
-    EXPECT_FALSE(rt->heap().sweepPending());
-}
-
-TEST_F(GcPipelineTest, MarkEpochAdvancesOncePerCollection)
-{
-    auto rt = makeRuntime(/*lazy=*/true);
-    const std::uint64_t epoch0 = rt->heap().markEpoch();
+    auto rt = makeRuntime();
+    const std::uint64_t flips0 = rt->heap().stats().sweeps;
     rt->collectNow();
     rt->collectNow();
     rt->collectNow();
-    EXPECT_EQ(rt->heap().markEpoch(), epoch0 + 3);
+    EXPECT_EQ(rt->heap().stats().sweeps, flips0 + 3);
     EXPECT_EQ(rt->gcStats().collections, 3u);
 }
 
@@ -181,25 +183,30 @@ TEST_F(GcPipelineTest, VerifyStageTimeIsAccountedSeparately)
     (void)h;
 }
 
-// --- exhaustion protocol -----------------------------------------------------
+// --- outcomes pinned across sweep designs ---------------------------------
 
-TEST_F(GcPipelineTest, ExhaustionFinishesPendingSweepsBeforeThrowingOom)
+// The sweep design decides where reclamation time is spent, never how
+// much memory the program can use or what pruning decides. These two
+// runs pin the outcomes the lazy-sweeping design produced (its eager
+// baseline matched both exactly), so a change to reclamation or to the
+// lease order that moves them fails here.
+
+TEST_F(GcPipelineTest, SurvivalToExhaustionIsPinned)
 {
-    auto rt = makeRuntime(/*lazy=*/true, /*heap_bytes=*/1u << 20);
+    auto rt = makeRuntime(/*heap_bytes=*/1u << 20);
     HandleScope scope(rt->roots());
-    const class_id_t cls = rt->defineClass("pipe.Greedy", 1, 32);
-
-    // Grow a live chain with interleaved garbage until the heap truly
-    // cannot hold it. Every chunk stays mixed, so at each collection
-    // reclaimable bytes sit in pending chunks — the allocator must
-    // finish those sweeps (and retry) before declaring exhaustion.
+    const class_id_t cls = rt->defineClass("pipe.Equal", 1, 32);
+    std::uint64_t allocations = 0;
     bool threw = false;
     try {
         Handle head = scope.handle(rt->allocate(cls));
         Handle cur = scope.handle(head.get());
+        ++allocations;
         for (std::uint64_t i = 0; i < 1000000; ++i) {
             rt->allocate(cls); // garbage
+            ++allocations;
             Handle next = scope.handle(rt->allocate(cls));
+            ++allocations;
             rt->writeRef(cur.get(), 0, next.get());
             cur.set(next.get());
         }
@@ -207,95 +214,51 @@ TEST_F(GcPipelineTest, ExhaustionFinishesPendingSweepsBeforeThrowingOom)
         threw = true;
     }
     ASSERT_TRUE(threw) << "the chain must eventually exhaust a 1MB heap";
-    EXPECT_FALSE(rt->heap().sweepPending())
-        << "OutOfMemoryError thrown while reclaimable bytes were still "
-           "sitting in pending chunks";
-    EXPECT_GT(rt->gcStats().collections, 0u);
+    EXPECT_EQ(allocations, 37374u) << "the program survived a different time";
+    EXPECT_EQ(rt->gcStats().collections, 16u);
 }
-
-TEST_F(GcPipelineTest, LazyAndEagerSurviveEquallyLongToExhaustion)
-{
-    // Identical deterministic workload, identical heap: the sweep
-    // discipline decides where reclamation time is spent, never how
-    // much memory the program can use. Both modes must complete the
-    // same number of allocations before OutOfMemoryError.
-    const auto run = [&](bool lazy) {
-        auto rt = makeRuntime(lazy, /*heap_bytes=*/1u << 20);
-        HandleScope scope(rt->roots());
-        const class_id_t cls = rt->defineClass("pipe.Equal", 1, 32);
-        std::uint64_t allocations = 0;
-        try {
-            Handle head = scope.handle(rt->allocate(cls));
-            Handle cur = scope.handle(head.get());
-            ++allocations;
-            for (std::uint64_t i = 0; i < 1000000; ++i) {
-                rt->allocate(cls); // garbage
-                ++allocations;
-                Handle next = scope.handle(rt->allocate(cls));
-                ++allocations;
-                rt->writeRef(cur.get(), 0, next.get());
-                cur.set(next.get());
-            }
-        } catch (const OutOfMemoryError &) {
-        }
-        return std::make_pair(allocations, rt->gcStats().collections);
-    };
-    const auto lazy = run(true);
-    const auto eager = run(false);
-    EXPECT_EQ(lazy.first, eager.first)
-        << "lazy sweeping changed how long the program survived";
-    EXPECT_EQ(lazy.second, eager.second)
-        << "lazy sweeping changed how many collections ran";
-}
-
-// --- workload-level equivalence and verification -----------------------------
 
 DriverConfig
-workloadConfig(bool lazy)
+workloadConfig()
 {
     DriverConfig cfg;
-    cfg.lazySweep = lazy;
     cfg.maxIterations = 4000;
     cfg.maxSeconds = 60.0; // end at the iteration cap, not the clock
     return cfg;
 }
 
-TEST(GcPipelineWorkloadTest, PruningOutcomesIdenticalLazyVsEager)
+TEST(GcPipelineWorkloadTest, PruningOutcomesArePinned)
 {
-    const RunResult lazy = runWorkloadByName("ListLeak", workloadConfig(true));
-    const RunResult eager = runWorkloadByName("ListLeak", workloadConfig(false));
-    EXPECT_EQ(lazy.end, eager.end);
-    EXPECT_EQ(lazy.iterations, eager.iterations);
-    EXPECT_EQ(lazy.gc.collections, eager.gc.collections);
-    EXPECT_EQ(lazy.pruning.pruneCollections, eager.pruning.pruneCollections);
-    EXPECT_EQ(lazy.pruning.refsPoisoned, eager.pruning.refsPoisoned);
-    EXPECT_EQ(lazy.pruning.candidatesQueued, eager.pruning.candidatesQueued);
-    EXPECT_EQ(lazy.gc.lastLiveBytes, eager.gc.lastLiveBytes);
+    const RunResult r = runWorkloadByName("ListLeak", workloadConfig());
+    EXPECT_EQ(r.end, EndReason::IterationCap);
+    EXPECT_EQ(r.iterations, 4000u);
+    EXPECT_EQ(r.gc.collections, 89u);
+    EXPECT_EQ(r.pruning.pruneCollections, 6u);
+    EXPECT_EQ(r.pruning.refsPoisoned, 6u);
+    EXPECT_EQ(r.pruning.candidatesQueued, 12u);
+    EXPECT_EQ(r.gc.lastLiveBytes, 1382432u);
 }
 
-TEST(GcPipelineWorkloadTest, FailFastVerifierPassesEveryCollectionBothModes)
+TEST(GcPipelineWorkloadTest, FailFastVerifierPassesEveryCollection)
 {
-    for (const bool lazy : {true, false}) {
-        DriverConfig cfg = workloadConfig(lazy);
-        cfg.verifier.enabled = true;
-        cfg.verifier.everyNCollections = 1;
-        cfg.verifier.mode = VerifierMode::FailFast;
-        const RunResult r = runWorkloadByName("ListLeak", cfg);
-        // FailFast panics on the first violation, so finishing the run
-        // is the assertion; make sure it actually exercised the GC.
-        EXPECT_GT(r.gc.collections, 0u) << (lazy ? "lazy" : "eager");
-        EXPECT_GT(r.gc.totalVerifyNanos, 0u) << (lazy ? "lazy" : "eager");
-        EXPECT_TRUE(r.survived()) << (lazy ? "lazy" : "eager");
-    }
+    DriverConfig cfg = workloadConfig();
+    cfg.verifier.enabled = true;
+    cfg.verifier.everyNCollections = 1;
+    cfg.verifier.mode = VerifierMode::FailFast;
+    const RunResult r = runWorkloadByName("ListLeak", cfg);
+    // FailFast panics on the first violation, so finishing the run is
+    // the assertion; make sure it actually exercised the GC.
+    EXPECT_GT(r.gc.collections, 0u);
+    EXPECT_GT(r.gc.totalVerifyNanos, 0u);
+    EXPECT_TRUE(r.survived());
 }
 
 // --- concurrency (TSan target) -----------------------------------------------
 
-TEST(GcPipelineConcurrencyTest, MutatorsSweepLazilyWhileOthersAllocate)
+TEST(GcPipelineConcurrencyTest, MutatorsRefillFromReclaimedChunks)
 {
     RuntimeConfig cfg;
     cfg.heapBytes = 8u << 20;
-    cfg.lazySweep = true;
     cfg.enableLeakPruning = false;
     cfg.barrierMode = BarrierMode::None;
     cfg.gcTriggerFraction = 1.0 / 32.0;
@@ -305,8 +268,8 @@ TEST(GcPipelineConcurrencyTest, MutatorsSweepLazilyWhileOthersAllocate)
 
     // Several mutators allocate short-lived objects; the periodic
     // trigger keeps collections flowing, so after each resume the
-    // threads race to sweep pending chunks on their allocation slow
-    // paths while the others keep allocating.
+    // threads race to lease the chunks the flip reclaimed and carve
+    // their bitmaps while the others keep allocating.
     std::atomic<bool> stop{false};
     std::vector<std::thread> mutators;
     for (int t = 0; t < 4; ++t) {
@@ -334,11 +297,9 @@ TEST(GcPipelineConcurrencyTest, MutatorsSweepLazilyWhileOthersAllocate)
             t.join();
     }
 
-    rt.heap().finishSweep();
-    EXPECT_FALSE(rt.heap().sweepPending());
     const VerifierReport report = rt.verifyHeap();
     EXPECT_TRUE(report.clean()) << "heap invariants broken by concurrent "
-                                   "lazy sweeping";
+                                   "carving";
     EXPECT_GE(rt.gcStats().collections, 5u);
 }
 

@@ -3,13 +3,16 @@
  * Unit tests for the segregated-fit heap on its own, driven the way the
  * runtime drives it: small objects are carved from a ThreadAllocCache's
  * chunk leases, large ones go to the LOS, and every collection runs the
- * epoch-parity protocol (retire leases, finish pending sweeps, mark at
- * the next parity, flip the epoch, sweep). Covers alignment, exhaustion,
- * reclamation, chunk reuse, the LOS budget, and accounting invariants.
+ * side-mark protocol (retire leases, claim the live set in the side
+ * bitmaps, flip the epoch, which reclaims the rest). Covers alignment,
+ * exhaustion, reclamation, chunk reuse, the LOS budget, the size-class
+ * table and accounting invariants.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -41,35 +44,20 @@ class BareHeap
             if (!mem)
                 mem = cache.allocateRefill(bytes);
         }
-        return mem ? Object::format(mem, kCls, bytes, heap.markParity())
-                   : nullptr;
+        return mem ? Object::format(mem, kCls, bytes) : nullptr;
     }
 
     /**
-     * Mark exactly @p live at the next parity and flip the epoch,
-     * leaving any mixed chunks and dead large objects to a lazy sweep.
+     * One full collection: claim exactly @p live through the heap's
+     * side marks and flip the epoch, which reclaims everything else.
      */
-    Heap::FlipResult
-    markAndFlip(const std::vector<Object *> &live)
-    {
-        cache.retireAll();
-        heap.finishSweep(); // the sweep-completeness rule
-        heap.beginMark();
-        const unsigned next = heap.markParity() ^ 1;
-        for (Object *obj : live) {
-            if (obj->tryMarkFor(next))
-                heap.noteMarked(obj);
-        }
-        return heap.flipMarkEpoch();
-    }
-
-    /** One full collection: markAndFlip(), then finish every sweep. */
     Heap::FlipResult
     collect(const std::vector<Object *> &live)
     {
-        const Heap::FlipResult flip = markAndFlip(live);
-        heap.finishSweep();
-        return flip;
+        cache.retireAll();
+        for (Object *obj : live)
+            heap.tryMark(obj);
+        return heap.flipMarkEpoch();
     }
 
     Heap heap;
@@ -91,6 +79,26 @@ TEST(HeapTest, AllocatesAlignedDistinctBlocks)
     EXPECT_EQ(unique.size(), objs.size());
     h.cache.retireAll();
     h.heap.verifyIntegrity();
+}
+
+TEST(HeapTest, SizeClassTableMatchesBinarySearch)
+{
+    Heap heap(1 << 20);
+    std::vector<std::uint32_t> sizes;
+    for (std::size_t cls = 0; cls < heap.numSizeClasses(); ++cls)
+        sizes.push_back(heap.sizeClassBytes(cls));
+    ASSERT_TRUE(std::is_sorted(sizes.begin(), sizes.end()));
+    ASSERT_EQ(sizes.back(), Heap::kLargeThreshold);
+    for (std::size_t bytes = 1; bytes <= Heap::kLargeThreshold; ++bytes) {
+        // The smallest class that fits, by the binary search the table
+        // replaced.
+        const auto it = std::lower_bound(
+            sizes.begin(), sizes.end(),
+            static_cast<std::uint32_t>(std::max(bytes, Heap::kMinBlockBytes)));
+        ASSERT_EQ(heap.sizeClassFor(bytes),
+                  static_cast<std::size_t>(it - sizes.begin()))
+            << bytes << " bytes";
+    }
 }
 
 TEST(HeapTest, BlocksDoNotOverlap)
@@ -139,19 +147,29 @@ TEST(HeapTest, SweepReclaimsUnmarked)
         ASSERT_NE(obj, nullptr);
         (i % 2 == 0 ? keep : drop).push_back(obj);
     }
-    // Half the chunk survives, so the flip queues it for a lazy sweep.
-    const Heap::FlipResult flip = h.markAndFlip(keep);
-    EXPECT_EQ(flip.pendingChunks, 1u);
-    EXPECT_TRUE(h.heap.sweepPending());
-    EXPECT_EQ(h.heap.stats().objectsFreed, 0u);
-
-    EXPECT_EQ(h.heap.finishSweep(), drop.size() * 64);
-    EXPECT_FALSE(h.heap.sweepPending());
+    // A claim succeeds once per object and collection.
+    h.cache.retireAll();
+    for (Object *obj : keep) {
+        EXPECT_FALSE(h.heap.isMarked(obj));
+        EXPECT_TRUE(h.heap.tryMark(obj));
+        EXPECT_FALSE(h.heap.tryMark(obj)) << "second claim must fail";
+        EXPECT_TRUE(h.heap.isMarked(obj));
+    }
+    for (Object *obj : drop)
+        EXPECT_FALSE(h.heap.isMarked(obj));
+    // Half the chunk survives: the flip itself reclaims the other half
+    // and keeps the chunk, and clears every mark.
+    const Heap::FlipResult flip = h.heap.flipMarkEpoch();
+    EXPECT_EQ(flip.freedChunks, 0u);
     EXPECT_EQ(h.heap.stats().objectsFreed, drop.size());
+    EXPECT_EQ(h.heap.stats().bytesFreed, drop.size() * 64);
+    EXPECT_EQ(flip.liveBytes, keep.size() * 64);
     EXPECT_EQ(flip.liveBytes, h.heap.usedBytes());
-    // Survivors hold the new live parity without any mark clearing.
     for (Object *obj : keep)
-        EXPECT_TRUE(obj->markedFor(h.heap.markParity()));
+        EXPECT_FALSE(h.heap.isMarked(obj)) << "the flip clears the marks";
+    std::set<Object *> seen;
+    h.heap.forEachObject([&](Object *o) { seen.insert(o); });
+    EXPECT_EQ(seen, std::set<Object *>(keep.begin(), keep.end()));
     h.heap.verifyIntegrity();
 }
 
@@ -164,9 +182,9 @@ TEST(HeapTest, SweepCoalescesFreeSpace)
     }
     EXPECT_LT(h.heap.largestFreeBlock(), 64u);
     // ...then collect: every chunk is fully dead and freed at the flip
-    // from metadata alone, with nothing left for a lazy sweep.
-    const Heap::FlipResult flip = h.markAndFlip({});
-    EXPECT_EQ(flip.pendingChunks, 0u);
+    // from metadata alone.
+    const Heap::FlipResult flip = h.collect({});
+    EXPECT_EQ(flip.freedChunks, h.heap.capacity() / Heap::kChunkBytes);
     EXPECT_EQ(flip.liveBytes, 0u);
     EXPECT_EQ(h.heap.largestFreeBlock(), before);
     EXPECT_EQ(h.heap.usedBytes(), 0u);
@@ -193,14 +211,11 @@ TEST(HeapTest, LargeObjectAllocation)
     EXPECT_EQ(obj->sizeBytes(), std::size_t{3 << 20});
     // No room for a second one.
     EXPECT_EQ(h.alloc(3 << 20), nullptr);
-    // The dead large object waits for a sweep but no longer counts as
-    // committed, exactly as if it had been swept eagerly.
-    const Heap::FlipResult flip = h.markAndFlip({});
+    // The flip frees the dead large object and its budget.
+    const Heap::FlipResult flip = h.collect({});
     EXPECT_EQ(flip.committedBytes, 0u);
-    EXPECT_TRUE(h.heap.sweepPending());
-    // Allocation reconciles the LOS before its budget check.
+    EXPECT_EQ(h.heap.committedBytes(), 0u);
     EXPECT_NE(h.alloc(3 << 20), nullptr);
-    EXPECT_FALSE(h.heap.sweepPending());
 }
 
 TEST(HeapTest, ForEachObjectVisitsExactlyLiveSet)
@@ -214,7 +229,12 @@ TEST(HeapTest, ForEachObjectVisitsExactlyLiveSet)
     }
     keep.push_back(h.alloc(Heap::kLargeThreshold + 8));
     h.alloc(Heap::kLargeThreshold + 8); // dies
-    h.collect(keep);
+    h.cache.retireAll();
+    for (Object *obj : keep)
+        EXPECT_TRUE(h.heap.tryMark(obj));
+    EXPECT_TRUE(h.heap.isMarked(keep.back())) << "large objects mark too";
+    h.heap.flipMarkEpoch();
+    EXPECT_FALSE(h.heap.isMarked(keep.back()));
     std::set<Object *> seen;
     h.heap.forEachObject([&](Object *o) { seen.insert(o); });
     EXPECT_EQ(seen, std::set<Object *>(keep.begin(), keep.end()));
@@ -319,7 +339,6 @@ TEST(HeapTest, StatsTrackAllocationsAndFrees)
     EXPECT_EQ(h.heap.stats().objectsFreed, 10u);
     EXPECT_EQ(h.heap.stats().bytesFreed, 640u);
     EXPECT_EQ(h.heap.stats().sweeps, 1u);
-    EXPECT_EQ(h.heap.markEpoch(), 1u);
 }
 
 } // namespace

@@ -155,22 +155,68 @@ TEST(HeapVerifierTest, DetectsStrayMarkBit)
     Runtime rt(logOnlyConfig());
     const class_id_t node = rt.defineClass("Node", 2);
 
+    const class_id_t bytes = rt.defineByteArrayClass("Bytes");
+    HandleScope scope(rt.roots());
+    Handle obj = scope.handle(rt.allocate(node));
+    Handle big = scope.handle(rt.allocateByteArray(bytes, 64 * 1024));
+
+    // The epoch flip clears every side mark, so between collections
+    // each mark word is zero. A stray bit would make the next trace
+    // skip its object as already claimed.
+    for (Object *victim : {obj.get(), big.get()}) {
+        ASSERT_TRUE(rt.heap().tryMark(victim));
+        {
+            QuietScope quiet;
+            const VerifierReport report = rt.verifyHeap();
+            EXPECT_FALSE(report.clean());
+            EXPECT_EQ(report.count(InvariantCheck::MarkBits), 1u);
+        }
+        // The next collection keeps the marked object and clears it.
+        rt.collectNow();
+        EXPECT_TRUE(rt.verifyHeap().clean());
+    }
+}
+
+TEST(HeapVerifierTest, DetectsInUseBitPastTheLastBlock)
+{
+    Runtime rt(logOnlyConfig());
+    const class_id_t node = rt.defineClass("Node", 2);
     HandleScope scope(rt.roots());
     Handle obj = scope.handle(rt.allocate(node));
 
-    // Between collections every allocated object must hold the heap's
-    // live parity (the epoch flip reinterprets the bits; nothing clears
-    // them). A bit at the other parity reads as garbage and would make
-    // the next trace skip the object as already claimed.
-    const unsigned live = rt.heap().markParity();
-    ASSERT_TRUE(obj.get()->tryMarkFor(live ^ 1));
+    // A 32-byte class has 512 blocks; the bitmap row has room for more,
+    // and those bits must stay clear or a carve could hand out memory
+    // past the chunk.
+    const std::size_t past = 64 * Heap::kBitmapWords - 1;
+    rt.heap().toggleInUseBitForTesting(obj.get(), past);
     {
         QuietScope quiet;
         const VerifierReport report = rt.verifyHeap();
         EXPECT_FALSE(report.clean());
-        EXPECT_GE(report.count(InvariantCheck::MarkBits), 1u);
+        EXPECT_GE(report.count(InvariantCheck::Accounting), 1u);
     }
-    ASSERT_TRUE(obj.get()->tryMarkFor(live));
+    rt.heap().toggleInUseBitForTesting(obj.get(), past);
+    EXPECT_TRUE(rt.verifyHeap().clean());
+}
+
+TEST(HeapVerifierTest, DetectsLiveBlocksDrift)
+{
+    Runtime rt(logOnlyConfig());
+    const class_id_t node = rt.defineClass("Node", 2);
+    HandleScope scope(rt.roots());
+    Handle obj = scope.handle(rt.allocate(node));
+
+    // Clearing a live object's in-use bit makes the chunk's liveBlocks
+    // disagree with the bitmap's popcount (and hides the object).
+    const std::size_t first = 0;
+    rt.heap().toggleInUseBitForTesting(obj.get(), first);
+    {
+        QuietScope quiet;
+        const VerifierReport report = rt.verifyHeap();
+        EXPECT_FALSE(report.clean());
+        EXPECT_GE(report.count(InvariantCheck::Accounting), 1u);
+    }
+    rt.heap().toggleInUseBitForTesting(obj.get(), first);
     EXPECT_TRUE(rt.verifyHeap().clean());
 }
 

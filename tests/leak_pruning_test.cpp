@@ -185,9 +185,6 @@ TEST_F(WorkedExampleTest, PrunePoisonsSelectedEdgesOnly)
     rt->collectNow(); // SELECT
     const auto dead_before = rt->heap().stats().objectsFreed;
     rt->collectNow(); // PRUNE
-    // Lazy sweeping defers reclamation to the first allocator touch
-    // after the flip; complete it so the freed count below is exact.
-    rt->heap().finishSweep();
 
     // Figure 4: b1->c1, b3->c3 and b4->c4 are poisoned; b2->c2 is not.
     EXPECT_TRUE(refIsPoisoned(rt->peekRefBits(bs[0], 0)));

@@ -55,26 +55,24 @@ TEST(ObjectTest, HeaderFieldsIndependent)
     EXPECT_EQ(obj->classId(), 777u);
     EXPECT_EQ(obj->sizeBytes(), 128u);
     EXPECT_EQ(obj->staleCounter(), 0u);
-    EXPECT_TRUE(obj->markedFor(0)) << "formatted live at parity 0";
     EXPECT_FALSE(obj->pinned());
+    EXPECT_FALSE(obj->finalizerEnqueued());
 
     obj->setStaleCounter(5);
     EXPECT_EQ(obj->staleCounter(), 5u);
     EXPECT_EQ(obj->classId(), 777u) << "stale counter must not clobber class";
 
-    EXPECT_TRUE(obj->tryMarkFor(1));
-    EXPECT_FALSE(obj->tryMarkFor(1)) << "second claim must fail";
-    EXPECT_TRUE(obj->markedFor(1));
-    EXPECT_FALSE(obj->markedFor(0));
-    EXPECT_EQ(obj->staleCounter(), 5u);
-
     obj->setPinned(true);
     EXPECT_TRUE(obj->pinned());
-    EXPECT_TRUE(obj->tryMarkFor(0));
-    EXPECT_TRUE(obj->markedFor(0));
+    obj->tickStaleCounter(kMaxStaleCounter);
+    EXPECT_EQ(obj->staleCounter(), 6u);
     EXPECT_TRUE(obj->pinned());
-    EXPECT_EQ(obj->staleCounter(), 5u);
+    EXPECT_TRUE(obj->tryEnqueueFinalizer());
+    EXPECT_FALSE(obj->tryEnqueueFinalizer()) << "second claim must fail";
+    EXPECT_TRUE(obj->pinned());
+    EXPECT_EQ(obj->staleCounter(), 6u);
     EXPECT_EQ(obj->classId(), 777u);
+    EXPECT_EQ(obj->sizeBytes(), 128u);
 
     obj->clearStaleCounter();
     EXPECT_EQ(obj->staleCounter(), 0u);
@@ -88,27 +86,24 @@ TEST(ObjectTest, StaleCounterSaturatesAtSeven)
     EXPECT_EQ(obj->staleCounter(), 7u);
 }
 
-TEST(ObjectTest, MarkClaimTicksStaleCounterInTheSameStore)
+TEST(ObjectTest, StaleTickRaisesOnlyCountersBelowTheLimit)
 {
     alignas(8) unsigned char backing[64] = {};
     Object *obj = Object::format(backing, 9, 64);
     obj->setStaleCounter(2);
 
-    EXPECT_TRUE(obj->tryMarkFor(1, 3)) << "2 < 3: claim and tick";
-    EXPECT_EQ(obj->staleCounter(), 3u);
-    EXPECT_FALSE(obj->tryMarkFor(1, kMaxStaleCounter)) << "already marked";
-    EXPECT_EQ(obj->staleCounter(), 3u) << "a failed claim never ticks";
-
-    EXPECT_TRUE(obj->tryMarkFor(0, 3)) << "3 is not below 3: no tick";
-    EXPECT_EQ(obj->staleCounter(), 3u);
-    EXPECT_TRUE(obj->tryMarkFor(1)) << "default limit 0: never ticks";
-    EXPECT_EQ(obj->staleCounter(), 3u);
+    obj->tickStaleCounter(3);
+    EXPECT_EQ(obj->staleCounter(), 3u) << "2 < 3: tick";
+    obj->tickStaleCounter(3);
+    EXPECT_EQ(obj->staleCounter(), 3u) << "3 is not below 3: no tick";
+    obj->tickStaleCounter(0);
+    EXPECT_EQ(obj->staleCounter(), 3u) << "limit 0: never ticks";
 
     obj->setStaleCounter(kMaxStaleCounter);
-    EXPECT_TRUE(obj->tryMarkFor(0, kMaxStaleCounter));
+    obj->tickStaleCounter(kMaxStaleCounter);
     EXPECT_EQ(obj->staleCounter(), kMaxStaleCounter) << "saturates";
-    EXPECT_TRUE(obj->markedFor(0));
     EXPECT_EQ(obj->classId(), 9u);
+    EXPECT_EQ(obj->sizeBytes(), 64u);
 }
 
 TEST(ObjectTest, MutatorHeaderWritesAreNotLost)
@@ -120,7 +115,7 @@ TEST(ObjectTest, MutatorHeaderWritesAreNotLost)
     // owns each field, so after every write its owner must read back
     // exactly what it wrote.
     alignas(8) unsigned char backing[64] = {};
-    Object *obj = Object::format(backing, 777, 64, /*mark_parity=*/1);
+    Object *obj = Object::format(backing, 777, 64);
     ASSERT_TRUE(obj->tryEnqueueFinalizer());
 
     constexpr int kRounds = 200000;
@@ -152,7 +147,6 @@ TEST(ObjectTest, MutatorHeaderWritesAreNotLost)
     EXPECT_EQ(lost.load(), 0);
     EXPECT_EQ(obj->staleCounter(), 0u);
     EXPECT_FALSE(obj->pinned());
-    EXPECT_TRUE(obj->markedFor(1));
     EXPECT_TRUE(obj->finalizerEnqueued());
     EXPECT_EQ(obj->classId(), 777u);
 }

@@ -536,7 +536,6 @@ TEST(MetricsTest, ExportRendersGcStats)
     const JsonValue &gauges = root.at("gauges");
     EXPECT_EQ(gauges.at("gc.live_bytes").number,
               static_cast<double>(gc.lastLiveBytes));
-    EXPECT_TRUE(gauges.has("gc.pending_sweep_chunks"));
     const bool engine = rt.telemetry() != nullptr;
     EXPECT_EQ(gauges.has("telemetry.dropped_events"), engine);
     EXPECT_EQ(gauges.has("telemetry.threads"), engine);

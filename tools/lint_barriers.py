@@ -101,8 +101,8 @@ FAST_PATHS = [
     ("src/heap/thread_cache.h", "allocateFast"),
     ("src/heap/thread_cache.h", "noteAllocated"),
     ("src/heap/thread_cache.cpp", "carve"),
-    ("src/object/object.h", "tryMarkFor"),
-    ("src/heap/heap.cpp", "noteMarked"),
+    ("src/heap/heap.h", "tryMark"),
+    ("src/object/object.h", "tickStaleCounter"),
     ("src/gc/tracer.cpp", "onMarked"),
     ("src/gc/tracer.cpp", "shade"),
     ("src/gc/tracer.cpp", "scanObject"),
