@@ -135,6 +135,15 @@ HeapVerifier::verify(std::uint64_t epoch)
                                         " has unregistered class id ", cls_id));
             return; // layout unknown: skip the shape check
         }
+        // Every collection visits every live object and each visit
+        // rewrites the tick stamp, so a stamp of the other parity than
+        // the last collection's has outlived its collection, and the
+        // next collection would read it as its own tick.
+        if (obj->tickedIn(epoch + 1))
+            addViolation(report, InvariantCheck::ObjectShape,
+                         detail::concat("object ", obj,
+                                        " carries a tick stamp older than "
+                                        "collection ", epoch));
         const ClassInfo &cls = registry.info(cls_id);
         std::size_t expected = 0;
         switch (cls.kind) {

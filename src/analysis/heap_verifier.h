@@ -55,7 +55,8 @@ enum class InvariantCheck : std::uint8_t {
     EdgeTable,    //!< entries name registered class pairs, sane counts
     Accounting,   //!< committed/used bytes equal the walked live sizes
     Reachability, //!< unpoisoned references target live heap objects
-    ObjectShape,  //!< headers: registered class ids, layout-exact sizes
+    ObjectShape,  //!< headers: registered class ids, layout-exact sizes,
+                  //!< no tick stamp older than the last collection
     AuditTrail,   //!< telemetry audit totals equal the engine's stats
 };
 

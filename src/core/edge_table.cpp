@@ -94,9 +94,12 @@ EdgeTable::selectMaxBytesAndReset()
     forEachSlot([&](Slot &slot) {
         const std::uint64_t bytes =
             slot.bytesUsed.exchange(0, std::memory_order_relaxed);
-        if (bytes > 0 && (!best || bytes > best->bytesUsed)) {
+        const std::uint64_t key = slot.key.load(std::memory_order_relaxed);
+        if (bytes > 0 &&
+            (!best || bytes > best->bytesUsed ||
+             (bytes == best->bytesUsed && key < packKey(best->type)))) {
             best = EdgeEntrySnapshot{
-                unpackKey(slot.key.load(std::memory_order_relaxed)),
+                unpackKey(key),
                 static_cast<unsigned>(
                     slot.maxStaleUse.load(std::memory_order_relaxed)),
                 bytes};

@@ -78,8 +78,10 @@ class EdgeTable
     void chargeBytes(EdgeType type, std::uint64_t bytes);
 
     /**
-     * Pick the entry with the greatest bytesUsed (ties broken by probe
-     * order) and reset every entry's bytesUsed to zero.
+     * Pick the entry with the greatest bytesUsed (ties go to the
+     * smaller (src class, tgt class) pair, so the order in which types
+     * were inserted cannot matter) and reset every entry's bytesUsed
+     * to zero.
      *
      * @return the winner, or nullopt if no entry was charged.
      */

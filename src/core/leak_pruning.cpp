@@ -1,6 +1,7 @@
 #include "core/leak_pruning.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "gc/tracer.h"
 #include "object/object.h"
@@ -86,8 +87,10 @@ LeakPruning::isCandidate(EdgeType type, Object *tgt) const
 {
     // Conservatively require the target to be `margin` levels staler
     // than the edge type's most-stale-then-used record, because the
-    // counters only approximate the logarithm of staleness.
-    const unsigned stale = tgt->staleCounter();
+    // counters only approximate the logarithm of staleness. The
+    // counter is read as it stood when the collection began, so the
+    // answer does not depend on whether the target was visited yet.
+    const unsigned stale = tgt->staleCounterAtStart(epoch_);
     if (stale < config_.staleUseMargin)
         return false;
     return stale >= edge_table_.maxStaleUse(type) + config_.staleUseMargin;
@@ -134,7 +137,7 @@ LeakPruning::classifyEdge(Object *src, const ClassInfo &src_cls, ref_t *slot,
             return EdgeAction::Trace;
         if (config_.predictor == Predictor::MostStale) {
             if (most_stale_level_ >= config_.staleUseMargin &&
-                tgt->staleCounter() >= most_stale_level_) {
+                tgt->staleCounterAtStart(epoch_) >= most_stale_level_) {
                 ++poisoned_this_gc_;
                 return EdgeAction::Poison;
             }
@@ -155,8 +158,16 @@ LeakPruning::runStaleClosure(Tracer &tracer)
     // The stale transitive closure (paper Section 4.2, phase 2): mark
     // objects reachable only from candidate references, computing the
     // bytes of each candidate's data structure and charging them to
-    // its edge entry. Candidates run in trace order; the first to
-    // reach a shared subgraph is charged its bytes.
+    // its edge entry. Candidates run grouped by edge type, in
+    // ascending (source class, target class) order, and the first type
+    // to reach a shared subgraph is charged its bytes. Within one type
+    // the charges land on one entry in any order, so trace order
+    // decides nothing.
+    std::stable_sort(candidates_.begin(), candidates_.end(),
+                     [](const Candidate &a, const Candidate &b) {
+                         return std::pair(a.type.srcClass, a.type.tgtClass) <
+                                std::pair(b.type.srcClass, b.type.tgtClass);
+                     });
     TracePolicy stale = tracePolicy();
     stale.classifyEdges = false;
     TraceStats closure;

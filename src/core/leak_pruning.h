@@ -196,8 +196,8 @@ class LeakPruning : public CollectionPlugin
     PruningState active_state_ = PruningState::Inactive;
     std::optional<PruningState> pinned_state_;
 
-    //! The current SELECT collection's deferred edges, in trace order:
-    //! the stale closure's input.
+    //! The current SELECT collection's deferred edges: the stale
+    //! closure's input, which it sorts by edge type.
     std::vector<Candidate> candidates_;
 
     // Selection carried from a SELECT collection to the PRUNE one.

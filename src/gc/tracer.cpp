@@ -35,53 +35,22 @@ Tracer::Tracer(Heap &heap, const ClassRegistry &registry)
     : heap_(heap), registry_(registry)
 {}
 
-Tracer::~Tracer()
-{
-    for (WorkChunk *chunk : spare_)
-        delete chunk;
-}
-
-Tracer::WorkChunk *
-Tracer::takeChunk()
-{
-    if (spare_.empty())
-        return new WorkChunk;
-    WorkChunk *chunk = spare_.back();
-    spare_.pop_back();
-    return chunk;
-}
-
 void
 Tracer::beginClosure(const TracePolicy &policy)
 {
     tick_below_ = staleTickLimit(policy);
-    visit_at_scan_ = !policy.classifyEdges;
+    epoch_ = policy.epoch;
 }
 
-void
-Tracer::pushGray(WorkChunk *&out)
-{
-    gray_.push_back(out);
-    out = takeChunk();
-}
-
-// The mark loop's helpers (pushObject, onMarked, shade, nextGray) are
-// declared inline so that each edge and each gray object costs no call
-// of its own: out of line, they cost oom_horizon about 9% of its
-// requests per second on a 4-vCPU Xeon host.
-inline void
-Tracer::pushObject(WorkChunk *&out, Object *obj)
-{
-    if (out->full())
-        pushGray(out);
-    out->push(obj);
-}
-
+// The mark loop's helpers (onMarked, shade) are declared inline so
+// that each edge and each gray object costs no call of its own: out of
+// line, they cost oom_horizon about 9% of its requests per second on a
+// 4-vCPU Xeon host.
 inline void
 Tracer::onMarked(Object *obj, CollectionPlugin *plugin,
                  const TracePolicy &policy, TraceStats &stats)
 {
-    obj->tickStaleCounter(tick_below_);
+    obj->tickStaleCounter(tick_below_, epoch_);
     ++stats.objectsMarked;
     stats.bytesMarked += obj->sizeBytes();
     if (policy.notifyMarked)
@@ -89,23 +58,17 @@ Tracer::onMarked(Object *obj, CollectionPlugin *plugin,
 }
 
 inline void
-Tracer::shade(Object *obj, CollectionPlugin *plugin, const TracePolicy &policy,
-              WorkChunk *&out, TraceStats &stats)
+Tracer::shade(Object *obj)
 {
-    // Every closure claims at discovery, in the side bitmap, so only a
-    // first discovery is pushed. A classifying closure also visits the
-    // header now, the order its pruning decisions read (tracer.h).
-    if (!heap_.tryMark(obj))
-        return;
-    if (!visit_at_scan_)
-        onMarked(obj, plugin, policy, stats);
-    pushObject(out, obj);
+    // Claim at discovery, in the side bitmap, so only a first
+    // discovery is pushed; the header is visited at ring exit.
+    if (heap_.tryMark(obj))
+        gray_.push_back(obj);
 }
 
 void
 Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
-                   const TracePolicy &policy, WorkChunk *&out,
-                   TraceStats &stats)
+                   const TracePolicy &policy, TraceStats &stats)
 {
     const ClassInfo &cls = registry_.info(obj->classId());
     obj->forEachRefSlot(cls, [&](ref_t *slot) {
@@ -128,7 +91,7 @@ Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
             // collection (the barrier only clears it on use).
             if (policy.tagReferences && !refHasStaleCheck(r))
                 *slot = refWithStaleCheck(r);
-            shade(tgt, plugin, policy, out, stats);
+            shade(tgt);
             break;
           case EdgeAction::Defer:
             // The plugin recorded (slot, src class, target) in its
@@ -148,67 +111,42 @@ Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
     });
 }
 
-inline Object *
-Tracer::nextGray(WorkChunk *&in, WorkChunk *&out)
-{
-    // Drain the newest batch to empty before taking the next one; the
-    // output batch joins the stack when it fills or its input empties.
-    while (in->empty()) {
-        if (!out->empty())
-            pushGray(out);
-        if (gray_.empty())
-            return nullptr;
-        spare_.push_back(in);
-        in = gray_.back();
-        gray_.pop_back();
-    }
-    return in->pop();
-}
-
 void
 Tracer::drain(CollectionPlugin *plugin, const TracePolicy &policy,
-              WorkChunk *seeded, TraceStats &stats)
+              TraceStats &stats)
 {
-    // A closure that visits at scan passes each popped object through
-    // the prefetch ring, which loads its header while the objects
-    // ahead of it are scanned, and visits it as it leaves. Such a
-    // closure also pushes onto the batch it drains (plain LIFO), so a
-    // scanned object's targets enter the ring next.
+    // Each popped object waits in the prefetch ring, which loads its
+    // header while the objects ahead of it are scanned, and is visited
+    // as it leaves. A scanned object's targets are pushed, so they
+    // enter the ring next.
     Object *ring[kPrefetchDepth];
     std::size_t ring_head = 0;
     std::size_t ring_count = 0;
-    WorkChunk *in = seeded;
-    WorkChunk *out = takeChunk();
-    WorkChunk *&gray_out = visit_at_scan_ ? in : out;
     while (true) {
-        Object *obj = nextGray(in, out);
-        if (visit_at_scan_) {
-            if (obj) {
-                __builtin_prefetch(obj);
-                if (ring_count < kPrefetchDepth) {
-                    ring[(ring_head + ring_count++) % kPrefetchDepth] = obj;
-                    continue;
-                }
-                // Full: the newest entry takes the oldest one's place.
-                std::swap(obj, ring[ring_head]);
-            } else if (ring_count > 0) {
-                obj = ring[ring_head];
-                --ring_count;
-            } else {
-                break;
+        Object *obj;
+        if (!gray_.empty()) {
+            obj = gray_.back();
+            gray_.pop_back();
+            __builtin_prefetch(obj);
+            if (ring_count < kPrefetchDepth) {
+                ring[(ring_head + ring_count++) % kPrefetchDepth] = obj;
+                continue;
             }
-            ring_head = (ring_head + 1) % kPrefetchDepth;
-            onMarked(obj, plugin, policy, stats);
-        } else if (!obj) {
+            // Full: the newest entry takes the oldest one's place.
+            std::swap(obj, ring[ring_head]);
+        } else if (ring_count > 0) {
+            obj = ring[ring_head];
+            --ring_count;
+        } else {
             break;
         }
-        scanObject(obj, plugin, policy, gray_out, stats);
+        ring_head = (ring_head + 1) % kPrefetchDepth;
+        onMarked(obj, plugin, policy, stats);
+        scanObject(obj, plugin, policy, stats);
     }
-    spare_.push_back(in);
-    spare_.push_back(out);
-    while (spare_.size() > kRetainedChunks) {
-        delete spare_.back();
-        spare_.pop_back();
+    if (gray_.capacity() > kRetainedGrayCapacity) {
+        std::vector<Object *>().swap(gray_);
+        gray_.reserve(kRetainedGrayCapacity);
     }
 }
 
@@ -220,15 +158,13 @@ Tracer::traceFromRoots(RootProvider &roots, CollectionPlugin *plugin)
     beginClosure(policy);
     // Seed the gray stack from the root set (stacks/registers +
     // statics).
-    TraceStats stats;
-    WorkChunk *seeded = takeChunk();
     roots.forEachRoot([&](ref_t *slot) {
         const ref_t r = *slot;
-        if (refIsNull(r) || refIsPoisoned(r))
-            return;
-        shade(refTarget(r), plugin, policy, seeded, stats);
+        if (!refIsNull(r) && !refIsPoisoned(r))
+            shade(refTarget(r));
     });
-    drain(plugin, policy, seeded, stats);
+    TraceStats stats;
+    drain(plugin, policy, stats);
     return stats;
 }
 
@@ -240,9 +176,8 @@ Tracer::traceSubgraph(Object *start, CollectionPlugin *plugin,
     // A start object already live via another path (or an earlier
     // candidate) is not claimed again, so the call returns 0.
     const std::uint64_t before = stats.bytesMarked;
-    WorkChunk *seeded = takeChunk();
-    shade(start, plugin, policy, seeded, stats);
-    drain(plugin, policy, seeded, stats);
+    shade(start);
+    drain(plugin, policy, stats);
     return stats.bytesMarked - before;
 }
 

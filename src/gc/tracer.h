@@ -15,33 +15,26 @@
  *    structure charged to its edge-table entry.
  *
  * Both closures run one scan-and-mark routine (scanObject) over one
- * gray stack of fixed-size batches; the TracePolicy a closure is given
- * selects what the routine does per edge (tag, classify, notify) and
- * per marked object (tick the staleness clock, notify).
+ * LIFO gray stack; the TracePolicy a closure is given selects what the
+ * routine does per edge (tag, classify, notify) and per marked object
+ * (tick the staleness clock, notify).
  *
  * Every closure claims an object at discovery, with the heap's side
  * mark bitmap (Heap::tryMark), so only a first discovery is pushed and
- * the gray stack is bounded by marked objects, never by edges. The
- * policy picks when the object's header is visited (the clock tick,
- * the byte tally, the plugin's notification):
+ * the gray stack is bounded by marked objects, never by edges. drain
+ * passes each popped object through a small FIFO ring that prefetches
+ * its header and visits it as it leaves (the clock tick, the byte
+ * tally, the plugin's notification), so the header is touched once,
+ * after the prefetch.
  *
- *  - At discovery, when the closure classifies edges (leak pruning's
- *    SELECT and PRUNE, disk offload's offloading collections). Their
- *    decisions read trace order: classifyEdge sees a target's stale
- *    counter before or after the tick, and the first candidate to
- *    reach a shared subgraph is charged for it. So these closures keep
- *    the pinned batch order (the newest batch drains to empty before
- *    the next is taken) that AppsTest.EclipseCpPruneLogIsPinned pins.
- *    ROADMAP item 1 makes decisions independent of this order.
- *
- *  - At scan, in every other closure. A claimed target is pushed onto
- *    the batch being drained (plain LIFO); drain passes each popped
- *    object through a small FIFO ring that prefetches its header, and
- *    visits it as it leaves, so the header is touched once, after the
- *    prefetch. Such a closure decides nothing, and what it leaves
- *    behind (the marked set, one clock tick per marked object, tags,
- *    byte tallies, the set of stub words seen) is the same in any
- *    order.
+ * Trace order decides nothing. A classifying closure reads a target's
+ * stale counter as it stood when the collection began
+ * (Object::staleCounterAtStart), whether or not the target has been
+ * visited yet, and leak pruning's stale closure charges shared
+ * subgraphs in edge-type order, not trace order. What a closure leaves
+ * behind (the marked set, one clock tick per marked object, tags,
+ * byte tallies, candidates, poisoned slots, the set of stub words
+ * seen) is the same in any order.
  *
  * Both run on the one collector thread, inside the stop-the-world
  * pause. The paper's MMTk collector runs them on several threads
@@ -58,12 +51,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "gc/plugin.h"
 #include "object/class_info.h"
 #include "object/ref.h"
+#include "util/function_ref.h"
 
 namespace lp {
 
@@ -80,7 +73,7 @@ class RootProvider
     virtual ~RootProvider() = default;
 
     /** Invoke @p fn on the address of every root reference slot. */
-    virtual void forEachRoot(const std::function<void(ref_t *)> &fn) = 0;
+    virtual void forEachRoot(FunctionRef<void(ref_t *)> fn) = 0;
 };
 
 /** Counters from one closure run. */
@@ -101,8 +94,6 @@ class Tracer
 
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
-
-    ~Tracer();
 
     /**
      * Run the in-use closure: mark everything reachable from
@@ -137,50 +128,33 @@ class Tracer
 
     const ClassRegistry &registry() const { return registry_; }
 
-    //! Empty gray batches kept for the next closure; the rest are freed
-    //! when a closure ends, so a closure that once held many objects
-    //! gray does not pin their batches for the runtime's lifetime.
-    static constexpr std::size_t kRetainedChunks = 64;
+    //! Gray-stack capacity (in objects) kept for the next closure; a
+    //! larger stack is freed when its closure ends, so a closure that
+    //! once held many objects gray does not pin that memory for the
+    //! runtime's lifetime.
+    static constexpr std::size_t kRetainedGrayCapacity = 16 * 1024;
 
-    //! Empty gray batches held between closures (at most kRetainedChunks).
-    std::size_t retainedChunks() const { return spare_.size(); }
+    //! Gray-stack capacity held between closures (at most
+    //! kRetainedGrayCapacity).
+    std::size_t grayCapacity() const { return gray_.capacity(); }
 
   private:
-    /** Fixed-size batch of gray objects. */
-    struct WorkChunk {
-        static constexpr std::size_t kCapacity = 256;
-        std::size_t count = 0;
-        Object *items[kCapacity];
-
-        bool full() const { return count == kCapacity; }
-        bool empty() const { return count == 0; }
-        void push(Object *o) { items[count++] = o; }
-        Object *pop() { return items[--count]; }
-    };
-
-    //! Gray objects a visit-at-scan closure keeps in flight: each one's
-    //! header is prefetched this many objects before it is visited.
-    //! On a 4-vCPU Xeon host, 4 and 8 measured alike on leak_server
-    //! and 16 measured no better than claiming at discovery.
+    //! Gray objects kept in flight: each one's header is prefetched
+    //! this many objects before it is visited. On a 4-vCPU Xeon host,
+    //! 4 and 8 measured alike on leak_server and 16 measured no better
+    //! than visiting at discovery.
     static constexpr std::size_t kPrefetchDepth = 8;
 
     /**
      * The scan-and-mark routine both closures share: visit @p obj's
      * reference slots and, as @p policy says, classify each edge, tag
-     * traced references and shade their targets onto @p out.
+     * traced references and shade their targets.
      */
     void scanObject(Object *obj, CollectionPlugin *plugin,
-                    const TracePolicy &policy, WorkChunk *&out,
-                    TraceStats &stats);
+                    const TracePolicy &policy, TraceStats &stats);
 
-    /**
-     * Claim @p obj and, if this call claimed it, make it gray: push it
-     * onto @p out, visiting it first (onMarked) unless the closure
-     * visits at scan.
-     */
-    void shade(Object *obj, CollectionPlugin *plugin,
-               const TracePolicy &policy, WorkChunk *&out,
-               TraceStats &stats);
+    /** Claim @p obj and, if this call claimed it, push it gray. */
+    void shade(Object *obj);
 
     /**
      * Header work for an object this closure marked, once: tick its
@@ -190,47 +164,27 @@ class Tracer
                   const TracePolicy &policy, TraceStats &stats);
 
     /**
-     * Scan the seeded batch @p seeded, then every gray batch, to
-     * empty; the newest batch is drained before an older one is taken.
-     * A visit-at-scan closure pushes onto the batch it drains, passes
-     * each popped object through the prefetch ring and visits it as it
-     * leaves.
+     * Scan gray objects to empty: pop the newest, pass it through the
+     * prefetch ring and visit and scan it as it leaves.
      */
     void drain(CollectionPlugin *plugin, const TracePolicy &policy,
-               WorkChunk *seeded, TraceStats &stats);
-
-    //! The next gray object in batch order, or null when none is left;
-    //! @p in is the batch being drained, @p out the one being filled.
-    Object *nextGray(WorkChunk *&in, WorkChunk *&out);
+               TraceStats &stats);
 
     //! Set the per-closure state that @p policy implies.
     void beginClosure(const TracePolicy &policy);
-    //! Next empty chunk: from the spare list, else a new one.
-    WorkChunk *takeChunk();
-    //! Move a full (or input-drained) output chunk onto the gray stack.
-    void pushGray(WorkChunk *&out);
-    //! Push @p obj onto @p out, moving a full @p out onto the stack.
-    void pushObject(WorkChunk *&out, Object *obj);
 
     Heap &heap_;
     const ClassRegistry &registry_;
-    //! The running closure's stale-clock limit: a claim raises a stale
+    //! The running closure's stale-clock limit: a visit raises a stale
     //! counter k to k+1 iff k < tick_below_ (0 when the clock is off).
     unsigned tick_below_ = 0;
-    //! The running closure visits headers at scan, through the prefetch
-    //! ring, rather than at discovery: it classifies no edge.
-    bool visit_at_scan_ = false;
+    //! The running collection's number, whose parity stamps each tick.
+    std::uint64_t epoch_ = 0;
     //! Closure work plugins report via addClosureStats().
     TraceStats extra_;
-    //! The running closure's gray objects, in batches (empty between
-    //! closures). The newest batch is drained before an older one is
-    //! taken; in a classifying in-use closure this visit order decides
-    //! which candidate first reaches a shared stale subgraph, and so
-    //! which edge type selection picks.
-    std::vector<WorkChunk *> gray_;
-    //! Drained batches, reused across closures (up to kRetainedChunks)
-    //! so the steady state allocates nothing on the closure's hot path.
-    std::vector<WorkChunk *> spare_;
+    //! The running closure's gray objects, newest last (empty between
+    //! closures).
+    std::vector<Object *> gray_;
 };
 
 } // namespace lp

@@ -227,6 +227,14 @@ RunResult::decisionDigest() const
     }
     words.push_back(iterations);
     words.push_back(end == EndReason::OutOfMemory);
+    if (offload != DiskOffloadStats{}) {
+        words.push_back(offload.offloadCollections);
+        words.push_back(offload.objectsOffloaded);
+        words.push_back(offload.bytesOffloaded);
+        words.push_back(offload.objectsRetrieved);
+        words.push_back(offload.recordsCollected);
+        words.push_back(offload.diskExhausted);
+    }
     return fnv1a(words.data(), words.size() * sizeof(words[0]));
 }
 

@@ -134,8 +134,10 @@ struct RunResult {
 
     /**
      * FNV-1a over every prune event's (epoch, edge type, refs
-     * poisoned) and the outcome (iterations, out of memory or not).
-     * Equal digests mean the runs made the same pruning decisions.
+     * poisoned), the outcome (iterations, out of memory or not) and,
+     * under the disk-offload baseline, its offload, fault-in and disk
+     * GC totals. Equal digests mean the runs made the same pruning or
+     * offloading decisions.
      */
     std::uint64_t decisionDigest() const;
 

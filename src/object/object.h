@@ -5,7 +5,8 @@
  * Every object starts with a two-word header:
  *
  *  word 0 (status): class id (20 bits) | stale counter (3 bits) |
- *                   finalizer-enqueued bit | pinned bit
+ *                   finalizer-enqueued bit | pinned bit |
+ *                   tick stamp (ticked bit, parity bit)
  *  word 1 (size):   total object size in bytes, header included
  *
  * The three-bit stale counter is the paper's logarithmic staleness
@@ -16,6 +17,15 @@
  * (tickStaleCounter) as it visits each marked object. The pinned bit
  * models memory the pruner must never reclaim through (e.g. thread
  * stacks in the Mckoi leak, Section 6).
+ *
+ * The tick stamp records that the visit of collection number e raised
+ * the counter: the ticked bit, plus e's parity. Pruning decisions read
+ * the counter as it stood when the collection began
+ * (staleCounterAtStart), so they do not depend on whether the target
+ * has been visited yet. Every live object is visited once per
+ * collection, and each visit rewrites the stamp, so a stamp never
+ * outlives the collection after the one that set it and no clearing
+ * pass is needed.
  *
  * Who writes the status word: mutators change only the stale counter
  * (the read barrier's cold path) and the pinned bit, with atomic
@@ -54,6 +64,8 @@ constexpr unsigned kStaleLo = 20;
 constexpr unsigned kStaleWidth = 3;
 constexpr unsigned kFinalizerEnqueuedBit = 23;
 constexpr unsigned kPinnedBit = 24;
+constexpr unsigned kTickedBit = 25;
+constexpr unsigned kTickParityBit = 26;
 } // namespace header_bits
 
 /** Maximum value the 3-bit logarithmic stale counter can hold. */
@@ -112,6 +124,26 @@ class Object
     }
 
     /**
+     * The stale counter as it stood when collection @p epoch began:
+     * the current value, less the tick that collection's visit made,
+     * if it has visited this object yet. Pruning decisions read this,
+     * so the order in which the collector visits objects cannot change
+     * them.
+     */
+    unsigned
+    staleCounterAtStart(std::uint64_t epoch) const
+    {
+        return staleCounter() - tickedIn(epoch);
+    }
+
+    /** The visit of collection @p epoch raised the counter. */
+    bool
+    tickedIn(std::uint64_t epoch) const
+    {
+        return (statusRelaxed() & kTickStampMask) == tickStamp(epoch);
+    }
+
+    /**
      * Set the stale counter with a CAS loop so concurrent updates of
      * other header bits (finalizer, pinned) are not lost — the paper's
      * barrier performs the same atomic header update (Section 4.1).
@@ -136,25 +168,30 @@ class Object
     void clearStaleCounter() { setStaleCounter(0); }
 
     /**
-     * The collector's staleness tick for an object it marked: when
-     * the stale counter k is below @p tick_below, raise it to k+1.
+     * The visit of collection @p epoch to an object it marked: when the
+     * stale counter k is below @p tick_below, raise it to k+1 and stamp
+     * the tick with @p epoch's parity; otherwise clear the stamp (a
+     * stamp found here is the previous collection's).
      *
      * Collector only, world stopped: a relaxed load and, only when the
-     * counter moves, a relaxed store, exact because no other thread
+     * word changes, a relaxed store, exact because no other thread
      * writes the header during the pause (file comment). @p tick_below
      * is at most kMaxStaleCounter; 0 leaves the counter alone.
      */
     void
-    tickStaleCounter(unsigned tick_below)
+    tickStaleCounter(unsigned tick_below, std::uint64_t epoch)
     {
         std::atomic_ref<word_t> st(status_);
         const word_t old = st.load(std::memory_order_relaxed);
         const auto k = static_cast<unsigned>(
             bitField(old, header_bits::kStaleLo, header_bits::kStaleWidth));
+        word_t next = old & ~kTickStampMask;
         if (k < tick_below)
-            st.store(setBitField(old, header_bits::kStaleLo,
-                                 header_bits::kStaleWidth, k + 1),
-                     std::memory_order_relaxed);
+            next = setBitField(next, header_bits::kStaleLo,
+                               header_bits::kStaleWidth, k + 1) |
+                   tickStamp(epoch);
+        if (next != old)
+            st.store(next, std::memory_order_relaxed);
     }
 
     bool finalizerEnqueued() const { return testBit(header_bits::kFinalizerEnqueuedBit); }
@@ -274,6 +311,18 @@ class Object
     }
 
   private:
+    static constexpr word_t kTickStampMask =
+        (word_t{1} << header_bits::kTickedBit) |
+        (word_t{1} << header_bits::kTickParityBit);
+
+    //! The stamp a tick in collection @p epoch leaves.
+    static constexpr word_t
+    tickStamp(std::uint64_t epoch)
+    {
+        return (word_t{1} << header_bits::kTickedBit) |
+               (static_cast<word_t>(epoch & 1) << header_bits::kTickParityBit);
+    }
+
     word_t statusRelaxed() const
     {
         return std::atomic_ref<const word_t>(status_).load(std::memory_order_relaxed);

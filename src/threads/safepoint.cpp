@@ -113,7 +113,7 @@ ThreadRegistry::myBarrierStatsSlow()
 }
 
 void
-ThreadRegistry::forEachAllocationRoot(const std::function<void(ref_t *)> &fn)
+ThreadRegistry::forEachAllocationRoot(FunctionRef<void(ref_t *)> fn)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     for (auto &[id, state] : threads_)

@@ -32,13 +32,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
 #include "heap/thread_cache.h"
 #include "object/ref.h"
+#include "util/function_ref.h"
 
 namespace lp {
 
@@ -183,7 +183,7 @@ class ThreadRegistry
     }
 
     /** Visit every thread's last-allocation root slot (collector). */
-    void forEachAllocationRoot(const std::function<void(ref_t *)> &fn);
+    void forEachAllocationRoot(FunctionRef<void(ref_t *)> fn);
 
     /**
      * Retire every live entry's chunk leases and flush its allocation

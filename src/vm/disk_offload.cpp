@@ -54,8 +54,10 @@ DiskOffload::classifyEdge(Object *src, const ClassInfo &src_cls, ref_t *slot,
     // sufficiently stale target is a move candidate. Unlike pruning,
     // mispredictions are recoverable, so no maxStaleUse protection is
     // needed — which is exactly why this predictor is too imprecise
-    // for pruning (Section 6.1).
-    if (!tgt->pinned() && tgt->staleCounter() >= config_.staleThreshold &&
+    // for pruning (Section 6.1). Like pruning, it reads the counter as
+    // it stood when the collection began.
+    if (!tgt->pinned() &&
+        tgt->staleCounterAtStart(epoch_) >= config_.staleThreshold &&
         !stats_.diskExhausted) {
         candidate_slots_.push_back(slot);
         return EdgeAction::Defer;

@@ -71,6 +71,8 @@ struct DiskOffloadStats {
     std::uint64_t recordsCollected = 0; //!< disk records freed by disk GC
     std::size_t diskLiveBytes = 0;      //!< current backing-store usage
     bool diskExhausted = false;
+
+    bool operator==(const DiskOffloadStats &) const = default;
 };
 
 class DiskOffload : public CollectionPlugin

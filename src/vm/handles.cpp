@@ -59,7 +59,7 @@ RootTable::unregisterGlobal(GlobalRoot *root)
 }
 
 void
-RootTable::forEachRoot(const std::function<void(ref_t *)> &fn)
+RootTable::forEachRoot(FunctionRef<void(ref_t *)> fn)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     for (HandleScope *scope : scopes_)

@@ -18,11 +18,11 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <unordered_set>
 
 #include "object/ref.h"
+#include "util/function_ref.h"
 #include "util/logging.h"
 
 namespace lp {
@@ -88,7 +88,7 @@ class HandleScope
 
     /** Visit every slot (collector use). */
     void
-    forEachSlot(const std::function<void(ref_t *)> &fn)
+    forEachSlot(FunctionRef<void(ref_t *)> fn)
     {
         for (ref_t &slot : slots_)
             fn(&slot);
@@ -134,7 +134,7 @@ class RootTable
     void unregisterGlobal(GlobalRoot *root);
 
     /** Enumerate every root slot. Runs with the world stopped. */
-    void forEachRoot(const std::function<void(ref_t *)> &fn);
+    void forEachRoot(FunctionRef<void(ref_t *)> fn);
 
     std::size_t scopeCount() const;
     std::size_t globalCount() const;

@@ -103,7 +103,7 @@ Runtime::~Runtime()
 }
 
 void
-Runtime::forEachRoot(const std::function<void(ref_t *)> &fn)
+Runtime::forEachRoot(FunctionRef<void(ref_t *)> fn)
 {
     roots_.forEachRoot(fn);
     // Each mutator's most recent allocation is a root until published.

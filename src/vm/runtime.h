@@ -350,7 +350,7 @@ class Runtime : public RootProvider
 
   private:
     // RootProvider
-    void forEachRoot(const std::function<void(ref_t *)> &fn) override;
+    void forEachRoot(FunctionRef<void(ref_t *)> fn) override;
 
     /** Allocation quantum between staleness-clock ticks. */
     static constexpr std::size_t kClockQuantumBytes = 64 * 1024;

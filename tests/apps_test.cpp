@@ -141,17 +141,16 @@ TEST_F(AppsTest, EclipseDiffPrunesCompareInputStructures)
 
 TEST_F(AppsTest, EclipseCpPruneLogIsPinned)
 {
-    // The stale closure charges a shared subgraph to whichever
-    // candidate reaches it first, so the in-use closure's visit order
-    // decides which edge type is selected. These figures pin that
-    // order: a plain LIFO mark stack makes 81 prune GCs and poisons
-    // 2385 references here instead.
+    // The two leaking lists alternate as the selected edge type. Every
+    // decision reads stale counters as they stood when its collection
+    // began and the stale closure charges shared subgraphs in edge-type
+    // order, so any trace order gives these figures.
     const RunResult r = runWorkloadByName("EclipseCP", DriverConfig{});
     EXPECT_EQ(r.end, EndReason::PrunedAccess);
     EXPECT_EQ(r.iterations, 1201u);
-    EXPECT_EQ(r.pruning.pruneCollections, 83u);
-    EXPECT_EQ(r.pruning.refsPoisoned, 2384u);
-    ASSERT_EQ(r.pruneLog.size(), 83u);
+    EXPECT_EQ(r.pruning.pruneCollections, 81u);
+    EXPECT_EQ(r.pruning.refsPoisoned, 2385u);
+    ASSERT_EQ(r.pruneLog.size(), 81u);
 
     const std::string events = "org.eclipse.jface.text.DocumentEventLog.ListNode"
                                " -> org.eclipse.jface.text.DocumentEvent";
@@ -164,8 +163,8 @@ TEST_F(AppsTest, EclipseCpPruneLogIsPinned)
         std::uint64_t refs;
     };
     const Decision first[] = {
-        {14, events, 22}, {21, undo, 35}, {31, events, 29},
-        {40, undo, 30},   {49, events, 30},
+        {14, undo, 22},   {21, events, 34}, {31, undo, 30},
+        {40, events, 30}, {49, undo, 30},
     };
     for (std::size_t i = 0; i < std::size(first); ++i) {
         const PruneEvent &ev = r.pruneLog[i];

@@ -2,17 +2,21 @@
  * @file
  * Tests for GC internals: the TracePolicy seam (hooks fire exactly
  * when the policy asks), the stale closure leak pruning runs in its
- * SELECT state, and an oracle that checks both closures against a
- * plain recursive walk of a seeded random graph.
+ * SELECT state, an oracle that checks both closures against a plain
+ * recursive walk of a seeded random graph, and a check that leak
+ * pruning decides the same on that graph whatever order the roots are
+ * traced in.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <random>
 #include <set>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -160,37 +164,52 @@ slotTagged(Runtime &rt, Object *obj, std::size_t i)
     return refHasStaleCheck(*obj->refSlotAddr(rt.classes().info(obj->classId()), i));
 }
 
-TEST(StaleClosureTest, SharedSubgraphIsChargedToTheFirstCandidateOnly)
+/**
+ * Holders h1 (class Holder1) and h2 (class Holder2) both point at one
+ * stale target t (counter 2, a SELECT candidate), and the rooted holder
+ * points at the other: h1 -> {t, h2} when @p holder2_first is false,
+ * else h2 -> {t, h1}, so the trace defers the rooted holder's edge
+ * first. t's subgraph is the diamond t -> {u, v}, u -> v. Whichever
+ * edge the trace defers first, the stale closure runs the candidates in
+ * edge-type order, so (Holder1, Stale), the smaller pair, is charged
+ * the whole subgraph and the other candidate finds t marked.
+ */
+void
+expectSharedSubgraphChargedInEdgeTypeOrder(bool holder2_first)
 {
     RuntimeConfig cfg;
     cfg.heapBytes = 8u << 20;
     cfg.gcTriggerFraction = 0;
     Runtime rt(cfg);
     const class_id_t holder1 = rt.defineClass("sc.Holder1", 2, 0);
-    const class_id_t holder2 = rt.defineClass("sc.Holder2", 1, 0);
+    const class_id_t holder2 = rt.defineClass("sc.Holder2", 2, 0);
     const class_id_t stale = rt.defineClass("sc.Stale", 2, 0);
     const class_id_t node = rt.defineClass("sc.Node", 1, 0);
 
-    // Rooted h1 -> {t, h2} and h2 -> t: two edges of different types
-    // to one stale target t (counter 2, a SELECT candidate), in that
-    // trace order. t's subgraph is the diamond t -> {u, v}, u -> v.
     GlobalRoot root(rt.roots());
     Object *h1, *h2, *t, *u, *v;
     {
-        // h1 last: a mutator's latest allocation is itself a root.
+        // The rooted holder last: a mutator's latest allocation is
+        // itself a root.
         HandleScope scope(rt.roots());
         v = scope.handle(rt.allocate(node)).get();
         u = scope.handle(rt.allocate(node)).get();
         t = scope.handle(rt.allocate(stale)).get();
-        h2 = scope.handle(rt.allocate(holder2)).get();
-        h1 = scope.handle(rt.allocate(holder1)).get();
-        rt.writeRef(h1, 0, t);
-        rt.writeRef(h1, 1, h2);
-        rt.writeRef(h2, 0, t);
+        Object *inner = scope.handle(rt.allocate(holder2_first ? holder1
+                                                               : holder2))
+                            .get();
+        Object *outer = scope.handle(rt.allocate(holder2_first ? holder2
+                                                               : holder1))
+                            .get();
+        h1 = holder2_first ? inner : outer;
+        h2 = holder2_first ? outer : inner;
+        rt.writeRef(outer, 0, t);
+        rt.writeRef(outer, 1, inner);
+        rt.writeRef(inner, 0, t);
         rt.writeRef(t, 0, u);
         rt.writeRef(t, 1, v);
         rt.writeRef(u, 0, v);
-        root.set(h1);
+        root.set(outer);
     }
     t->setStaleCounter(2);
     const std::uint64_t subgraph_bytes =
@@ -200,8 +219,9 @@ TEST(StaleClosureTest, SharedSubgraphIsChargedToTheFirstCandidateOnly)
     pruning.forceState(PruningState::Select);
     const CollectionOutcome outcome = rt.collectNow(); // epoch 1
 
-    // Both edges were deferred; the first candidate's closure claimed
-    // the whole subgraph, so the second found t marked and charged 0.
+    // Both edges were deferred; the (Holder1, Stale) candidate's
+    // closure claimed the whole subgraph, so the other found t marked
+    // and charged 0.
     EXPECT_EQ(pruning.stats().candidatesQueued, 2u);
     EXPECT_EQ(pruning.stats().staleBytesSized, subgraph_bytes);
     ASSERT_TRUE(pruning.selectedEdge().has_value());
@@ -209,8 +229,8 @@ TEST(StaleClosureTest, SharedSubgraphIsChargedToTheFirstCandidateOnly)
     EXPECT_EQ(pruning.selectedEdge()->bytesUsed, subgraph_bytes);
 
     // Every reference the closures traced or deferred carries the tag.
-    EXPECT_TRUE(slotTagged(rt, h1, 0) && slotTagged(rt, h1, 1));
-    EXPECT_TRUE(slotTagged(rt, h2, 0));
+    EXPECT_TRUE(slotTagged(rt, h1, 0) && slotTagged(rt, h2, 0));
+    EXPECT_TRUE(slotTagged(rt, holder2_first ? h2 : h1, 1));
     EXPECT_TRUE(slotTagged(rt, t, 0) && slotTagged(rt, t, 1));
     EXPECT_TRUE(slotTagged(rt, u, 0));
 
@@ -227,11 +247,23 @@ TEST(StaleClosureTest, SharedSubgraphIsChargedToTheFirstCandidateOnly)
     EXPECT_EQ(rt.gcStats().objectsMarkedTotal, 5u);
 }
 
+TEST(StaleClosureTest, SharedSubgraphIsChargedToTheFirstCandidateOnly)
+{
+    expectSharedSubgraphChargedInEdgeTypeOrder(/*holder2_first=*/false);
+}
+
+// The same graph with the holders swapped: the trace now defers the
+// (Holder2, Stale) edge first, and (Holder1, Stale) still wins.
+TEST(StaleClosureTest, SharedSubgraphChargeIgnoresTraceOrder)
+{
+    expectSharedSubgraphChargedInEdgeTypeOrder(/*holder2_first=*/true);
+}
+
 // --- Closure-equivalence oracle -------------------------------------------------
 //
 // A seeded random graph with cycles, shared subgraphs, null and
-// poisoned slots, byte arrays, a RefArray longer than one gray batch
-// and a large (LOS) object. Each case predicts what a collection must
+// poisoned slots, byte arrays, a 300-slot RefArray and a large (LOS)
+// object. Each case predicts what a collection must
 // leave behind with a plain recursive walk over the same root set, and
 // compares: the side marks before the flip, the in-use set after it,
 // every stale counter, every slot word (dead objects' included: the
@@ -249,7 +281,7 @@ class OraclePlugin : public CollectionPlugin
     std::vector<Object *> candidates;     //!< deferred targets, in order
     std::vector<std::uint64_t> bytes;     //!< traceSubgraph's result each
     std::multiset<ref_t> invalid;
-    std::size_t retained = 0; //!< batches the tracer kept after them
+    std::size_t retained = 0; //!< gray capacity the tracer kept after them
     //! Objects whose side marks are read once the closures are done,
     //! before the flip clears them, and the ones found marked.
     const std::vector<Object *> *watched = nullptr;
@@ -278,7 +310,7 @@ class OraclePlugin : public CollectionPlugin
         for (Object *c : candidates)
             bytes.push_back(tracer.traceSubgraph(c, this, stale, closure));
         tracer.addClosureStats(closure);
-        retained = tracer.retainedChunks();
+        retained = tracer.grayCapacity();
         if (watched) {
             for (Object *obj : *watched) {
                 if (heap->isMarked(obj))
@@ -313,7 +345,11 @@ struct OracleGraph {
         const auto below = [&](std::size_t n) {
             return static_cast<std::size_t>(rng() % n);
         };
-        const class_id_t node = rt->defineClass("eq.Node", 3, 8);
+        // Four node classes of one layout, so edges come in several
+        // types.
+        const class_id_t nodes[] = {
+            rt->defineClass("eq.NodeA", 3, 8), rt->defineClass("eq.NodeB", 3, 8),
+            rt->defineClass("eq.NodeC", 3, 8), rt->defineClass("eq.NodeD", 3, 8)};
         const class_id_t bytes = rt->defineByteArrayClass("eq.Bytes");
         const class_id_t array = rt->defineRefArrayClass("eq.Node[]");
 
@@ -325,12 +361,12 @@ struct OracleGraph {
             objects.push_back(obj);
         };
         for (std::size_t i = 0; i < kNodes; ++i)
-            hold(rt->allocate(node));
+            hold(rt->allocate(nodes[i % 4]));
         for (std::size_t i = 0; i < kByteArrays; ++i)
             hold(rt->allocateByteArray(bytes, 1 + below(400)));
         large = rt->allocateByteArray(bytes, 3 * Heap::kLargeThreshold);
         hold(large);
-        Object *wide = rt->allocateRefArray(array, 300); // > one batch
+        Object *wide = rt->allocateRefArray(array, 300);
         hold(wide);
 
         // Random edges: nulls, poisoned words and targets anywhere
@@ -534,11 +570,234 @@ TEST(ClosureOracleTest, EachStaleClosureClaimsWhatTheWalkDoes)
     }
 }
 
+// --- Trace-order invariance of pruning decisions --------------------------------
+//
+// The oracle graph under leak pruning, one SELECT then one PRUNE
+// collection, driven through Tracer::traceFromRoots with the roots
+// enumerated forward, reversed and in three seeded shuffles. Every
+// order must make the same decisions. Stale counters are seeded so
+// that many targets sit one tick below a threshold that a collection at
+// epoch 64 ticks them across (the candidate margin 2 and the most-stale
+// level 7), and the pair runs at epochs 64 and 65, then 63 and 64: a
+// decision that read a counter after its target's visit would differ
+// between orders.
+
+/** The runtime's root slots, enumerated in an order the test picks. */
+class OrderedRoots : public RootProvider
+{
+  public:
+    std::vector<ref_t *> slots;
+
+    void
+    forEachRoot(FunctionRef<void(ref_t *)> fn) override
+    {
+        for (ref_t *slot : slots)
+            fn(slot);
+    }
+};
+
+/** Forwards every hook to leak pruning and records its edge decisions. */
+class RecordingPlugin : public CollectionPlugin
+{
+  public:
+    using SlotId = std::pair<std::size_t, std::ptrdiff_t>; //!< object, word
+
+    RecordingPlugin(LeakPruning &inner,
+                    const std::unordered_map<Object *, std::size_t> &index)
+        : inner_(inner), index_(index)
+    {}
+
+    std::vector<std::pair<SlotId, std::size_t>> deferred; //!< slot, target
+    std::vector<SlotId> poisoned;
+    //! Bytes charged per edge type before selection resets them.
+    std::map<std::pair<class_id_t, class_id_t>, std::uint64_t> charges;
+
+    void beginCollection(std::uint64_t epoch) override { inner_.beginCollection(epoch); }
+    TracePolicy tracePolicy() const override { return inner_.tracePolicy(); }
+    void objectMarked(Object *obj) override { inner_.objectMarked(obj); }
+
+    EdgeAction
+    classifyEdge(Object *src, const ClassInfo &src_cls, ref_t *slot,
+                 Object *tgt) override
+    {
+        const EdgeAction action = inner_.classifyEdge(src, src_cls, slot, tgt);
+        const SlotId id{index_.at(src), slot - reinterpret_cast<ref_t *>(src)};
+        if (action == EdgeAction::Defer)
+            deferred.emplace_back(id, index_.at(tgt));
+        else if (action == EdgeAction::Poison)
+            poisoned.push_back(id);
+        return action;
+    }
+
+    void
+    afterInUseClosure(Tracer &tracer) override
+    {
+        inner_.edgeTable().forEach([&](const EdgeEntrySnapshot &e) {
+            if (e.bytesUsed > 0)
+                charges[{e.type.srcClass, e.type.tgtClass}] = e.bytesUsed;
+        });
+        inner_.afterInUseClosure(tracer);
+    }
+
+    void endCollection(const CollectionOutcome &outcome) override { inner_.endCollection(outcome); }
+
+  private:
+    LeakPruning &inner_;
+    const std::unordered_map<Object *, std::size_t> &index_;
+};
+
+/** Everything one root order decided, by object index. */
+struct Decisions {
+    std::vector<std::pair<RecordingPlugin::SlotId, std::size_t>> candidates;
+    std::map<std::pair<class_id_t, class_id_t>, std::uint64_t> charges;
+    //! Selected (src class, tgt class, maxStaleUse, bytes), if any.
+    std::vector<std::tuple<class_id_t, class_id_t, unsigned, std::uint64_t>> selected;
+    std::uint64_t candidatesQueued = 0;
+    std::uint64_t staleBytesSized = 0;
+    std::vector<RecordingPlugin::SlotId> poisoned;
+    //! Surviving objects and their stale counters after PRUNE.
+    std::vector<std::pair<std::size_t, unsigned>> survivors;
+};
+
+/** Field by field, so a failure names what differs. */
+void
+expectSameDecisions(const Decisions &got, const Decisions &want)
+{
+    EXPECT_TRUE(got.candidates == want.candidates)
+        << "candidates: " << got.candidates.size() << " vs "
+        << want.candidates.size();
+    EXPECT_EQ(got.charges, want.charges);
+    EXPECT_EQ(got.selected, want.selected);
+    EXPECT_EQ(got.candidatesQueued, want.candidatesQueued);
+    EXPECT_EQ(got.staleBytesSized, want.staleBytesSized);
+    EXPECT_TRUE(got.poisoned == want.poisoned)
+        << "poisoned slots: " << got.poisoned.size() << " vs "
+        << want.poisoned.size();
+    EXPECT_TRUE(got.survivors == want.survivors)
+        << "survivors: " << got.survivors.size() << " vs "
+        << want.survivors.size();
+}
+
+/** Root order @p order (0 forward, 1 reversed, else a seeded shuffle). */
+Decisions
+decideInRootOrder(unsigned seed, Predictor predictor, std::uint64_t select_epoch,
+                  unsigned order)
+{
+    OracleGraph g(seed, 4u << 20);
+    std::mt19937 rng(seed * 7919 + 1);
+    for (int i = 0; i < 13; ++i)
+        g.roots.push_back(std::make_unique<GlobalRoot>(
+            g.rt->roots(), g.objects[rng() % 400]));
+    // Reclaim the garbage and retire the allocation cache, so the
+    // test's own flips below find no chunk on lease; this collection
+    // has no plugin and ticks nothing.
+    g.rt->collectNow();
+    std::unordered_map<Object *, std::size_t> index;
+    std::unordered_set<Object *> live;
+    g.rt->heap().forEachObject([&](Object *obj) { live.insert(obj); });
+    for (std::size_t i = 0; i < g.objects.size(); ++i) {
+        Object *obj = g.objects[i];
+        if (!live.count(obj))
+            continue;
+        index.emplace(obj, i);
+        // One in three at 1 or 6, one tick below the candidate margin
+        // (2) and the most-stale level (7); the rest anywhere.
+        const unsigned roll = static_cast<unsigned>(rng() % 12);
+        obj->setStaleCounter(roll < 2 ? 1 : roll < 4 ? 6 : roll % 8);
+    }
+
+    OrderedRoots roots;
+    static_cast<RootProvider &>(*g.rt).forEachRoot(
+        [&](ref_t *slot) { roots.slots.push_back(slot); });
+    if (order == 1) {
+        std::reverse(roots.slots.begin(), roots.slots.end());
+    } else if (order > 1) {
+        std::mt19937 shuffle(seed * 31 + order);
+        std::shuffle(roots.slots.begin(), roots.slots.end(), shuffle);
+    }
+
+    LeakPruningConfig cfg;
+    cfg.predictor = predictor;
+    LeakPruning pruning(g.rt->classes(), cfg);
+    // Uses that protect two edge types (maxStaleUse 3 and 2).
+    pruning.forceState(PruningState::Observe);
+    const class_id_t a = g.objects[0]->classId(), b = g.objects[1]->classId();
+    pruning.onReferenceUsed(a, b, 3);
+    pruning.onReferenceUsed(b, a, 2);
+    RecordingPlugin plugin(pruning, index);
+    Tracer tracer(g.rt->heap(), g.rt->classes());
+    const auto collect = [&](PruningState state, std::uint64_t epoch) {
+        pruning.forceState(state);
+        plugin.beginCollection(epoch);
+        tracer.traceFromRoots(roots, &plugin);
+        plugin.afterInUseClosure(tracer);
+        tracer.takeExtraStats();
+        const Heap::FlipResult flip = g.rt->heap().flipMarkEpoch();
+        CollectionOutcome outcome;
+        outcome.epoch = epoch;
+        outcome.liveBytes = flip.liveBytes;
+        outcome.committedBytes = flip.committedBytes;
+        outcome.capacityBytes = g.rt->heap().capacity();
+        plugin.endCollection(outcome);
+    };
+
+    Decisions d;
+    collect(PruningState::Select, select_epoch);
+    d.candidates = plugin.deferred;
+    std::sort(d.candidates.begin(), d.candidates.end());
+    d.charges = plugin.charges;
+    if (const auto &sel = pruning.selectedEdge())
+        d.selected.emplace_back(sel->type.srcClass, sel->type.tgtClass,
+                                sel->maxStaleUse, sel->bytesUsed);
+    d.candidatesQueued = pruning.stats().candidatesQueued;
+    d.staleBytesSized = pruning.stats().staleBytesSized;
+
+    collect(PruningState::Prune, select_epoch + 1);
+    d.poisoned = plugin.poisoned;
+    std::sort(d.poisoned.begin(), d.poisoned.end());
+    g.rt->heap().forEachObject([&](Object *obj) {
+        d.survivors.emplace_back(index.at(obj), obj->staleCounter());
+    });
+    std::sort(d.survivors.begin(), d.survivors.end());
+    return d;
+}
+
+TEST(ClosureOracleTest, PruningDecisionsIgnoreRootOrder)
+{
+    std::size_t candidates = 0, poisoned = 0;
+    for (unsigned seed = 1; seed <= 2; ++seed) {
+        // SELECT at 64 ticks counters below 7; PRUNE at 64 likewise.
+        for (std::uint64_t select_epoch : {64u, 63u}) {
+            for (Predictor predictor :
+                 {Predictor::Default, Predictor::IndividualRefs,
+                  Predictor::MostStale}) {
+                SCOPED_TRACE(testing::Message()
+                             << "seed " << seed << ", SELECT at "
+                             << select_epoch << ", predictor "
+                             << static_cast<int>(predictor));
+                const Decisions forward =
+                    decideInRootOrder(seed, predictor, select_epoch, 0);
+                candidates += forward.candidates.size();
+                poisoned += forward.poisoned.size();
+                for (unsigned order = 1; order < 5; ++order) {
+                    SCOPED_TRACE(testing::Message() << "root order " << order);
+                    expectSameDecisions(
+                        decideInRootOrder(seed, predictor, select_epoch, order),
+                        forward);
+                }
+            }
+        }
+    }
+    EXPECT_GT(candidates, 0u);
+    EXPECT_GT(poisoned, 0u);
+}
+
 // Every closure claims at discovery, so an edge to an object that is
 // already marked pushes nothing: a wide array of 32K edges into 256 live
 // objects leaves the gray stack bounded by the objects marked, a few
-// batches, not by the edges (which would take 128 batches).
-TEST(StaleClosureTest, WideArrayOfLiveTargetsKeepsFewBatches)
+// hundred entries, not by the edges (32K entries, which the tracer
+// would trim back to kRetainedGrayCapacity when the closure ends).
+TEST(StaleClosureTest, WideArrayOfLiveTargetsKeepsASmallGrayStack)
 {
     RuntimeConfig cfg;
     cfg.heapBytes = 8u << 20;
@@ -576,7 +835,8 @@ TEST(StaleClosureTest, WideArrayOfLiveTargetsKeepsFewBatches)
     ASSERT_EQ(plugin.candidates, std::vector<Object *>{wide_obj});
     EXPECT_EQ(plugin.bytes, std::vector<std::uint64_t>{wide_obj->sizeBytes()})
         << "only the array itself is claimed";
-    EXPECT_LE(plugin.retained, 4u);
+    EXPECT_LE(plugin.retained, 1024u);
+    static_assert(Tracer::kRetainedGrayCapacity > 1024);
 }
 
 } // namespace

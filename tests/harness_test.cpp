@@ -109,6 +109,23 @@ TEST_F(HarnessTest, UnknownWorkloadIsFatal)
                 ::testing::ExitedWithCode(1), "unknown workload");
 }
 
+TEST(DecisionDigestTest, CoversTheOffloadBaseline)
+{
+    RunResult a;
+    a.iterations = 3000;
+    const std::uint64_t no_offload = a.decisionDigest();
+    a.offload.offloadCollections = 4;
+    a.offload.objectsOffloaded = 100;
+    RunResult b = a;
+    b.offload.objectsOffloaded = 101;
+    EXPECT_NE(a.decisionDigest(), b.decisionDigest())
+        << "runs that offloaded different objects digest differently";
+    EXPECT_NE(a.decisionDigest(), no_offload);
+    a.offload = DiskOffloadStats{};
+    EXPECT_EQ(a.decisionDigest(), no_offload)
+        << "the formula for runs without offload is unchanged";
+}
+
 TEST(ReportTest, TextTableAlignsColumns)
 {
     TextTable table({"a", "long header", "c"});

@@ -177,6 +177,34 @@ TEST(HeapVerifierTest, DetectsStrayMarkBit)
     }
 }
 
+TEST(HeapVerifierTest, DetectsTickStampOfTheWrongParity)
+{
+    Runtime rt(logOnlyConfig());
+    const class_id_t node = rt.defineClass("Node", 2);
+
+    HandleScope scope(rt.roots());
+    Handle obj = scope.handle(rt.allocate(node));
+    rt.collectNow(); // collection 1
+    ASSERT_EQ(rt.gcStats().collections, 1u);
+    EXPECT_TRUE(rt.verifyHeap().clean());
+
+    // Collection 1's own stamp is legal between collections...
+    obj.get()->tickStaleCounter(kMaxStaleCounter, 1);
+    EXPECT_TRUE(rt.verifyHeap().clean());
+    // ...but collection 2's is not: collection 2 would misread it as
+    // its own tick and decide on a counter one too low.
+    obj.get()->tickStaleCounter(kMaxStaleCounter, 2);
+    {
+        QuietScope quiet;
+        const VerifierReport report = rt.verifyHeap();
+        EXPECT_FALSE(report.clean());
+        EXPECT_EQ(report.count(InvariantCheck::ObjectShape), 1u);
+    }
+    // The next collection visits the object and rewrites the stamp.
+    rt.collectNow();
+    EXPECT_TRUE(rt.verifyHeap().clean());
+}
+
 TEST(HeapVerifierTest, DetectsInUseBitPastTheLastBlock)
 {
     Runtime rt(logOnlyConfig());

@@ -64,7 +64,7 @@ TEST(ObjectTest, HeaderFieldsIndependent)
 
     obj->setPinned(true);
     EXPECT_TRUE(obj->pinned());
-    obj->tickStaleCounter(kMaxStaleCounter);
+    obj->tickStaleCounter(kMaxStaleCounter, 1);
     EXPECT_EQ(obj->staleCounter(), 6u);
     EXPECT_TRUE(obj->pinned());
     EXPECT_TRUE(obj->tryEnqueueFinalizer());
@@ -92,18 +92,49 @@ TEST(ObjectTest, StaleTickRaisesOnlyCountersBelowTheLimit)
     Object *obj = Object::format(backing, 9, 64);
     obj->setStaleCounter(2);
 
-    obj->tickStaleCounter(3);
+    obj->tickStaleCounter(3, 1);
     EXPECT_EQ(obj->staleCounter(), 3u) << "2 < 3: tick";
-    obj->tickStaleCounter(3);
+    obj->tickStaleCounter(3, 2);
     EXPECT_EQ(obj->staleCounter(), 3u) << "3 is not below 3: no tick";
-    obj->tickStaleCounter(0);
+    obj->tickStaleCounter(0, 3);
     EXPECT_EQ(obj->staleCounter(), 3u) << "limit 0: never ticks";
 
     obj->setStaleCounter(kMaxStaleCounter);
-    obj->tickStaleCounter(kMaxStaleCounter);
+    obj->tickStaleCounter(kMaxStaleCounter, 4);
     EXPECT_EQ(obj->staleCounter(), kMaxStaleCounter) << "saturates";
     EXPECT_EQ(obj->classId(), 9u);
     EXPECT_EQ(obj->sizeBytes(), 64u);
+}
+
+TEST(ObjectTest, StaleCounterAtStartIgnoresOnlyThisCollectionsTick)
+{
+    alignas(8) unsigned char backing[64] = {};
+    Object *obj = Object::format(backing, 9, 64);
+    obj->setStaleCounter(1);
+    obj->setPinned(true);
+
+    // Collection 6 ticks 1 -> 2; until it ends, decisions read 1.
+    EXPECT_EQ(obj->staleCounterAtStart(6), 1u) << "not visited yet";
+    obj->tickStaleCounter(2, 6);
+    EXPECT_EQ(obj->staleCounter(), 2u);
+    EXPECT_EQ(obj->staleCounterAtStart(6), 1u) << "visited: its tick undone";
+    EXPECT_TRUE(obj->tickedIn(6));
+
+    // Collection 7 has the other parity: 6's stamp is not its tick,
+    // and the visit, which does not tick, clears the stamp.
+    EXPECT_EQ(obj->staleCounterAtStart(7), 2u);
+    obj->tickStaleCounter(1, 7);
+    EXPECT_EQ(obj->staleCounter(), 2u);
+    EXPECT_FALSE(obj->tickedIn(6) || obj->tickedIn(7));
+    EXPECT_EQ(obj->staleCounterAtStart(8), 2u) << "no stamp left for 8";
+
+    // A barrier reset between collections leaves a stamp the next
+    // collection ignores.
+    obj->tickStaleCounter(3, 8);
+    obj->clearStaleCounter();
+    EXPECT_EQ(obj->staleCounterAtStart(9), 0u);
+    EXPECT_TRUE(obj->pinned());
+    EXPECT_EQ(obj->classId(), 9u);
 }
 
 TEST(ObjectTest, MutatorHeaderWritesAreNotLost)

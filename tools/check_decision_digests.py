@@ -4,9 +4,9 @@
 `run_leak` prints `decision digest: <hex>`, an FNV-1a hash of every
 prune event's (epoch, edge type, refs poisoned) and of the run's
 outcome (iterations survived, out of memory or not). This script runs
-every leaking workload that `run_leak --list` reports, with the
-default predictor, one mutator and the iteration cap that DIGESTS names
-for it, and compares each digest against DIGESTS. A change that only
+every leaking workload that `run_leak --list` reports, with one
+mutator, the iteration cap that DIGESTS names for it and any extra
+options (`--extra`, e.g. another predictor), and compares each digest against DIGESTS. A change that only
 makes the collector faster must leave every digest as it is.
 
 DIGESTS holds one `WORKLOAD ITERS DIGEST` line per leaking workload;
@@ -14,8 +14,9 @@ DIGESTS holds one `WORKLOAD ITERS DIGEST` line per leaking workload;
 so a new workload must be given a cap and a digest.
 
 Usage:
-  check_decision_digests.py RUN_LEAK DIGESTS
-      compare (exit 0 all match, 1 mismatch, 2 usage/IO error)
+  check_decision_digests.py RUN_LEAK DIGESTS [--extra ARGS]
+      compare (exit 0 all match, 1 mismatch, 2 usage/IO error); pass
+      the --extra the file was written with
   check_decision_digests.py RUN_LEAK DIGESTS --write OUT [--extra ARGS]
       run with the caps from DIGESTS (plus run_leak options ARGS, e.g.
       "--predictor most-stale") and write the digests to OUT

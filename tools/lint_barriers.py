@@ -103,10 +103,10 @@ FAST_PATHS = [
     ("src/heap/thread_cache.cpp", "carve"),
     ("src/heap/heap.h", "tryMark"),
     ("src/object/object.h", "tickStaleCounter"),
+    ("src/object/object.h", "staleCounterAtStart"),
     ("src/gc/tracer.cpp", "onMarked"),
     ("src/gc/tracer.cpp", "shade"),
     ("src/gc/tracer.cpp", "scanObject"),
-    ("src/gc/tracer.cpp", "nextGray"),
     ("src/gc/tracer.cpp", "drain"),
     ("src/gc/tracer.cpp", "traceFromRoots"),
     ("src/gc/tracer.cpp", "traceSubgraph"),
