@@ -57,10 +57,6 @@ class ManagedHashMap
     void forEach(Object *map,
                  const std::function<void(std::uint64_t, Object *)> &fn);
 
-    class_id_t mapClass() const { return map_cls_; }
-    class_id_t entryClass() const { return entry_cls_; }
-    class_id_t tableClass() const { return table_cls_; }
-
     /** Rehashes performed (diagnostic: the MySQL "live" signal). */
     std::uint64_t rehashCount() const { return rehashes_; }
 

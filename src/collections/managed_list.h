@@ -69,9 +69,6 @@ class ManagedList
     /** Value at @p index (barrier reads; linear time). */
     Object *get(Object *list, std::size_t index);
 
-    class_id_t listClass() const { return list_cls_; }
-    class_id_t nodeClass() const { return node_cls_; }
-
   private:
     Runtime &rt_;
     class_id_t list_cls_;

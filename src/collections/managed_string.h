@@ -42,9 +42,6 @@ class StringFactory
     /** Length without touching the char[] (data field on String). */
     std::size_t length(Runtime &rt, Object *str) const;
 
-    class_id_t stringClass() const { return string_cls_; }
-    class_id_t charArrayClass() const { return chars_cls_; }
-
   private:
     Runtime &rt_;
     class_id_t string_cls_;

@@ -52,9 +52,6 @@ class ManagedVector
     /** Visit every element through the barrier. */
     void forEach(Object *vec, const std::function<void(Object *)> &fn);
 
-    class_id_t vectorClass() const { return vector_cls_; }
-    class_id_t storageClass() const { return storage_cls_; }
-
   private:
     Runtime &rt_;
     class_id_t vector_cls_;

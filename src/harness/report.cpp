@@ -19,12 +19,6 @@ TextTable::addRow(std::vector<std::string> cells)
 }
 
 void
-TextTable::addRule()
-{
-    rows_.emplace_back(); // sentinel
-}
-
-void
 TextTable::print(std::ostream &os) const
 {
     std::vector<std::size_t> widths(headers_.size());
@@ -54,12 +48,8 @@ TextTable::print(std::ostream &os) const
     rule();
     line(headers_);
     rule();
-    for (const auto &row : rows_) {
-        if (row.empty())
-            rule();
-        else
-            line(row);
-    }
+    for (const auto &row : rows_)
+        line(row);
     rule();
     os.flush();
 }

@@ -22,14 +22,11 @@ class TextTable
 
     void addRow(std::vector<std::string> cells);
 
-    /** Add a horizontal rule between row groups. */
-    void addRule();
-
     void print(std::ostream &os) const;
 
   private:
     std::vector<std::string> headers_;
-    std::vector<std::vector<std::string>> rows_; //!< empty row = rule
+    std::vector<std::vector<std::string>> rows_;
 };
 
 /** "12.3X" / ">12.3X" style ratio formatting. */

@@ -298,9 +298,6 @@ class Heap
                large_bytes_.load(std::memory_order_relaxed);
     }
 
-    /** Bytes not occupied by allocated blocks. */
-    std::size_t freeBytes() const { return capacity() - usedBytes(); }
-
     /** Occupied fraction of the arena in [0, 1]. */
     double
     fullness() const

@@ -35,6 +35,26 @@ addCounts(BarrierStats &into, const BarrierStats &from)
 
 } // namespace
 
+void
+HandleStack::enterBlock(std::size_t block)
+{
+    if (block == blocks_.size())
+        blocks_.push_back(std::make_unique_for_overwrite<ref_t[]>(kBlockSlots));
+    mark.top = blocks_[block].get();
+    mark.limit = mark.top + kBlockSlots;
+    mark.block = block;
+}
+
+void
+HandleStack::forEachSlot(FunctionRef<void(ref_t *)> fn)
+{
+    for (std::size_t b = 0; b <= mark.block; ++b) {
+        ref_t *end = b == mark.block ? mark.top : blocks_[b].get() + kBlockSlots;
+        for (ref_t *slot = blocks_[b].get(); slot != end; ++slot)
+            fn(slot);
+    }
+}
+
 ThreadRegistry::ThreadRegistry(Heap &heap)
     : heap_(heap),
       registry_id_(next_registry_id.fetch_add(1, std::memory_order_relaxed))
@@ -80,6 +100,8 @@ ThreadRegistry::unregisterMutator()
     // next pause, and its counts outlive the entry.
     LP_ASSERT(self.state == State::Running,
               "a mutator must leave its blocked region before unregistering");
+    LP_ASSERT(!self.handles.mark.scope,
+              "a mutator must close its handle scopes before unregistering");
     exited_trigger_bytes_ += self.cache.retireAll();
     addCounts(exited_barrier_, self.barrier);
     threads_.erase(it);
@@ -113,11 +135,13 @@ ThreadRegistry::myBarrierStatsSlow()
 }
 
 void
-ThreadRegistry::forEachAllocationRoot(FunctionRef<void(ref_t *)> fn)
+ThreadRegistry::forEachRoot(FunctionRef<void(ref_t *)> fn)
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    for (auto &[id, state] : threads_)
+    for (auto &[id, state] : threads_) {
         fn(&state->lastAllocation);
+        state->handles.forEachSlot(fn);
+    }
 }
 
 void

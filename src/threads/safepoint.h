@@ -19,8 +19,8 @@
  *
  * The registry entry (ThreadState) is the mutator's only per-thread
  * record, as an MMTk mutator context is in Jikes RVM: it holds the
- * thread's allocation cache (chunk leases), its last-allocation root
- * and its read-barrier counters. A thread finds it through one cached
+ * thread's allocation cache (chunk leases), its roots and its
+ * read-barrier counters. A thread finds it through one cached
  * thread_local pointer (current()), and the entry lives exactly as
  * long as the registration: unregistering retires the thread's leases
  * and folds its counts into the registry before the entry goes.
@@ -35,6 +35,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "heap/thread_cache.h"
 #include "object/ref.h"
@@ -71,6 +72,47 @@ countOwned(std::atomic<std::uint64_t> &counter)
 }
 
 /**
+ * A mutator's handle slots, in fixed-size blocks it keeps until it
+ * unregisters, so a slot never moves. A HandleScope (vm/handles.h)
+ * saves the Mark on entry and puts it back on exit.
+ */
+class HandleStack
+{
+  public:
+    static constexpr std::size_t kBlockSlots = 256;
+
+    /** Where the stack stands; a scope saves and restores it whole. */
+    struct Mark {
+        ref_t *top;        //!< next free slot
+        ref_t *limit;      //!< end of the current block
+        std::size_t block; //!< index of the current block
+        const void *scope; //!< innermost open scope, nullptr if none
+    };
+
+    HandleStack() { enterBlock(0); }
+
+    /** Take the next slot, holding @p ref. */
+    ref_t *
+    push(ref_t ref)
+    {
+        if (mark.top == mark.limit) [[unlikely]]
+            enterBlock(mark.block + 1);
+        *mark.top = ref;
+        return mark.top++;
+    }
+
+    /** Visit every slot in use, bottom to top (collector). */
+    void forEachSlot(FunctionRef<void(ref_t *)> fn);
+
+    Mark mark{};
+
+  private:
+    void enterBlock(std::size_t block);
+
+    std::vector<std::unique_ptr<ref_t[]>> blocks_;
+};
+
+/**
  * Registry of mutator threads plus the stop-the-world protocol.
  * One instance per Runtime.
  */
@@ -97,6 +139,8 @@ class ThreadRegistry
          * register/stack scanning a real VM does), closing the window.
          */
         ref_t lastAllocation = 0;
+        //! The thread's handle slots; scanned after lastAllocation.
+        HandleStack handles;
         //! Written on every reference load; on its own cache line so
         //! mutators never share one.
         alignas(64) BarrierStats barrier;
@@ -182,8 +226,8 @@ class ThreadRegistry
         return currentSlow();
     }
 
-    /** Visit every thread's last-allocation root slot (collector). */
-    void forEachAllocationRoot(FunctionRef<void(ref_t *)> fn);
+    /** Visit each thread's lastAllocation, then its handles (collector). */
+    void forEachRoot(FunctionRef<void(ref_t *)> fn);
 
     /**
      * Retire every live entry's chunk leases and flush its allocation

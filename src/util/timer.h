@@ -61,7 +61,6 @@ class Timer
     }
 
     double elapsedSeconds() const { return elapsedNanos() * 1e-9; }
-    double elapsedMillis() const { return elapsedNanos() * 1e-6; }
 
   private:
     std::uint64_t total_ns_ = 0;

@@ -315,12 +315,13 @@ DiskOffload::faultIn(Object *holder, ref_t *slot, ref_t observed)
     // Allocation may collect; the stub word stays in the slot and the
     // collector skips it, so the world is consistent throughout. The
     // lock is not held across allocation (GC-time offloading also
-    // takes it). The holder is rooted across it: that collection could
-    // otherwise find the caller's path to the holder stale and offload
-    // it, and the slot repaired below would be freed memory. Rooted,
-    // it is marked from the roots, and its scan keeps this stub's
-    // record live through the disk GC.
-    GlobalRoot keep_holder(rt_.roots(), holder);
+    // takes it). The holder is rooted across it by a handle: that
+    // collection could otherwise find the caller's path to the holder
+    // stale and offload it, and the slot repaired below would be freed
+    // memory. Rooted, it is marked from the roots, and its scan keeps
+    // this stub's record live through the disk GC.
+    HandleScope scope(rt_.roots());
+    scope.handle(holder);
     Object *obj = nullptr;
     switch (record.kind) {
       case ObjectKind::Scalar:

@@ -2,84 +2,29 @@
 
 namespace lp {
 
-HandleScope::HandleScope(RootTable &table) : table_(table)
-{
-    table_.registerScope(this);
-}
-
-HandleScope::~HandleScope()
-{
-    table_.unregisterScope(this);
-}
-
-Handle
-HandleScope::handle(Object *obj)
-{
-    slots_.push_back(makeRef(obj));
-    return Handle(&slots_.back());
-}
-
 GlobalRoot::GlobalRoot(RootTable &table, Object *obj)
     : table_(table), slot_(makeRef(obj))
 {
-    table_.registerGlobal(this);
+    std::lock_guard<std::mutex> lock(table_.mutex_);
+    prev_ = table_.last_;
+    (prev_ ? prev_->next_ : table_.first_) = this;
+    table_.last_ = this;
 }
 
 GlobalRoot::~GlobalRoot()
 {
-    table_.unregisterGlobal(this);
-}
-
-void
-RootTable::registerScope(HandleScope *scope)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    scopes_.insert(scope);
-}
-
-void
-RootTable::unregisterScope(HandleScope *scope)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    scopes_.erase(scope);
-}
-
-void
-RootTable::registerGlobal(GlobalRoot *root)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    globals_.insert(root);
-}
-
-void
-RootTable::unregisterGlobal(GlobalRoot *root)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    globals_.erase(root);
+    std::lock_guard<std::mutex> lock(table_.mutex_);
+    (prev_ ? prev_->next_ : table_.first_) = next_;
+    (next_ ? next_->prev_ : table_.last_) = prev_;
 }
 
 void
 RootTable::forEachRoot(FunctionRef<void(ref_t *)> fn)
 {
+    threads_.forEachRoot(fn);
     std::lock_guard<std::mutex> lock(mutex_);
-    for (HandleScope *scope : scopes_)
-        scope->forEachSlot(fn);
-    for (GlobalRoot *root : globals_)
-        fn(root->slot());
-}
-
-std::size_t
-RootTable::scopeCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return scopes_.size();
-}
-
-std::size_t
-RootTable::globalCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return globals_.size();
+    for (GlobalRoot *root = first_; root; root = root->next_)
+        fn(&root->slot_);
 }
 
 } // namespace lp

@@ -5,9 +5,12 @@
  *
  * Because any allocation can trigger a collection, application code
  * must never hold a bare Object* across an allocating call; it holds a
- * Handle inside a HandleScope instead. The collector enumerates every
- * live scope's slots plus all global roots as the program's roots —
- * the paper's "registers, stacks, and statics".
+ * Handle inside a HandleScope instead. A scope saves the top of its
+ * thread's handle stack (in the ThreadRegistry entry) on entry and
+ * restores it on exit, taking no lock. The collector enumerates each
+ * registered thread's last-allocation slot and handle stack, then the
+ * global roots in creation order — the paper's "registers, stacks,
+ * and statics".
  *
  * Root slots hold clean (untagged) references: the barrier protocol
  * only applies to heap edges, so reading through a handle is tag-free.
@@ -16,19 +19,18 @@
 #ifndef LP_VM_HANDLES_H
 #define LP_VM_HANDLES_H
 
-#include <cstddef>
-#include <deque>
 #include <mutex>
-#include <unordered_set>
 
+#include "gc/tracer.h"
 #include "object/ref.h"
+#include "threads/safepoint.h"
 #include "util/function_ref.h"
 #include "util/logging.h"
 
 namespace lp {
 
+class GlobalRoot;
 class Object;
-class RootTable;
 
 /**
  * A rooted reference. A Handle aliases one slot owned by its
@@ -66,37 +68,68 @@ class Handle
 };
 
 /**
- * A scope owning root slots. Typically one per mutator task frame.
- * Slots live in a deque so their addresses are stable for the
- * collector. Scopes register with the runtime's RootTable on
- * construction and deregister on destruction; nesting is arbitrary.
+ * The runtime's root set: each registered thread's slots and the
+ * global roots, an intrusive list in creation order.
+ */
+class RootTable : public RootProvider
+{
+  public:
+    explicit RootTable(ThreadRegistry &threads) : threads_(threads) {}
+
+    /** Every thread's slots, then the globals (world stopped). */
+    void forEachRoot(FunctionRef<void(ref_t *)> fn) override;
+
+  private:
+    friend class HandleScope;
+    friend class GlobalRoot;
+
+    ThreadRegistry &threads_;
+    std::mutex mutex_; //!< guards the globals list
+    GlobalRoot *first_ = nullptr;
+    GlobalRoot *last_ = nullptr;
+};
+
+/**
+ * A scope owning root slots on the calling thread's handle stack.
+ * Typically one per mutator task frame. A scope belongs to the
+ * registered mutator that opened it, and scopes close in LIFO order:
+ * handle() and the destructor panic unless this is the thread's
+ * innermost open scope. Its slots are released when it closes.
  */
 class HandleScope
 {
   public:
-    explicit HandleScope(RootTable &table);
-    ~HandleScope();
+    explicit HandleScope(RootTable &table)
+    {
+        ThreadRegistry::ThreadState *self = table.threads_.current();
+        LP_ASSERT(self, "handle scope opened on a thread that is not a "
+                        "registered mutator");
+        stack_ = &self->handles;
+        saved_ = stack_->mark;
+        stack_->mark.scope = this;
+    }
+
+    ~HandleScope()
+    {
+        LP_ASSERT(stack_->mark.scope == this, "handle scopes must close innermost first");
+        stack_->mark = saved_;
+    }
 
     HandleScope(const HandleScope &) = delete;
     HandleScope &operator=(const HandleScope &) = delete;
 
     /** Create a new root slot holding @p obj. */
-    Handle handle(Object *obj = nullptr);
-
-    /** Number of slots created in this scope. */
-    std::size_t size() const { return slots_.size(); }
-
-    /** Visit every slot (collector use). */
-    void
-    forEachSlot(FunctionRef<void(ref_t *)> fn)
+    Handle
+    handle(Object *obj = nullptr)
     {
-        for (ref_t &slot : slots_)
-            fn(&slot);
+        LP_ASSERT(stack_->mark.scope == this,
+                  "handle() on a scope that is not the thread's innermost");
+        return Handle(stack_->push(makeRef(obj)));
     }
 
   private:
-    RootTable &table_;
-    std::deque<ref_t> slots_;
+    HandleStack *stack_;
+    HandleStack::Mark saved_;
 };
 
 /**
@@ -117,32 +150,12 @@ class GlobalRoot
     explicit operator bool() const { return get() != nullptr; }
     Object *operator->() const { return get(); }
 
-    ref_t *slot() { return &slot_; }
-
   private:
+    friend class RootTable;
     RootTable &table_;
     ref_t slot_ = 0;
-};
-
-/** The runtime's registry of scopes and global roots. */
-class RootTable
-{
-  public:
-    void registerScope(HandleScope *scope);
-    void unregisterScope(HandleScope *scope);
-    void registerGlobal(GlobalRoot *root);
-    void unregisterGlobal(GlobalRoot *root);
-
-    /** Enumerate every root slot. Runs with the world stopped. */
-    void forEachRoot(FunctionRef<void(ref_t *)> fn);
-
-    std::size_t scopeCount() const;
-    std::size_t globalCount() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::unordered_set<HandleScope *> scopes_;
-    std::unordered_set<GlobalRoot *> globals_;
+    GlobalRoot *prev_ = nullptr; //!< neighbours in creation order,
+    GlobalRoot *next_ = nullptr; //!< guarded by the table's mutex
 };
 
 } // namespace lp

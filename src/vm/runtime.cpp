@@ -57,7 +57,7 @@ Runtime::Runtime(const RuntimeConfig &config)
         offload_ = std::make_unique<DiskOffload>(*this, config_.offload);
         tolerance_plugin_ = offload_.get();
     }
-    collector_ = std::make_unique<Collector>(heap_, registry_, *this, threads_);
+    collector_ = std::make_unique<Collector>(heap_, registry_, roots_, threads_);
     collector_->setPlugin(tolerance_plugin_);
 
 #if LP_TELEMETRY_ENABLED
@@ -69,7 +69,7 @@ Runtime::Runtime(const RuntimeConfig &config)
     VerifierContext vctx;
     vctx.heap = &heap_;
     vctx.registry = &registry_;
-    vctx.roots = this;
+    vctx.roots = &roots_;
     vctx.pruning = pruning_.get();
     vctx.gcStats = &collector_->stats();
 #if LP_TELEMETRY_ENABLED
@@ -100,14 +100,6 @@ Runtime::Runtime(const RuntimeConfig &config)
 Runtime::~Runtime()
 {
     threads_.unregisterMutator();
-}
-
-void
-Runtime::forEachRoot(FunctionRef<void(ref_t *)> fn)
-{
-    roots_.forEachRoot(fn);
-    // Each mutator's most recent allocation is a root until published.
-    threads_.forEachAllocationRoot(fn);
 }
 
 CollectionOutcome

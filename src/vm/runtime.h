@@ -116,7 +116,7 @@ struct RuntimeConfig {
     HeapVerifierConfig verifier;
 };
 
-class Runtime : public RootProvider
+class Runtime
 {
   public:
     explicit Runtime(const RuntimeConfig &config = RuntimeConfig{});
@@ -349,9 +349,6 @@ class Runtime : public RootProvider
     const RuntimeConfig &config() const { return config_; }
 
   private:
-    // RootProvider
-    void forEachRoot(FunctionRef<void(ref_t *)> fn) override;
-
     /** Allocation quantum between staleness-clock ticks. */
     static constexpr std::size_t kClockQuantumBytes = 64 * 1024;
 
@@ -407,7 +404,7 @@ class Runtime : public RootProvider
     //! heap_ so leases are retired (cache destructors) before the heap
     //! dies.
     ThreadRegistry threads_{heap_};
-    RootTable roots_;
+    RootTable roots_{threads_};
     std::unique_ptr<LeakPruning> pruning_;
     std::unique_ptr<DiskOffload> offload_;
     CollectionPlugin *tolerance_plugin_ = nullptr; //!< whichever is active

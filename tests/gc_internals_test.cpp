@@ -412,7 +412,7 @@ struct OracleGraph {
     rootTargets()
     {
         std::vector<Object *> out;
-        static_cast<RootProvider &>(*rt).forEachRoot([&](ref_t *slot) {
+        rt->roots().forEachRoot([&](ref_t *slot) {
             if (!refIsNull(*slot) && !refIsPoisoned(*slot))
                 out.push_back(refTarget(*slot));
         });
@@ -707,7 +707,7 @@ decideInRootOrder(unsigned seed, Predictor predictor, std::uint64_t select_epoch
     }
 
     OrderedRoots roots;
-    static_cast<RootProvider &>(*g.rt).forEachRoot(
+    g.rt->roots().forEachRoot(
         [&](ref_t *slot) { roots.slots.push_back(slot); });
     if (order == 1) {
         std::reverse(roots.slots.begin(), roots.slots.end());

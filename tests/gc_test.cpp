@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/errors.h"
@@ -252,6 +253,129 @@ TEST(GcTest, CollectorMarksEveryTreeNode)
     const auto outcome = rt.collectNow();
     // Handles alias every node, so marked count == node count.
     EXPECT_EQ(outcome.objectsMarked, total);
+}
+
+// --- handle stacks and global roots -------------------------------------------
+
+/** The calling thread's handle slots, bottom to top. */
+std::vector<ref_t *>
+handleSlots(Runtime &rt)
+{
+    std::vector<ref_t *> slots;
+    rt.threads().current()->handles.forEachSlot(
+        [&](ref_t *slot) { slots.push_back(slot); });
+    return slots;
+}
+
+TEST(HandleStackTest, HandlesSpanningBlocksStayRootedAtStableAddresses)
+{
+    Runtime rt(baseConfig());
+    const class_id_t cls = rt.defineClass("Leaf", 0, 8);
+    const std::size_t n = 3 * HandleStack::kBlockSlots + 5;
+    HandleScope scope(rt.roots());
+    std::vector<Handle> handles;
+    std::vector<Object *> objects;
+    for (std::size_t i = 0; i < n; ++i) {
+        handles.push_back(scope.handle(rt.allocate(cls)));
+        objects.push_back(handles.back().get());
+    }
+    const std::vector<ref_t *> before = handleSlots(rt);
+    ASSERT_EQ(before.size(), n);
+    rt.releaseAllocationRoot();
+    const auto outcome = rt.collectNow();
+    EXPECT_EQ(outcome.objectsMarked, n);
+    EXPECT_EQ(handleSlots(rt), before);
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(handles[i].get(), objects[i]) << "handle " << i;
+}
+
+TEST(HandleStackTest, InnerScopeReleasesItsSlotsForReuse)
+{
+    Runtime rt(baseConfig());
+    const class_id_t cls = rt.defineClass("Leaf", 0, 8);
+    HandleScope outer(rt.roots());
+    Handle kept = outer.handle(rt.allocate(cls));
+    Object *const kept_obj = kept.get();
+    ref_t *inner_slot = nullptr;
+    {
+        HandleScope inner(rt.roots());
+        inner.handle(rt.allocate(cls));
+        const std::vector<ref_t *> slots = handleSlots(rt);
+        ASSERT_EQ(slots.size(), 2u);
+        inner_slot = slots.back();
+    }
+    EXPECT_EQ(handleSlots(rt).size(), 1u);
+    rt.releaseAllocationRoot();
+    const auto outcome = rt.collectNow();
+    EXPECT_EQ(outcome.objectsMarked, 1u) << "the inner scope's object must die";
+    EXPECT_EQ(kept.get(), kept_obj);
+    {
+        HandleScope again(rt.roots());
+        again.handle(kept_obj);
+        const std::vector<ref_t *> slots = handleSlots(rt);
+        ASSERT_EQ(slots.size(), 2u);
+        EXPECT_EQ(slots.back(), inner_slot);
+    }
+}
+
+TEST(HandleStackTest, GlobalRootsDestroyedOutOfOrderLeaveTheRestRooted)
+{
+    Runtime rt(baseConfig());
+    const class_id_t cls = rt.defineClass("Static", 0, 8);
+    std::vector<std::unique_ptr<GlobalRoot>> roots;
+    for (int i = 0; i < 5; ++i)
+        roots.push_back(std::make_unique<GlobalRoot>(rt.roots(), rt.allocate(cls)));
+    rt.releaseAllocationRoot();
+    roots[1].reset(); // middle
+    roots[0].reset(); // first
+    roots[4].reset(); // last
+    EXPECT_EQ(rt.collectNow().objectsMarked, 2u);
+    roots.push_back(std::make_unique<GlobalRoot>(rt.roots(), rt.allocate(cls)));
+    rt.releaseAllocationRoot();
+    roots[3].reset();
+    EXPECT_EQ(rt.collectNow().objectsMarked, 2u);
+    EXPECT_NE(roots[2]->get(), nullptr);
+    EXPECT_NE(roots[5]->get(), nullptr);
+}
+
+/** Opens two nested scopes, each with a handle, and throws from inside. */
+[[noreturn]] void
+throwThroughScopes(Runtime &rt, class_id_t cls)
+{
+    HandleScope a(rt.roots());
+    a.handle(rt.allocate(cls));
+    HandleScope b(rt.roots());
+    b.handle(rt.allocate(cls));
+    throw InternalError("thrown through two scopes", nullptr);
+}
+
+TEST(HandleStackTest, ExceptionUnwindsTheTopToTheCatchingScope)
+{
+    Runtime rt(baseConfig());
+    const class_id_t cls = rt.defineClass("Leaf", 0, 8);
+    HandleScope scope(rt.roots());
+    Handle kept = scope.handle(rt.allocate(cls));
+    const HandleStack::Mark before = rt.threads().current()->handles.mark;
+    EXPECT_THROW(throwThroughScopes(rt, cls), InternalError);
+    const HandleStack::Mark after = rt.threads().current()->handles.mark;
+    EXPECT_EQ(after.top, before.top);
+    EXPECT_EQ(after.scope, &scope);
+    EXPECT_EQ(handleSlots(rt).size(), 1u);
+    scope.handle(kept.get()); // still the innermost scope
+    rt.releaseAllocationRoot();
+    EXPECT_EQ(rt.collectNow().objectsMarked, 1u);
+}
+
+TEST(HandleStackTest, HandleOnAnOuterScopePanics)
+{
+    EXPECT_DEATH(
+        {
+            Runtime rt(baseConfig());
+            HandleScope outer(rt.roots());
+            HandleScope inner(rt.roots());
+            outer.handle();
+        },
+        "innermost");
 }
 
 TEST(GcTest, MoreThanOneCollectorThreadIsRefused)

@@ -5,8 +5,11 @@
  * locked fetch_add on a counter shared by all threads, and its
  * out-of-line carve() bumps a shared cursor the same way; the
  * fast-path guard must flag both, finding carve() by its qualified
- * definition. Its writeRef() names fetch_add only in a comment and
- * must pass.
+ * definition. Its destructor releases a shared count with a locked
+ * fetch_sub and must be flagged under its own name, ~FixtureRuntime;
+ * its writeRef() names fetch_add only in a comment and its
+ * constructor, defined after the destructor, is a plain store, and
+ * both must pass.
  */
 
 #include <atomic>
@@ -17,6 +20,13 @@ namespace lp {
 class FixtureRuntime
 {
   public:
+    ~FixtureRuntime()
+    {
+        live_.fetch_sub(1, std::memory_order_relaxed); // offense
+    }
+
+    FixtureRuntime() { blocks_[0] = 1; }
+
     int
     readRef(const int *slot)
     {
@@ -36,6 +46,7 @@ class FixtureRuntime
   private:
     std::atomic<std::uint64_t> reads_{0};
     std::atomic<std::uint64_t> cursor_{0};
+    static inline std::atomic<std::uint64_t> live_{0};
     int blocks_[64] = {};
 };
 

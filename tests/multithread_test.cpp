@@ -414,6 +414,56 @@ TEST(MultithreadTest, TwoRuntimesOnOneThreadCountSeparately)
     EXPECT_EQ(b.heap().stats().allocations - b_before, 200u);
 }
 
+TEST(MultithreadTest, ParkedMutatorsHandlesKeepItsObjectsAlive)
+{
+    RuntimeConfig cfg;
+    cfg.heapBytes = 8u << 20;
+    cfg.enableLeakPruning = false;
+    cfg.barrierMode = BarrierMode::None;
+    Runtime rt(cfg);
+    const class_id_t held_cls = rt.defineClass("mt.Held", 1, 8);
+    const class_id_t junk_cls = rt.defineClass("mt.Junk", 1, 8);
+    // More than one block of the worker's handle stack.
+    const std::size_t held_count = HandleStack::kBlockSlots + 44;
+
+    std::vector<Object *> held(held_count);
+    std::atomic<bool> ready{false};
+    std::atomic<bool> done{false};
+    std::size_t lost = 0;
+    std::thread worker([&] {
+        MutatorScope mutator(rt.threads());
+        HandleScope scope(rt.roots());
+        std::vector<Handle> handles;
+        for (std::size_t i = 0; i < held_count; ++i) {
+            handles.push_back(scope.handle(rt.allocate(held_cls)));
+            held[i] = handles[i].get();
+        }
+        rt.releaseAllocationRoot();
+        ready.store(true, std::memory_order_release);
+        while (!done.load(std::memory_order_acquire))
+            rt.safepoint(); // parks through the main thread's pauses
+        for (std::size_t i = 0; i < held_count; ++i)
+            lost += handles[i].get() != held[i] || handles[i]->classId() != held_cls;
+    });
+
+    while (!ready.load(std::memory_order_acquire))
+        rt.safepoint();
+    rt.releaseAllocationRoot();
+    EXPECT_EQ(rt.collectNow().objectsMarked, held_count);
+    // Churn through the space a lost object's cell would be reused from.
+    for (int i = 0; i < 100000; ++i)
+        rt.allocate(junk_cls);
+    rt.releaseAllocationRoot();
+    EXPECT_EQ(rt.collectNow().objectsMarked, held_count);
+    EXPECT_GT(rt.gcStats().collections, 2u);
+    done.store(true, std::memory_order_release);
+    {
+        BlockedScope blocked(rt.threads());
+        worker.join();
+    }
+    EXPECT_EQ(lost, 0u);
+}
+
 TEST(MultithreadTest, ExitingMutatorReturnsItsLeasesAtOnce)
 {
     RuntimeConfig cfg;

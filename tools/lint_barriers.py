@@ -28,9 +28,10 @@ Exit codes: 0 clean, 1 violations found, 2 usage/internal error.
 
 A second check guards the mutator fast paths themselves: the bodies
 of the functions in FAST_PATHS, which run on every reference load or
-store, every small-object allocation and every object the collector
-marks, must contain no locked read-modify-write (fetch_add, fetch_sub,
-fetch_or, fetch_and, exchange, compare_exchange_*). One shared
+store, every small-object allocation, every handle scope and every
+object the collector marks, must contain no locked read-modify-write
+(fetch_add, fetch_sub, fetch_or, fetch_and, exchange,
+compare_exchange_*). One shared
 fetch_add per load once cost more than the barrier's tag test; the
 barrier counters are per-thread for that reason, and a thread cache
 carves from a chunk it owns. The mark loop (the claim, the chunk byte
@@ -41,8 +42,9 @@ cold and refill paths.
 
 `--self-test` proves the scanner actually detects offenders by running
 it over tests/lint_fixtures/, which contains a deliberate raw
-reference load and a read barrier with a locked counter bump; the
-self-test passes iff both are flagged.
+reference load and locked operations in a read barrier, an
+out-of-line function and a destructor; the self-test passes iff all
+of them, and none of the clean companions, are flagged.
 """
 
 import argparse
@@ -97,6 +99,10 @@ FAST_PATHS = [
     ("src/threads/safepoint.h", "myBarrierStats"),
     ("src/threads/safepoint.h", "current"),
     ("src/threads/safepoint.h", "countOwned"),
+    ("src/threads/safepoint.h", "push"),
+    ("src/vm/handles.h", "HandleScope"),
+    ("src/vm/handles.h", "~HandleScope"),
+    ("src/vm/handles.h", "handle"),
     ("src/object/class_info.h", "info"),
     ("src/heap/thread_cache.h", "allocateFast"),
     ("src/heap/thread_cache.h", "noteAllocated"),
@@ -231,8 +237,11 @@ def matching_close(text: str, start: int, open_ch: str, close_ch: str) -> int:
 def function_body(stripped: str, name: str):
     """(start, end) offsets of the first definition body of @p name in
     comment-stripped source, or None. A definition is `name(...)`,
-    optional const/noexcept/override qualifiers, then `{`."""
-    for match in re.finditer(r"\b" + re.escape(name) + r"\s*\(", stripped):
+    optional const/noexcept/override qualifiers, then `{`. A name
+    that is not preceded by `~` names a constructor, not the
+    destructor: spell that `~Class`."""
+    for match in re.finditer(r"(?<![\w~])" + re.escape(name) + r"\s*\(",
+                             stripped):
         close = matching_close(stripped, match.end() - 1, "(", ")")
         if close < 0:
             continue
@@ -288,14 +297,17 @@ def self_test(root: Path) -> int:
         print(f"self-test FAIL: fixture missing under {fixtures}",
               file=sys.stderr)
         ok = False
-    # The locked bumps in readRef and in the out-of-line (qualified)
-    # carve definition must be flagged; writeRef (clean code, a locked
-    # operation named only in a comment) must not.
+    # The locked operations in readRef, in the out-of-line (qualified)
+    # carve definition and in the destructor must be flagged; writeRef
+    # (a locked operation named only in a comment) and the constructor
+    # (defined after the destructor) must not.
     locked = "tests/lint_fixtures/locked_fast_path.h"
-    offenders = ("readRef", "carve")
+    offenders = ("readRef", "carve", "~FixtureRuntime")
     rmw = list(scan_fast_paths(root, [(locked, "readRef"),
                                       (locked, "writeRef"),
-                                      (locked, "carve")]))
+                                      (locked, "carve"),
+                                      (locked, "~FixtureRuntime"),
+                                      (locked, "FixtureRuntime")]))
     for name in offenders:
         if not any(v[3].startswith(f"{name}():") for v in rmw):
             print(f"self-test FAIL: locked RMW in {locked} {name}() was not "
@@ -303,7 +315,8 @@ def self_test(root: Path) -> int:
             ok = False
     if any(not v[3].startswith(tuple(f"{n}():" for n in offenders))
            for v in rmw):
-        print(f"self-test FAIL: {locked} writeRef() was flagged or missing",
+        print(f"self-test FAIL: {locked} writeRef() or the constructor was "
+              "flagged or missing",
               file=sys.stderr)
         ok = False
     if ok:
