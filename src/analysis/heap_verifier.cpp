@@ -301,10 +301,10 @@ HeapVerifier::verify(std::uint64_t epoch)
     // totals must agree exactly or evidence has been lost.
     if (ctx_.audit && ctx_.pruning) {
         const std::vector<PruneEvent> &log = ctx_.pruning->pruneLog();
-        if (ctx_.audit->recordCount() != log.size())
+        const PruneAuditSummary audit = ctx_.audit->summary();
+        if (audit.records != log.size())
             addViolation(report, InvariantCheck::AuditTrail,
-                         detail::concat("audit trail has ",
-                                        ctx_.audit->recordCount(),
+                         detail::concat("audit trail has ", audit.records,
                                         " prune record(s) but the engine "
                                         "logged ", log.size()));
         std::uint64_t log_refs = 0;
@@ -313,21 +313,20 @@ HeapVerifier::verify(std::uint64_t epoch)
             log_refs += ev.refsPoisoned;
             log_bytes += ev.bytesSelected;
         }
-        if (ctx_.audit->refsPoisonedTotal() != log_refs)
+        if (audit.refsPoisoned != log_refs)
             addViolation(report, InvariantCheck::AuditTrail,
                          detail::concat("audit refs poisoned ",
-                                        ctx_.audit->refsPoisonedTotal(),
+                                        audit.refsPoisoned,
                                         " != prune-log total ", log_refs));
-        if (ctx_.audit->bytesReclaimedTotal() != log_bytes)
+        if (audit.bytesReclaimed != log_bytes)
             addViolation(report, InvariantCheck::AuditTrail,
                          detail::concat("audit bytes reclaimed ",
-                                        ctx_.audit->bytesReclaimedTotal(),
+                                        audit.bytesReclaimed,
                                         " != prune-log total ", log_bytes));
-        if (ctx_.audit->refsPoisonedTotal() >
-            ctx_.pruning->stats().refsPoisoned)
+        if (audit.refsPoisoned > ctx_.pruning->stats().refsPoisoned)
             addViolation(report, InvariantCheck::AuditTrail,
                          detail::concat("audit refs poisoned ",
-                                        ctx_.audit->refsPoisonedTotal(),
+                                        audit.refsPoisoned,
                                         " exceeds the engine's ",
                                         ctx_.pruning->stats().refsPoisoned));
     }

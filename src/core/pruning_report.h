@@ -46,7 +46,7 @@ struct PruningReport {
     std::vector<LeakSuspect> suspects; //!< sorted by structureBytes desc
 
     // Prediction grading, sourced from the telemetry audit trail
-    // (zeros/ungraded when the build has no telemetry).
+    // (zeros/ungraded when buildPruningReport gets no trail).
     std::uint64_t poisonAccessesPostPrune = 0; //!< attributed + unattributed
     std::uint64_t bytesMispredicted = 0; //!< bytes of hit decisions
     bool accuracyGraded = false;         //!< at least one prune happened

@@ -16,7 +16,6 @@ pauseStageName(PauseStage stage)
 {
     switch (stage) {
       case PauseStage::RetireCaches:   return "retire-caches";
-      case PauseStage::DrainTelemetry: return "drain-telemetry";
       case PauseStage::Mark:           return "mark";
       case PauseStage::Plugin:         return "plugin";
       case PauseStage::FinalizerScan:  return "finalizer-scan";
@@ -39,9 +38,10 @@ struct StageTiming {
 } // namespace
 
 Collector::Collector(Heap &heap, const ClassRegistry &registry,
-                     RootProvider &roots, ThreadRegistry &threads)
+                     RootProvider &roots, ThreadRegistry &threads,
+                     Telemetry &telemetry)
     : heap_(heap), registry_(registry), roots_(roots), threads_(threads),
-      tracer_(heap, registry)
+      tracer_(heap, registry), telemetry_(telemetry)
 {}
 
 Collector::~Collector() = default;
@@ -70,16 +70,6 @@ Collector::collect()
     stage(PauseStage::RetireCaches, [&] {
         if (world_stopped_hook_)
             world_stopped_hook_();
-    });
-
-    stage(PauseStage::DrainTelemetry, [&] {
-#if LP_TELEMETRY_ENABLED
-        // Epoch-based drain: every mutator is parked or blocked, so
-        // each SPSC ring has exactly one consumer (us) and a stable
-        // head.
-        if (telemetry_)
-            telemetry_->drainAll();
-#endif
     });
 
     ++epoch_;
@@ -162,48 +152,32 @@ Collector::collect()
     });
     stats_.totalVerifyNanos += timing(PauseStage::Verify).nanos();
 
-#if LP_TELEMETRY_ENABLED
-    if (telemetry_) {
-        // All GC phases go on the synthetic GC track; the events land
-        // in the collecting thread's ring and reach the central buffer
-        // on the next drain (next pause or export).
-        telemetry_->emitSpan(TracePhase::SafepointWait, req_start, pause_start,
-                             static_cast<std::uint32_t>(threads_.mutatorCount()),
-                             0, /*gc_track=*/true);
-        telemetry_->emitSpan(TracePhase::GcMark,
-                             timing(PauseStage::Mark).start,
-                             timing(PauseStage::Mark).end,
-                             static_cast<std::uint32_t>(trace.objectsMarked),
-                             0, true);
-        telemetry_->emitSpan(TracePhase::GcPlugin,
-                             timing(PauseStage::Plugin).start,
-                             timing(PauseStage::Plugin).end,
-                             static_cast<std::uint32_t>(trace.refsPoisoned),
-                             0, true);
-        if (finalizers_on && registry_.anyFinalizers())
-            telemetry_->emitSpan(TracePhase::GcFinalizerScan,
-                                 timing(PauseStage::FinalizerScan).start,
-                                 timing(PauseStage::FinalizerScan).end,
-                                 static_cast<std::uint32_t>(finalized), 0,
-                                 true);
-        telemetry_->emitSpan(TracePhase::GcEpochFlip,
-                             timing(PauseStage::EpochFlip).start,
-                             timing(PauseStage::EpochFlip).end,
-                             static_cast<std::uint32_t>(flip.freedChunks),
-                             flip.liveBytes, true);
-        // Reclamation span: the finalizer scan's end through the flip,
-        // which is the whole sweep.
-        telemetry_->emitSpan(TracePhase::GcSweep,
-                             timing(PauseStage::FinalizerScan).end,
-                             timing(PauseStage::EpochFlip).end,
-                             static_cast<std::uint32_t>(finalized),
-                             flip.liveBytes, true);
-        if (post_collection_hook_)
-            telemetry_->emitSpan(TracePhase::GcVerify,
-                                 timing(PauseStage::Verify).start,
-                                 timing(PauseStage::Verify).end, 0, 0, true);
-    }
-#endif
+    // All GC phases go on the synthetic GC track.
+    telemetry_.emitSpan(TracePhase::SafepointWait, req_start, pause_start,
+                        static_cast<std::uint32_t>(threads_.mutatorCount()),
+                        0, /*gc_track=*/true);
+    telemetry_.emitSpan(TracePhase::GcMark, timing(PauseStage::Mark).start,
+                        timing(PauseStage::Mark).end,
+                        static_cast<std::uint32_t>(trace.objectsMarked), 0,
+                        true);
+    telemetry_.emitSpan(TracePhase::GcPlugin, timing(PauseStage::Plugin).start,
+                        timing(PauseStage::Plugin).end,
+                        static_cast<std::uint32_t>(trace.refsPoisoned), 0,
+                        true);
+    if (finalizers_on && registry_.anyFinalizers())
+        telemetry_.emitSpan(TracePhase::GcFinalizerScan,
+                            timing(PauseStage::FinalizerScan).start,
+                            timing(PauseStage::FinalizerScan).end,
+                            static_cast<std::uint32_t>(finalized), 0, true);
+    // The flip is the whole sweep.
+    telemetry_.emitSpan(TracePhase::GcSweep, timing(PauseStage::EpochFlip).start,
+                        timing(PauseStage::EpochFlip).end,
+                        static_cast<std::uint32_t>(flip.freedChunks),
+                        flip.liveBytes, true);
+    if (post_collection_hook_)
+        telemetry_.emitSpan(TracePhase::GcVerify,
+                            timing(PauseStage::Verify).start,
+                            timing(PauseStage::Verify).end, 0, 0, true);
 
     // The pause ends at world-resume, so lastPauseNanos covers
     // everything mutators actually waited for — including the verifier
@@ -216,12 +190,9 @@ Collector::collect()
     if (stats_.pauseSamplesNanos.size() < GcStats::kMaxPauseSamples)
         stats_.pauseSamplesNanos.push_back(stats_.lastPauseNanos);
 
-#if LP_TELEMETRY_ENABLED
-    if (telemetry_)
-        telemetry_->emitSpan(TracePhase::GcPause, pause_start, pause_end,
-                             static_cast<std::uint32_t>(epoch_),
-                             flip.liveBytes, true);
-#endif
+    telemetry_.emitSpan(TracePhase::GcPause, pause_start, pause_end,
+                        static_cast<std::uint32_t>(epoch_), flip.liveBytes,
+                        true);
 
     threads_.resumeTheWorld();
     return outcome;

@@ -3,7 +3,7 @@
  * The stop-the-world mark collector: an explicit staged pipeline.
  *
  * One collection runs the fixed PauseStage sequence inside the pause:
- * retire thread caches, drain telemetry rings, run the in-use closure
+ * retire thread caches, run the in-use closure
  * (with plugin edge hooks), let the plugin run its stale closure and
  * selection, scan for and run finalizers on dead objects, flip the
  * heap's mark epoch (which reclaims every unmarked block from the side
@@ -34,13 +34,12 @@ class ThreadRegistry;
  * one span per substantive stage.
  */
 enum class PauseStage : std::uint8_t {
-    RetireCaches,   //!< fold thread-local allocation caches back
-    DrainTelemetry, //!< drain per-thread trace rings (quiescent SPSC)
-    Mark,           //!< the in-use transitive closure
-    Plugin,         //!< stale closure + edge selection (leak pruning)
-    FinalizerScan,  //!< run finalizers on dead objects, pre-reclaim
-    EpochFlip,      //!< reclaim unmarked blocks, clear the marks
-    Verify,         //!< post-collection hook (heap verifier)
+    RetireCaches,  //!< fold thread-local allocation caches back
+    Mark,          //!< the in-use transitive closure
+    Plugin,        //!< stale closure + edge selection (leak pruning)
+    FinalizerScan, //!< run finalizers on dead objects, pre-reclaim
+    EpochFlip,     //!< reclaim unmarked blocks, clear the marks
+    Verify,        //!< post-collection hook (heap verifier)
     kCount,
 };
 
@@ -70,9 +69,7 @@ struct GcStats {
     //! Safepoint-request -> world-stopped latency (mutator stop lag).
     std::uint64_t totalSafepointWaitNanos = 0;
     std::uint64_t maxSafepointWaitNanos = 0;
-    //! Pause-time and safepoint-wait distributions. Always maintained
-    //! (not telemetry-gated) so bench output and the metrics export
-    //! are identical with LP_TELEMETRY ON and OFF.
+    //! Pause-time and safepoint-wait distributions.
     LogHistogram pauseHistogram;
     LogHistogram safepointWaitHistogram;
     //! Exact pause samples (nanos), capped at kMaxPauseSamples, for
@@ -88,9 +85,10 @@ class Collector
      * @param registry class layouts.
      * @param roots root-set enumerator (the VM).
      * @param threads mutator registry for the stop-the-world pause.
+     * @param telemetry receives the GC-track phase spans of every pause.
      */
     Collector(Heap &heap, const ClassRegistry &registry, RootProvider &roots,
-              ThreadRegistry &threads);
+              ThreadRegistry &threads, Telemetry &telemetry);
     ~Collector();
 
     Collector(const Collector &) = delete;
@@ -99,13 +97,6 @@ class Collector
     /** Install (or clear) the collection plugin (leak pruning). */
     void setPlugin(CollectionPlugin *plugin) { plugin_ = plugin; }
     CollectionPlugin *plugin() const { return plugin_; }
-
-    /**
-     * Attach a telemetry engine (may be null). The collector emits
-     * GC-track phase spans and drains every thread's trace ring during
-     * the stop-the-world pause, when all producers are quiescent.
-     */
-    void setTelemetry(Telemetry *telemetry) { telemetry_ = telemetry; }
 
     /**
      * Install a hook run at the end of every collection, after the
@@ -150,7 +141,7 @@ class Collector
     ThreadRegistry &threads_;
     Tracer tracer_;
     CollectionPlugin *plugin_ = nullptr;
-    Telemetry *telemetry_ = nullptr;
+    Telemetry &telemetry_;
     std::function<void()> world_stopped_hook_;
     std::function<void(const CollectionOutcome &)> post_collection_hook_;
     GcStats stats_;

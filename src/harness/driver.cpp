@@ -53,8 +53,7 @@ class ChurnMutators
     run(std::size_t index)
     {
         MutatorScope scope(rt_.threads());
-        if (Telemetry *t = rt_.telemetry())
-            t->setThreadName("churn-" + std::to_string(index));
+        rt_.telemetry()->setThreadName("churn-" + std::to_string(index));
         try {
             while (!stop_.load(std::memory_order_relaxed))
                 rt_.allocate(churn_cls_);
@@ -114,8 +113,7 @@ runWorkload(const WorkloadInfo &info, const DriverConfig &config)
     Runtime rt(rc);
     if (config.pinState && rt.pruning())
         rt.pruning()->pinStateForEvaluation(config.pinState);
-    if (Telemetry *t = rt.telemetry())
-        t->setThreadName(info.name);
+    rt.telemetry()->setThreadName(info.name);
     workload->setUp(rt);
     auto churn = std::make_unique<ChurnMutators>(rt, config.extraMutators);
 
@@ -179,18 +177,16 @@ runWorkload(const WorkloadInfo &info, const DriverConfig &config)
         result.pruning = rt.pruning()->stats();
         result.pruneLog = rt.pruning()->pruneLog();
         result.edgeTypeCount = rt.pruning()->edgeTable().count();
-        const PruneAuditTrail *audit =
-            rt.telemetry() ? &rt.telemetry()->audit() : nullptr;
-        result.pruningReport = buildPruningReport(*rt.pruning(), audit);
+        result.pruningReport =
+            buildPruningReport(*rt.pruning(), &rt.telemetry()->audit());
     }
-    if (Telemetry *t = rt.telemetry())
-        result.audit = t->audit().summary();
+    result.audit = rt.telemetry()->audit().summary();
     if (rt.diskOffload())
         result.offload = rt.diskOffload()->stats();
 
     if (!config.tracePath.empty() && !rt.writeTrace(config.tracePath))
         warn("could not write trace to ", config.tracePath,
-             " (telemetry off or path unwritable)");
+             " (path unwritable)");
     if (!config.metricsJsonPath.empty() &&
         !rt.writeMetricsJson(config.metricsJsonPath))
         warn("could not write metrics to ", config.metricsJsonPath);

@@ -76,9 +76,8 @@ struct DriverConfig {
      * tracks, safepoint waits, and per-thread cache churn.
      */
     std::size_t extraMutators = 0;
-    //! Non-empty: write a Chrome trace (skipped when telemetry is
-    //! compiled out) / the metrics JSON snapshot here at the end of
-    //! the run.
+    //! Non-empty: write a Chrome trace / the metrics JSON snapshot
+    //! here at the end of the run.
     std::string tracePath;
     std::string metricsJsonPath;
 };
@@ -113,8 +112,8 @@ struct RunResult {
     std::size_t edgeTypeCount = 0;     //!< Table 2's last column
     std::size_t heapBytes = 0;
     std::size_t maxLiveBytes = 0;      //!< peak post-GC reachable bytes
-    //! Pruning-accuracy audit (telemetry); default-initialized (zero
-    //! records, accuracy 1.0, ungraded) when the layer is compiled out.
+    //! Pruning-accuracy audit (telemetry); ungraded (zero records,
+    //! accuracy 1.0) when nothing was pruned.
     PruneAuditSummary audit;
 
     /**

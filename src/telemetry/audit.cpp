@@ -61,43 +61,6 @@ PruneAuditTrail::records() const
 }
 
 std::uint64_t
-PruneAuditTrail::recordCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return records_.size();
-}
-
-std::uint64_t
-PruneAuditTrail::refsPoisonedTotal() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
-    for (const PruneAuditRecord &r : records_)
-        total += r.refsPoisoned;
-    return total;
-}
-
-std::uint64_t
-PruneAuditTrail::bytesReclaimedTotal() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
-    for (const PruneAuditRecord &r : records_)
-        total += r.bytesReclaimed;
-    return total;
-}
-
-std::uint64_t
-PruneAuditTrail::poisonAccessTotal() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = unattributed_hits_;
-    for (const PruneAuditRecord &r : records_)
-        total += r.poisonHits;
-    return total;
-}
-
-std::uint64_t
 PruneAuditTrail::poisonHitsForType(std::uint32_t src_class,
                                    std::uint32_t tgt_class) const
 {

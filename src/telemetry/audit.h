@@ -25,8 +25,8 @@
  * before it throws. Both are rare, so a plain mutex is fine.
  */
 
-#ifndef LP_TELEMETRY_AUDIT_H
-#define LP_TELEMETRY_AUDIT_H
+#ifndef LP_TEL_AUDIT_H
+#define LP_TEL_AUDIT_H
 
 #include <cstdint>
 #include <mutex>
@@ -80,18 +80,16 @@ class PruneAuditTrail
      */
     void recordPoisonAccess(std::uint32_t src_class);
 
+    /**
+     * Totals over every decision, read in one pass. The heap verifier
+     * cross-checks these against the engine's own statistics (they are
+     * maintained independently; disagreement means a decision was lost
+     * or double-counted).
+     */
     PruneAuditSummary summary() const;
 
     /** Snapshot of every decision (with hit counts). */
     std::vector<PruneAuditRecord> records() const;
-
-    // Totals the heap verifier cross-checks against the engine's own
-    // statistics (they are maintained independently; disagreement
-    // means a decision was lost or double-counted).
-    std::uint64_t recordCount() const;
-    std::uint64_t refsPoisonedTotal() const;
-    std::uint64_t bytesReclaimedTotal() const;
-    std::uint64_t poisonAccessTotal() const; //!< attributed + unattributed
 
     /** Poison-access hits attributed to decisions naming @p src_class. */
     std::uint64_t poisonHitsForType(std::uint32_t src_class,
@@ -105,4 +103,4 @@ class PruneAuditTrail
 
 } // namespace lp
 
-#endif // LP_TELEMETRY_AUDIT_H
+#endif // LP_TEL_AUDIT_H

@@ -2,7 +2,7 @@
  * @file
  * Chrome trace-event JSON exporter.
  *
- * Writes the drained event buffer in the Trace Event Format that
+ * Writes the telemetry event buffer in the Trace Event Format that
  * Perfetto (ui.perfetto.dev) and chrome://tracing load directly: a
  * {"traceEvents": [...]} object containing thread-name metadata, one
  * "X" (complete) event per span, and one "i" (instant) event per
@@ -12,8 +12,8 @@
  * though any mutator can be the collecting thread.
  */
 
-#ifndef LP_TELEMETRY_CHROME_TRACE_H
-#define LP_TELEMETRY_CHROME_TRACE_H
+#ifndef LP_TEL_CHROME_TRACE_H
+#define LP_TEL_CHROME_TRACE_H
 
 #include <cstdint>
 #include <iosfwd>
@@ -27,7 +27,7 @@ struct DrainedEvent;
 
 /**
  * @param os destination stream.
- * @param events drained events (any order; sorted by timestamp here).
+ * @param events buffered events (any order; sorted by timestamp here).
  * @param thread_names (tid, name) pairs for track naming.
  */
 void writeChromeTrace(
@@ -36,4 +36,4 @@ void writeChromeTrace(
 
 } // namespace lp
 
-#endif // LP_TELEMETRY_CHROME_TRACE_H
+#endif // LP_TEL_CHROME_TRACE_H

@@ -1,7 +1,6 @@
 #include "telemetry/telemetry.h"
 
-#include <algorithm>
-#include <atomic>
+#include <new>
 #include <thread>
 
 #include "telemetry/chrome_trace.h"
@@ -17,91 +16,80 @@ selfId()
     return std::hash<std::thread::id>{}(std::this_thread::get_id());
 }
 
-// TLS ring pointer, keyed on the engine id (never an address, which a
-// later Runtime could reuse). One live engine per thread at a time is
-// the common case; a second engine just repopulates the slot.
-thread_local std::uint64_t tls_engine_id = 0;
-thread_local TraceRing *tls_ring = nullptr;
-
-std::atomic<std::uint64_t> next_engine_id{1};
-
 } // namespace
 
-Telemetry::Telemetry()
-    : engine_id_(next_engine_id.fetch_add(1, std::memory_order_relaxed))
-{}
-
-Telemetry::~Telemetry() = default;
-
-TraceRing *
-Telemetry::myRing()
+Telemetry::Track &
+Telemetry::myTrackLocked()
 {
-    if (tls_engine_id == engine_id_ && tls_ring)
-        return tls_ring;
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = rings_[selfId()];
-    if (!slot) {
-        slot = std::make_unique<ThreadRing>(kRingCapacity, next_tid_);
-        slot->name = "mutator-" + std::to_string(next_tid_);
+    const auto [it, fresh] = tracks_.try_emplace(selfId());
+    if (fresh) {
+        it->second.tid = next_tid_;
+        it->second.name = "mutator-" + std::to_string(next_tid_);
         ++next_tid_;
     }
-    tls_engine_id = engine_id_;
-    tls_ring = &slot->ring;
-    return tls_ring;
+    return it->second;
+}
+
+void
+Telemetry::append(const TraceEvent &ev)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    try {
+        const std::uint32_t tid = myTrackLocked().tid;
+        if (drained_.size() >= kMaxDrainedEvents) {
+            ++dropped_;
+            return;
+        }
+        drained_.push_back(DrainedEvent{ev, tid});
+    } catch (const std::bad_alloc &) {
+        // TelemetrySpan emits from its destructor, so nothing may
+        // escape: an event that cannot be stored is dropped and
+        // counted like one past the cap.
+        ++dropped_;
+    }
 }
 
 void
 Telemetry::setThreadName(const std::string &name)
 {
-    myRing(); // ensure the calling thread's ring exists
     std::lock_guard<std::mutex> lock(mutex_);
-    rings_[selfId()]->name = name;
+    myTrackLocked().name = name;
 }
 
-void
-Telemetry::drainAll()
+std::vector<DrainedEvent>
+Telemetry::events() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<TraceEvent> batch;
-    for (auto &[id, tr] : rings_) {
-        batch.clear();
-        tr->ring.drainInto(batch);
-        const std::size_t kept =
-            std::min(batch.size(), kMaxDrainedEvents - drained_.size());
-        for (std::size_t i = 0; i < kept; ++i)
-            drained_.push_back(DrainedEvent{batch[i], tr->tid});
-        drain_dropped_ += batch.size() - kept;
-    }
+    return drained_;
 }
 
 std::uint64_t
 Telemetry::droppedEvents() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = drain_dropped_;
-    for (const auto &[id, tr] : rings_)
-        total += tr->ring.dropped();
-    return total;
+    return dropped_;
 }
 
 std::size_t
 Telemetry::threadCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return rings_.size();
+    return tracks_.size();
 }
 
 void
-Telemetry::writeChromeTrace(std::ostream &os)
+Telemetry::writeChromeTrace(std::ostream &os) const
 {
+    std::vector<DrainedEvent> events;
     std::vector<std::pair<std::uint32_t, std::string>> names;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        names.reserve(rings_.size());
-        for (const auto &[id, tr] : rings_)
-            names.emplace_back(tr->tid, tr->name);
+        events = drained_;
+        names.reserve(tracks_.size());
+        for (const auto &[id, track] : tracks_)
+            names.emplace_back(track.tid, track.name);
     }
-    lp::writeChromeTrace(os, drained_, names);
+    lp::writeChromeTrace(os, events, names);
 }
 
 } // namespace lp

@@ -14,14 +14,11 @@ tracePhaseName(TracePhase phase)
       case TracePhase::GcVerify: return "gc.verify";
       case TracePhase::CacheRetireAll: return "cache.retire_all";
       case TracePhase::GcFinalizerScan: return "gc.finalizer_scan";
-      case TracePhase::GcEpochFlip: return "gc.epoch_flip";
       case TracePhase::PruneDecision: return "prune.decision";
-      case TracePhase::ClockTick: return "gc.clock_tick";
       case TracePhase::CacheRefill: return "cache.refill";
       case TracePhase::OffloadWrite: return "offload.write";
       case TracePhase::OffloadFault: return "offload.fault";
       case TracePhase::PoisonAccess: return "barrier.poison_access";
-      case TracePhase::AllocStall: return "alloc.stall";
       case TracePhase::kCount: break;
     }
     return "?";

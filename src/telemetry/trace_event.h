@@ -1,16 +1,15 @@
 /**
  * @file
- * The binary trace-event format shared by the per-thread rings, the
- * stop-the-world drain, and the exporters.
+ * The binary trace-event format shared by the telemetry buffer and
+ * the exporters.
  *
- * Events are fixed-size PODs (32 bytes) so the hot emit path is a
- * couple of stores into a preallocated ring — no allocation, no
- * formatting, no locks. Everything human-readable (phase names, track
- * mapping, JSON) happens at export time, off the measured path.
+ * Events are fixed-size PODs (32 bytes), so emitting one is a single
+ * append with no formatting. Everything human-readable (phase names,
+ * track mapping, JSON) happens at export time, off the measured path.
  */
 
-#ifndef LP_TELEMETRY_TRACE_EVENT_H
-#define LP_TELEMETRY_TRACE_EVENT_H
+#ifndef LP_TEL_TRACE_EVENT_H
+#define LP_TEL_TRACE_EVENT_H
 
 #include <cstdint>
 
@@ -24,7 +23,7 @@ enum class EventKind : std::uint8_t {
 
 /**
  * Instrumented phases and points. The numeric values are part of the
- * ring's binary format within one process only — exporters translate
+ * buffer's binary format within one process only — exporters translate
  * to names; nothing is persisted in numeric form.
  */
 enum class TracePhase : std::uint8_t {
@@ -37,18 +36,15 @@ enum class TracePhase : std::uint8_t {
     GcVerify,      //!< heap-verifier pass inside the pause
     CacheRetireAll, //!< stop-the-world retire of all thread caches
     GcFinalizerScan, //!< finalizer scan over dead objects
-    GcEpochFlip,     //!< the epoch flip: reclaim from the side bitmaps
 
     // GC-track instants.
     PruneDecision, //!< a PRUNE collection poisoned references
-    ClockTick,     //!< the staleness clock advanced
 
     // Mutator-track events.
     CacheRefill,   //!< thread-cache chunk lease (slow path)
     OffloadWrite,  //!< disk-offload: object moved to disk (span)
     OffloadFault,  //!< disk-offload: object faulted back in (span)
     PoisonAccess,  //!< barrier cold path hit a pruned reference
-    AllocStall,    //!< allocation ran >= 1 collection before success
 
     kCount,
 };
@@ -73,8 +69,8 @@ struct TraceEvent {
     std::uint64_t a64 = 0;      //!< large payload (bytes, epoch)
 };
 
-static_assert(sizeof(TraceEvent) == 32, "keep the ring record compact");
+static_assert(sizeof(TraceEvent) == 32, "keep the event record compact");
 
 } // namespace lp
 
-#endif // LP_TELEMETRY_TRACE_EVENT_H
+#endif // LP_TEL_TRACE_EVENT_H

@@ -57,14 +57,10 @@ Runtime::Runtime(const RuntimeConfig &config)
         offload_ = std::make_unique<DiskOffload>(*this, config_.offload);
         tolerance_plugin_ = offload_.get();
     }
-    collector_ = std::make_unique<Collector>(heap_, registry_, roots_, threads_);
+    collector_ = std::make_unique<Collector>(heap_, registry_, roots_, threads_,
+                                             telemetry_);
     collector_->setPlugin(tolerance_plugin_);
-
-#if LP_TELEMETRY_ENABLED
-    telemetry_ = std::make_unique<Telemetry>();
-    collector_->setTelemetry(telemetry_.get());
-    heap_.setTelemetry(telemetry_.get());
-#endif
+    heap_.setTelemetry(&telemetry_);
 
     VerifierContext vctx;
     vctx.heap = &heap_;
@@ -72,18 +68,14 @@ Runtime::Runtime(const RuntimeConfig &config)
     vctx.roots = &roots_;
     vctx.pruning = pruning_.get();
     vctx.gcStats = &collector_->stats();
-#if LP_TELEMETRY_ENABLED
-    vctx.audit = &telemetry_->audit();
-#endif
+    vctx.audit = &telemetry_.audit();
     vctx.offloadActive = offload_ != nullptr;
     verifier_ = std::make_unique<HeapVerifier>(vctx, config_.verifier);
     collector_->setPostCollectionHook([this](const CollectionOutcome &outcome) {
-#if LP_TELEMETRY_ENABLED
         // Capture fresh prune decisions first: the verifier's audit
         // invariant cross-checks the trail against the engine's own
         // statistics, so the trail must be current when it runs.
         capturePruneAudit();
-#endif
         if (verifier_->due(outcome.epoch))
             verifier_->verify(outcome.epoch);
     });
@@ -180,7 +172,7 @@ Runtime::collectLocked(bool exhausted)
 void
 Runtime::retireAllocCaches()
 {
-    TelemetrySpan span(telemetry(), TracePhase::CacheRetireAll,
+    TelemetrySpan span(&telemetry_, TracePhase::CacheRetireAll,
                        /*gc_track=*/true);
     const std::uint64_t drained = threads_.retireAllocCaches();
     bytes_since_clock_tick_ += drained;
@@ -332,14 +324,10 @@ Runtime::readBarrierColdPath(Object *src, const ClassInfo &src_cls,
         if (offload_)
             return offload_->faultIn(src, addr, observed);
         countOwned(counts.poisonThrows);
-#if LP_TELEMETRY_ENABLED
-        if (telemetry_) {
-            // Grade the prediction: this pruned reference turned out
-            // to be live. Only the source end still exists to name.
-            telemetry_->audit().recordPoisonAccess(src_cls.id);
-            telemetry_->emitInstant(TracePhase::PoisonAccess, src_cls.id);
-        }
-#endif
+        // Grade the prediction: this pruned reference turned out to be
+        // live. Only the source end still exists to name.
+        telemetry_.audit().recordPoisonAccess(src_cls.id);
+        telemetry_.emitInstant(TracePhase::PoisonAccess, src_cls.id);
         std::shared_ptr<const OutOfMemoryError> cause =
             pruning_ ? pruning_->avertedOutOfMemory() : nullptr;
         // Do NOT touch the target: its memory was reclaimed and may
@@ -372,8 +360,6 @@ Runtime::readBarrierColdPath(Object *src, const ClassInfo &src_cls,
     return tgt;
 }
 
-#if LP_TELEMETRY_ENABLED
-
 void
 Runtime::capturePruneAudit()
 {
@@ -391,24 +377,11 @@ Runtime::capturePruneAudit()
         rec.staleLevel = ev.staleLevel;
         rec.refsPoisoned = ev.refsPoisoned;
         rec.bytesReclaimed = ev.bytesSelected;
-        telemetry_->audit().recordPrune(std::move(rec));
-        telemetry_->emitInstant(TracePhase::PruneDecision,
-                                static_cast<std::uint32_t>(ev.refsPoisoned),
-                                ev.bytesSelected, /*gc_track=*/true);
+        telemetry_.audit().recordPrune(std::move(rec));
+        telemetry_.emitInstant(TracePhase::PruneDecision,
+                               static_cast<std::uint32_t>(ev.refsPoisoned),
+                               ev.bytesSelected, /*gc_track=*/true);
     }
-}
-
-#endif // LP_TELEMETRY_ENABLED
-
-void
-Runtime::drainTelemetry()
-{
-#if LP_TELEMETRY_ENABLED
-    AllocLock lock(alloc_mutex_, threads_);
-    threads_.stopTheWorld();
-    telemetry_->drainAll();
-    threads_.resumeTheWorld();
-#endif
 }
 
 namespace {
@@ -448,11 +421,8 @@ writeHistogram(std::ostream &os, const char *name, const LogHistogram &h)
 bool
 Runtime::writeTrace(const std::string &path)
 {
-    if (!telemetry())
-        return false;
-    drainTelemetry();
     return writeFile(path,
-                     [&](std::ostream &os) { telemetry()->writeChromeTrace(os); });
+                     [&](std::ostream &os) { telemetry_.writeChromeTrace(os); });
 }
 
 bool
@@ -467,10 +437,10 @@ Runtime::writeMetricsJson(const std::string &path)
            << "\n    \"gc.collections\": " << gc.collections << ","
            << "\n    \"gc.objects_finalized\": " << gc.objectsFinalized
            << "\n  },\n  \"gauges\": {"
-           << "\n    \"gc.live_bytes\": " << gc.lastLiveBytes;
-        if (const Telemetry *t = telemetry())
-            os << ",\n    \"telemetry.dropped_events\": " << t->droppedEvents()
-               << ",\n    \"telemetry.threads\": " << t->threadCount();
+           << "\n    \"gc.live_bytes\": " << gc.lastLiveBytes << ","
+           << "\n    \"telemetry.dropped_events\": "
+           << telemetry_.droppedEvents() << ","
+           << "\n    \"telemetry.threads\": " << telemetry_.threadCount();
         os << "\n  },\n  \"histograms\": {";
         writeHistogram(os, "gc.pause_nanos", gc.pauseHistogram);
         os << ",";

@@ -295,37 +295,21 @@ class Runtime
     // --- telemetry ---------------------------------------------------------
 
     /**
-     * The telemetry engine, or nullptr when the layer is compiled out
-     * (LP_TELEMETRY=OFF). Instrumentation sites must tolerate null.
+     * The telemetry engine. Never null: every runtime owns one (the
+     * pointer return keeps `if (Telemetry *t = rt.telemetry())` valid).
      */
-    Telemetry *
-    telemetry()
-    {
-#if LP_TELEMETRY_ENABLED
-        return telemetry_.get();
-#else
-        return nullptr;
-#endif
-    }
+    Telemetry *telemetry() { return &telemetry_; }
 
     /**
-     * Bring the runtime to a quiescent point (allocation lock +
-     * stop-the-world), drain every thread's trace ring into the
-     * central buffer, and resume. writeTrace() calls this first.
-     */
-    void drainTelemetry();
-
-    /**
-     * Write the Chrome trace-event JSON of the run to @p path, draining
-     * first. Returns false when telemetry is compiled out or the file
-     * cannot be opened.
+     * Write the Chrome trace-event JSON of the run to @p path. Returns
+     * false when the file cannot be written.
      */
     bool writeTrace(const std::string &path);
 
     /**
      * Write the metrics snapshot to @p path as JSON: "counters",
      * "gauges" and "histograms" rendered from gcStats(), the heap's
-     * pending sweeps and, when the engine exists, its drop and thread
+     * pending sweeps and the telemetry engine's drop and thread
      * counts. Takes the allocation lock (no collection runs while it
      * reads) but does not stop the world. Returns false when the file
      * cannot be written.
@@ -376,7 +360,6 @@ class Runtime
                                 ref_t *addr, ref_t observed,
                                 BarrierStats &counts);
 
-#if LP_TELEMETRY_ENABLED
     /**
      * Fold PruneEvents the engine logged since the last capture into
      * the audit trail (and emit prune-decision trace instants). Runs
@@ -384,16 +367,13 @@ class Runtime
      * audit totals against the engine's statistics.
      */
     void capturePruneAudit();
-#endif
 
     RuntimeConfig config_;
     ClassRegistry registry_;
-#if LP_TELEMETRY_ENABLED
     //! Declared before the heap/caches/collector so the engine
     //! outlives every instrumented component during destruction.
-    std::unique_ptr<Telemetry> telemetry_;
+    Telemetry telemetry_;
     std::size_t audit_seen_prunes_ = 0; //!< pruneLog entries captured
-#endif
     Heap heap_;
     std::size_t gc_budget_bytes_ = 0;     //!< allocation between collections
     std::size_t bytes_since_gc_ = 0;      //!< guarded by alloc_mutex_

@@ -285,6 +285,34 @@ TEST(HeapVerifierTest, DetectsUnregisteredEdgeTableEntry)
     EXPECT_GE(report.edgeEntriesScanned, 1u);
 }
 
+TEST(HeapVerifierTest, DetectsAuditRecordTheEngineNeverLogged)
+{
+    Runtime rt(logOnlyConfig());
+    ASSERT_NE(rt.pruning(), nullptr);
+    ASSERT_TRUE(rt.pruning()->pruneLog().empty());
+
+    // A prune record with no matching engine decision: the audit trail
+    // and the prune log no longer count the same decisions.
+    PruneAuditRecord rec;
+    rec.epoch = 1;
+    rec.refsPoisoned = 3;
+    rec.bytesReclaimed = 4096;
+    rt.telemetry()->audit().recordPrune(rec);
+
+    QuietScope quiet;
+    const VerifierReport report = rt.verifyHeap();
+    EXPECT_FALSE(report.clean());
+    ASSERT_GE(report.count(InvariantCheck::AuditTrail), 1u);
+    bool saw_count = false;
+    for (const VerifierViolation &v : report.violations) {
+        if (v.check == InvariantCheck::AuditTrail &&
+            v.detail.find("has 1 prune record(s) but the engine logged 0") !=
+                std::string::npos)
+            saw_count = true;
+    }
+    EXPECT_TRUE(saw_count) << report.summary();
+}
+
 TEST(HeapVerifierTest, FailFastPanicsOnViolation)
 {
     RuntimeConfig rc = logOnlyConfig();
