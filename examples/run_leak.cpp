@@ -174,14 +174,14 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(result.pruning.refsPoisoned),
                     static_cast<unsigned long long>(result.pruning.pruneCollections),
                     static_cast<unsigned long long>(result.edgeTypeCount));
-        for (const PruneEvent &ev : result.pruneLog) {
+        for (const PruneAuditRecord &rec : result.pruneLog) {
             std::printf("  prune@GC%llu: %s  x%llu (structure bytes %llu, "
                         "stale level %u)\n",
-                        static_cast<unsigned long long>(ev.epoch),
-                        ev.typeName.c_str(),
-                        static_cast<unsigned long long>(ev.refsPoisoned),
-                        static_cast<unsigned long long>(ev.bytesSelected),
-                        ev.staleLevel);
+                        static_cast<unsigned long long>(rec.epoch),
+                        rec.typeName.c_str(),
+                        static_cast<unsigned long long>(rec.refsPoisoned),
+                        static_cast<unsigned long long>(rec.bytesReclaimed),
+                        rec.staleLevel);
         }
         if (result.audit.graded) {
             std::printf("accuracy:    %.1f%% (%llu poison accesses after "

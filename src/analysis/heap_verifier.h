@@ -57,7 +57,7 @@ enum class InvariantCheck : std::uint8_t {
     Reachability, //!< unpoisoned references target live heap objects
     ObjectShape,  //!< headers: registered class ids, layout-exact sizes,
                   //!< no tick stamp older than the last collection
-    AuditTrail,   //!< telemetry audit totals equal the engine's stats
+    AuditTrail,   //!< audit refs poisoned equal the engine's count
 };
 
 /** Number of InvariantCheck values (for per-check counters). */
@@ -132,10 +132,10 @@ struct VerifierContext {
     const LeakPruning *pruning = nullptr; //!< optional: edge table, state
     const GcStats *gcStats = nullptr;     //!< optional: poison legality
     //! Optional: the telemetry audit trail. When both this and
-    //! `pruning` are set, the verifier cross-checks the trail's totals
-    //! (decisions, refs poisoned, bytes) against the engine's own
-    //! statistics — they are maintained independently, so disagreement
-    //! means a prune decision was lost or double-counted.
+    //! `pruning` are set, the verifier checks that the trail's refs
+    //! poisoned total equals the engine's running count, which the
+    //! engine keeps apart from the records, so disagreement means a
+    //! prune decision was lost or double-counted.
     const PruneAuditTrail *audit = nullptr;
     bool offloadActive = false;           //!< disk-offload stubs legal
 };

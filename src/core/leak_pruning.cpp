@@ -5,12 +5,15 @@
 
 #include "gc/tracer.h"
 #include "object/object.h"
+#include "telemetry/telemetry.h"
 #include "util/logging.h"
 
 namespace lp {
 
-LeakPruning::LeakPruning(const ClassRegistry &registry, LeakPruningConfig config)
-    : registry_(registry), config_(config), machine_(config),
+LeakPruning::LeakPruning(const ClassRegistry &registry, LeakPruningConfig config,
+                         Telemetry &telemetry)
+    : registry_(registry), telemetry_(telemetry), config_(config),
+      machine_(config),
       edge_table_(config.edgeTableSlots)
 {}
 
@@ -64,8 +67,7 @@ LeakPruning::tracePolicy() const
     if (active_state_ == PruningState::Inactive)
         return policy;
     policy.tagReferences = true;
-    policy.trackStaleness =
-        !staleness_clock_paused_.load(std::memory_order_relaxed);
+    policy.trackStaleness = true;
     policy.classifyEdges = active_state_ == PruningState::Select ||
                            active_state_ == PruningState::Prune;
     policy.notifyMarked = config_.predictor == Predictor::MostStale &&
@@ -224,30 +226,32 @@ LeakPruning::endCollection(const CollectionOutcome &outcome)
 
     if (active_state_ == PruningState::Prune) {
         if (last_gc_poisoned_ > 0) {
-            PruneEvent ev;
-            ev.epoch = outcome.epoch;
-            ev.refsPoisoned = last_gc_poisoned_;
+            // The decision's one record. An untyped (MostStale) prune
+            // keeps EdgeType{}'s invalid class ids.
+            EdgeType type;
+            PruneAuditRecord rec;
+            rec.epoch = outcome.epoch;
+            rec.refsPoisoned = last_gc_poisoned_;
             if (config_.predictor == Predictor::MostStale) {
-                ev.typeName = "<staleness level " +
-                              std::to_string(most_stale_level_) + ">";
-                ev.staleLevel = most_stale_level_;
-                ev.bytesSelected = 0;
+                rec.typeName = "<staleness level " +
+                               std::to_string(most_stale_level_) + ">";
+                rec.staleLevel = most_stale_level_;
             } else if (selected_) {
-                ev.type = selected_->type;
-                ev.hasType = true;
-                ev.typeName = edgeTypeName(selected_->type);
-                ev.staleLevel = selected_->maxStaleUse;
-                ev.bytesSelected = selected_->bytesUsed;
-                const std::uint64_t key =
-                    (std::uint64_t{selected_->type.srcClass} << 32) |
-                    selected_->type.tgtClass;
-                if (pruned_edge_keys_.insert(key).second)
-                    ++stats_.distinctEdgeTypesPruned;
+                type = selected_->type;
+                rec.hasType = true;
+                rec.typeName = edgeTypeName(type);
+                rec.staleLevel = selected_->maxStaleUse;
+                rec.bytesReclaimed = selected_->bytesUsed;
             }
-            prune_log_.push_back(ev);
+            rec.srcClass = type.srcClass;
+            rec.tgtClass = type.tgtClass;
             if (config_.reportPruning)
-                inform("leak pruning pruned ", ev.refsPoisoned,
-                       " reference(s) of type ", ev.typeName);
+                inform("leak pruning pruned ", rec.refsPoisoned,
+                       " reference(s) of type ", rec.typeName);
+            telemetry_.emitInstant(TracePhase::PruneDecision,
+                                   static_cast<std::uint32_t>(rec.refsPoisoned),
+                                   rec.bytesReclaimed, /*gc_track=*/true);
+            telemetry_.audit().recordPrune(std::move(rec));
         }
         // This prune is spent; the next SELECT collection re-selects.
         selected_.reset();

@@ -15,7 +15,9 @@
  *    via the candidate queue, size candidate data structures, and pick
  *    the edge type holding the most stale bytes;
  *  - in PRUNE, poison matching references so the sweep reclaims
- *    everything only they reached;
+ *    everything only they reached, and write the decision to the
+ *    telemetry audit trail (paper Section 3.2's report of "the data
+ *    structures it prunes");
  *  - record the deferred OutOfMemoryError and hand it to the read
  *    barrier as the cause of InternalErrors on poisoned accesses.
  */
@@ -23,13 +25,11 @@
 #ifndef LP_CORE_LEAK_PRUNING_H
 #define LP_CORE_LEAK_PRUNING_H
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/config.h"
@@ -40,18 +40,8 @@
 
 namespace lp {
 
+class Telemetry;
 class Tracer;
-
-/** One PRUNE-state event, for diagnostics and the paper's reporting. */
-struct PruneEvent {
-    std::uint64_t epoch = 0;       //!< collection that pruned
-    EdgeType type;                 //!< selected edge type
-    bool hasType = false;          //!< type valid (false for MostStale)
-    std::string typeName;          //!< "SrcClass -> TgtClass"
-    unsigned staleLevel = 0;       //!< staleness level that won selection
-    std::uint64_t refsPoisoned = 0;
-    std::uint64_t bytesSelected = 0; //!< bytesUsed that won selection
-};
 
 /** Aggregated pruning statistics. */
 struct PruningStats {
@@ -61,7 +51,6 @@ struct PruningStats {
     std::uint64_t candidatesQueued = 0;
     std::uint64_t staleBytesSized = 0;  //!< bytes seen by stale closures
     std::uint64_t refsPoisoned = 0;
-    std::uint64_t distinctEdgeTypesPruned = 0;
 };
 
 class LeakPruning : public CollectionPlugin
@@ -70,8 +59,11 @@ class LeakPruning : public CollectionPlugin
     /**
      * @param registry class metadata for edge typing and diagnostics.
      * @param config thresholds, predictor, trigger option.
+     * @param telemetry receives one audit record and one prune-decision
+     *        instant per PRUNE collection that poisoned references.
      */
-    LeakPruning(const ClassRegistry &registry, LeakPruningConfig config);
+    LeakPruning(const ClassRegistry &registry, LeakPruningConfig config,
+                Telemetry &telemetry);
     ~LeakPruning() override;
 
     LeakPruning(const LeakPruning &) = delete;
@@ -122,20 +114,6 @@ class LeakPruning : public CollectionPlugin
                              std::uint64_t epoch) override;
 
     /**
-     * Pause/resume the staleness clock. The stale counter approximates
-     * how long ago the program used an object — in *program* time. The
-     * back-to-back collections of an out-of-memory retry burst execute
-     * no program at all, so counting them would age every briefly-idle
-     * live structure straight past the candidate threshold; the
-     * runtime pauses the clock for retry rounds after the first.
-     */
-    void
-    pauseStalenessClock(bool paused) override
-    {
-        staleness_clock_paused_.store(paused, std::memory_order_relaxed);
-    }
-
-    /**
      * Should the runtime collect again rather than throw? True while a
      * selection is pending or the last prune made progress.
      *
@@ -160,7 +138,6 @@ class LeakPruning : public CollectionPlugin
     /** Jump the state machine (tests drive precise scenarios with it). */
     void forceState(PruningState s) { machine_.forceState(s); }
     const PruningStats &stats() const { return stats_; }
-    const std::vector<PruneEvent> &pruneLog() const { return prune_log_; }
     const LeakPruningConfig &config() const { return config_; }
 
     /** Human-readable "Src -> Tgt" name for an edge type. */
@@ -187,6 +164,7 @@ class LeakPruning : public CollectionPlugin
     void runStaleClosure(Tracer &tracer);
 
     const ClassRegistry &registry_;
+    Telemetry &telemetry_;
     LeakPruningConfig config_;
     StateMachine machine_;
     EdgeTable edge_table_;
@@ -202,8 +180,6 @@ class LeakPruning : public CollectionPlugin
 
     // Selection carried from a SELECT collection to the PRUNE one.
     std::optional<EdgeEntrySnapshot> selected_;
-
-    std::atomic<bool> staleness_clock_paused_{false};
 
     // Most-stale predictor bookkeeping. Like the per-collection poison
     // count below, written only by collection hooks (one thread,
@@ -222,8 +198,6 @@ class LeakPruning : public CollectionPlugin
     mutable std::mutex oom_mutex_;
 
     PruningStats stats_;
-    std::vector<PruneEvent> prune_log_;
-    std::unordered_set<std::uint64_t> pruned_edge_keys_;
 };
 
 } // namespace lp

@@ -9,7 +9,7 @@
 namespace lp {
 
 PruningReport
-buildPruningReport(const LeakPruning &engine, const PruneAuditTrail *audit)
+buildPruningReport(const LeakPruning &engine, const PruneAuditTrail &audit)
 {
     PruningReport report;
     const auto oom = engine.avertedOutOfMemory();
@@ -20,35 +20,28 @@ buildPruningReport(const LeakPruning &engine, const PruneAuditTrail *audit)
     report.pruneCollections = engine.stats().pruneCollections;
     report.edgeTypesObserved = engine.edgeTable().count();
 
-    for (const PruneEvent &ev : engine.pruneLog()) {
+    const PruneAuditSummary summary = audit.summary();
+    report.poisonAccessesPostPrune =
+        summary.poisonHits + summary.unattributedHits;
+    report.bytesMispredicted = summary.bytesMispredicted;
+    report.accuracyGraded = summary.graded;
+    report.predictionAccuracy = summary.accuracy;
+
+    for (const PruneAuditRecord &rec : audit.records()) {
         auto it = std::find_if(report.suspects.begin(), report.suspects.end(),
                                [&](const LeakSuspect &s) {
-                                   return s.typeName == ev.typeName;
+                                   return s.typeName == rec.typeName;
                                });
         if (it == report.suspects.end()) {
-            report.suspects.push_back(LeakSuspect{
-                ev.type, ev.typeName, 1, ev.refsPoisoned, ev.bytesSelected});
+            report.suspects.push_back(
+                LeakSuspect{EdgeType{rec.srcClass, rec.tgtClass}, rec.typeName,
+                            1, rec.refsPoisoned, rec.bytesReclaimed,
+                            rec.poisonHits});
         } else {
             ++it->timesSelected;
-            it->refsPoisoned += ev.refsPoisoned;
-            it->structureBytes += ev.bytesSelected;
-        }
-    }
-    if (audit) {
-        const PruneAuditSummary summary = audit->summary();
-        report.poisonAccessesPostPrune =
-            summary.poisonHits + summary.unattributedHits;
-        report.bytesMispredicted = summary.bytesMispredicted;
-        report.accuracyGraded = summary.graded;
-        report.predictionAccuracy = summary.accuracy;
-        for (const PruneAuditRecord &rec : audit->records()) {
-            auto it =
-                std::find_if(report.suspects.begin(), report.suspects.end(),
-                             [&](const LeakSuspect &s) {
-                                 return s.typeName == rec.typeName;
-                             });
-            if (it != report.suspects.end())
-                it->poisonAccessHits += rec.poisonHits;
+            it->refsPoisoned += rec.refsPoisoned;
+            it->structureBytes += rec.bytesReclaimed;
+            it->poisonAccessHits += rec.poisonHits;
         }
     }
     std::sort(report.suspects.begin(), report.suspects.end(),

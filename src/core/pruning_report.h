@@ -5,9 +5,9 @@
  * Paper Section 3.2: "To help programmers, leak pruning optionally
  * reports (1) an out-of-memory warning when the program first runs
  * out of memory and (2) the data structures it prunes." This module
- * turns the engine's prune log into that report: a ranked list of the
- * reference types the program retained but never used again — i.e.
- * where the leak lives and what fixing it would reclaim.
+ * turns the audit trail's prune records into that report: a ranked
+ * list of the reference types the program retained but never used
+ * again — i.e. where the leak lives and what fixing it would reclaim.
  */
 
 #ifndef LP_CORE_PRUNING_REPORT_H
@@ -46,7 +46,7 @@ struct PruningReport {
     std::vector<LeakSuspect> suspects; //!< sorted by structureBytes desc
 
     // Prediction grading, sourced from the telemetry audit trail
-    // (zeros/ungraded when buildPruningReport gets no trail).
+    // (zeros/ungraded when nothing was pruned).
     std::uint64_t poisonAccessesPostPrune = 0; //!< attributed + unattributed
     std::uint64_t bytesMispredicted = 0; //!< bytes of hit decisions
     bool accuracyGraded = false;         //!< at least one prune happened
@@ -58,12 +58,13 @@ struct PruningReport {
 };
 
 /**
- * Aggregate @p engine's prune log into a ranked report. With a
- * non-null @p audit the report also grades the engine's predictions:
- * per-suspect poison-access hits and the run's overall accuracy.
+ * Aggregate @p audit's prune records into a ranked report that also
+ * grades the predictions: per-suspect poison-access hits and the run's
+ * overall accuracy. @p engine supplies the out-of-memory warning and
+ * the run's totals.
  */
 PruningReport buildPruningReport(const LeakPruning &engine,
-                                 const PruneAuditTrail *audit = nullptr);
+                                 const PruneAuditTrail &audit);
 
 } // namespace lp
 

@@ -47,7 +47,7 @@ Collector::Collector(Heap &heap, const ClassRegistry &registry,
 Collector::~Collector() = default;
 
 CollectionOutcome
-Collector::collect()
+Collector::collect(bool tick)
 {
     const std::uint64_t req_start = nowNanos();
     threads_.stopTheWorld();
@@ -73,6 +73,7 @@ Collector::collect()
     });
 
     ++epoch_;
+    tracer_.setClockTicks(tick);
     if (plugin_)
         plugin_->beginCollection(epoch_);
 

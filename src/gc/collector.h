@@ -127,9 +127,12 @@ class Collector
      * Perform one full-heap collection. The caller must already hold
      * the allocation lock (so no concurrent collection can start).
      *
+     * @param tick whether this collection counts as program time: when
+     *        false, no closure of it ticks the staleness clock, whatever
+     *        the plugin's policy says (see Runtime::collectLocked).
      * @return the collection outcome (live bytes, fullness, ...).
      */
-    CollectionOutcome collect();
+    CollectionOutcome collect(bool tick);
 
     const GcStats &stats() const { return stats_; }
     std::uint64_t epoch() const { return epoch_; }

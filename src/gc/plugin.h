@@ -61,12 +61,14 @@ struct CollectionOutcome {
  * Per-collection trace policy, snapshotted by the tracer so the hot
  * closure loop pays no virtual calls for the common cases. The
  * staleness clock itself runs inside the tracer (as in the paper,
- * where the collector maintains the stale bits); the plugin only
- * decides whether it should.
+ * where the collector maintains the stale bits). The plugin says
+ * whether its scheme ages objects at all; the collector says whether
+ * this collection counts as program time (Collector::collect), and the
+ * clock ticks only when both agree.
  */
 struct TracePolicy {
     bool tagReferences = false;  //!< set stale-check bits on traced refs
-    bool trackStaleness = false; //!< advance the 3-bit logarithmic clock
+    bool trackStaleness = false; //!< this scheme ages objects (the clock)
     bool classifyEdges = false;  //!< call classifyEdge per heap edge
     bool notifyMarked = false;   //!< call objectMarked per claimed object
     bool notifyInvalidRefs = false; //!< call invalidRefSeen per tagged ref
@@ -151,13 +153,6 @@ class CollectionPlugin
         (void)rounds_so_far;
         return false;
     }
-
-    /**
-     * Pause/resume the staleness clock (see Runtime::collectLocked:
-     * collections that execute no program code between them must not
-     * age objects).
-     */
-    virtual void pauseStalenessClock(bool paused) { (void)paused; }
 
     /**
      * May the staleness clock keep ticking through out-of-memory retry

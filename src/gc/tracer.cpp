@@ -38,7 +38,7 @@ Tracer::Tracer(Heap &heap, const ClassRegistry &registry)
 void
 Tracer::beginClosure(const TracePolicy &policy)
 {
-    tick_below_ = staleTickLimit(policy);
+    tick_below_ = clock_ticks_ ? staleTickLimit(policy) : 0;
     epoch_ = policy.epoch;
 }
 

@@ -126,6 +126,14 @@ class Tracer
     /** Drain the stats accumulated through addClosureStats(). */
     TraceStats takeExtraStats();
 
+    /**
+     * May the closures of the collection about to run tick the
+     * staleness clock? The collector decides once per collection
+     * (Collector::collect); a closure ticks iff this holds and its
+     * policy's trackStaleness does. True until set.
+     */
+    void setClockTicks(bool ticks) { clock_ticks_ = ticks; }
+
     const ClassRegistry &registry() const { return registry_; }
 
     //! Gray-stack capacity (in objects) kept for the next closure; a
@@ -180,6 +188,8 @@ class Tracer
     unsigned tick_below_ = 0;
     //! The running collection's number, whose parity stamps each tick.
     std::uint64_t epoch_ = 0;
+    //! The collector's clock decision for the running collection.
+    bool clock_ticks_ = true;
     //! Closure work plugins report via addClosureStats().
     TraceStats extra_;
     //! The running closure's gray objects, newest last (empty between

@@ -175,10 +175,10 @@ runWorkload(const WorkloadInfo &info, const DriverConfig &config)
     result.barrier.poisonThrows = rt.barrierStats().poisonThrows.load();
     if (rt.pruning()) {
         result.pruning = rt.pruning()->stats();
-        result.pruneLog = rt.pruning()->pruneLog();
+        result.pruneLog = rt.telemetry()->audit().records();
         result.edgeTypeCount = rt.pruning()->edgeTable().count();
         result.pruningReport =
-            buildPruningReport(*rt.pruning(), &rt.telemetry()->audit());
+            buildPruningReport(*rt.pruning(), rt.telemetry()->audit());
     }
     result.audit = rt.telemetry()->audit().summary();
     if (rt.diskOffload())
@@ -215,11 +215,11 @@ std::uint64_t
 RunResult::decisionDigest() const
 {
     std::vector<std::uint64_t> words;
-    for (const PruneEvent &ev : pruneLog) {
-        words.push_back(ev.epoch);
-        words.push_back(ev.type.srcClass);
-        words.push_back(ev.type.tgtClass);
-        words.push_back(ev.refsPoisoned);
+    for (const PruneAuditRecord &rec : pruneLog) {
+        words.push_back(rec.epoch);
+        words.push_back(rec.srcClass);
+        words.push_back(rec.tgtClass);
+        words.push_back(rec.refsPoisoned);
     }
     words.push_back(iterations);
     words.push_back(end == EndReason::OutOfMemory);

@@ -106,7 +106,7 @@ struct RunResult {
     GcStats gc;
     BarrierCounters barrier;
     PruningStats pruning;              //!< zeroed when pruning disabled
-    std::vector<PruneEvent> pruneLog;
+    std::vector<PruneAuditRecord> pruneLog; //!< the audit trail's records
     PruningReport pruningReport;       //!< §3.2 diagnostics snapshot
     DiskOffloadStats offload;          //!< zeroed unless DiskOffload mode
     std::size_t edgeTypeCount = 0;     //!< Table 2's last column
@@ -132,7 +132,7 @@ struct RunResult {
     }
 
     /**
-     * FNV-1a over every prune event's (epoch, edge type, refs
+     * FNV-1a over every prune record's (epoch, edge type, refs
      * poisoned), the outcome (iterations, out of memory or not) and,
      * under the disk-offload baseline, its offload, fault-in and disk
      * GC totals. Equal digests mean the runs made the same pruning or

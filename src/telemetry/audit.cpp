@@ -60,17 +60,4 @@ PruneAuditTrail::records() const
     return records_;
 }
 
-std::uint64_t
-PruneAuditTrail::poisonHitsForType(std::uint32_t src_class,
-                                   std::uint32_t tgt_class) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
-    for (const PruneAuditRecord &r : records_) {
-        if (r.hasType && r.srcClass == src_class && r.tgtClass == tgt_class)
-            total += r.poisonHits;
-    }
-    return total;
-}
-
 } // namespace lp

@@ -16,6 +16,11 @@
  *    source class — the target's memory is gone, so the source end of
  *    the edge is all the barrier can still name).
  *
+ * The trail is the run's one list of prune decisions: the pruning
+ * engine writes each record once, at the end of the PRUNE collection
+ * that poisoned the references, and the pruning report, the harness's
+ * RunResult::pruneLog and its decision digest all read these records.
+ *
  * Prediction accuracy = 1 - (bytes of decisions whose references were
  * later accessed) / (total bytes pruned). A run with no prunes has no
  * prediction to grade (summary().accuracy = 1, graded = false).
@@ -39,6 +44,8 @@ namespace lp {
 struct PruneAuditRecord {
     std::uint64_t epoch = 0;     //!< collection that pruned
     bool hasType = false;        //!< class pair valid (not MostStale)
+    //! The selected edge type; an untyped decision holds the invalid
+    //! class id (kInvalidClassId) at both ends, as EdgeType{} does.
     std::uint32_t srcClass = 0;
     std::uint32_t tgtClass = 0;
     std::string typeName;        //!< "Src -> Tgt" or "<staleness level k>"
@@ -82,18 +89,14 @@ class PruneAuditTrail
 
     /**
      * Totals over every decision, read in one pass. The heap verifier
-     * cross-checks these against the engine's own statistics (they are
-     * maintained independently; disagreement means a decision was lost
-     * or double-counted).
+     * checks refsPoisoned against the engine's own running count,
+     * which it keeps apart from the records; disagreement means a
+     * decision was lost or double-counted.
      */
     PruneAuditSummary summary() const;
 
     /** Snapshot of every decision (with hit counts). */
     std::vector<PruneAuditRecord> records() const;
-
-    /** Poison-access hits attributed to decisions naming @p src_class. */
-    std::uint64_t poisonHitsForType(std::uint32_t src_class,
-                                    std::uint32_t tgt_class) const;
 
   private:
     mutable std::mutex mutex_;

@@ -46,7 +46,8 @@ writeMicros(std::ostream &os, std::uint64_t nanos)
 void
 writeChromeTrace(
     std::ostream &os, const std::vector<DrainedEvent> &events,
-    const std::vector<std::pair<std::uint32_t, std::string>> &thread_names)
+    const std::vector<std::pair<std::uint32_t, std::string>> &thread_names,
+    std::uint64_t dropped_events)
 {
     // Perfetto does not require sorted input, but sorted output diffs
     // cleanly and makes the validator's job trivial.
@@ -59,7 +60,8 @@ writeChromeTrace(
                          return a->ev.tsNanos < b->ev.tsNanos;
                      });
 
-    os << "{\"traceEvents\": [\n";
+    os << "{\"otherData\": {\"dropped_events\": " << dropped_events
+       << "},\n\"traceEvents\": [\n";
     os << " {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
           "\"args\": {\"name\": \"leakpruning\"}}";
     os << ",\n {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "

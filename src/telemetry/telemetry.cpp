@@ -82,14 +82,16 @@ Telemetry::writeChromeTrace(std::ostream &os) const
 {
     std::vector<DrainedEvent> events;
     std::vector<std::pair<std::uint32_t, std::string>> names;
+    std::uint64_t dropped = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         events = drained_;
+        dropped = dropped_;
         names.reserve(tracks_.size());
         for (const auto &[id, track] : tracks_)
             names.emplace_back(track.tid, track.name);
     }
-    lp::writeChromeTrace(os, events, names);
+    lp::writeChromeTrace(os, events, names, dropped);
 }
 
 } // namespace lp

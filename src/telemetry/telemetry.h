@@ -113,8 +113,9 @@ class Telemetry
 
     /**
      * Write the buffer as Chrome trace-event JSON, one track per
-     * emitting thread plus the GC track. Copies the buffer under the
-     * lock and writes the copy outside it.
+     * emitting thread plus the GC track, with droppedEvents() in its
+     * "otherData". Copies the buffer under the lock and writes the
+     * copy outside it.
      */
     void writeChromeTrace(std::ostream &os) const;
 

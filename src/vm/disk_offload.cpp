@@ -37,7 +37,7 @@ DiskOffload::tracePolicy() const
     if (!observing_)
         return policy;
     policy.tagReferences = true;
-    policy.trackStaleness = !staleness_clock_paused_;
+    policy.trackStaleness = true;
     policy.classifyEdges = offloading_this_gc_;
     policy.notifyInvalidRefs = true; // the disk GC's liveness scan
     policy.epoch = epoch_;

@@ -117,13 +117,6 @@ class DiskOffload : public CollectionPlugin
 
     const DiskOffloadStats &stats() const { return stats_; }
 
-    /** Pause/resume the staleness clock (same contract as pruning). */
-    void
-    pauseStalenessClock(bool paused) override
-    {
-        staleness_clock_paused_ = paused;
-    }
-
   private:
     /** One serialized object on "disk". */
     struct StubRecord {
@@ -170,7 +163,6 @@ class DiskOffload : public CollectionPlugin
     bool offload_pending_ = false;   //!< next GC should offload
     bool offloading_this_gc_ = false;
     std::uint64_t epoch_ = 0;
-    bool staleness_clock_paused_ = false;
     std::uint64_t offloaded_this_gc_ = 0;
 
     std::vector<ref_t *> candidate_slots_;

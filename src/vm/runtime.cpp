@@ -51,7 +51,8 @@ Runtime::Runtime(const RuntimeConfig &config)
     if (mode != ToleranceMode::None && !barriers_enabled_)
         fatal("leak tolerance requires read barriers (BarrierMode::AllTheTime)");
     if (mode == ToleranceMode::LeakPruning) {
-        pruning_ = std::make_unique<LeakPruning>(registry_, config_.pruning);
+        pruning_ = std::make_unique<LeakPruning>(registry_, config_.pruning,
+                                                 telemetry_);
         tolerance_plugin_ = pruning_.get();
     } else if (mode == ToleranceMode::DiskOffload) {
         offload_ = std::make_unique<DiskOffload>(*this, config_.offload);
@@ -72,10 +73,6 @@ Runtime::Runtime(const RuntimeConfig &config)
     vctx.offloadActive = offload_ != nullptr;
     verifier_ = std::make_unique<HeapVerifier>(vctx, config_.verifier);
     collector_->setPostCollectionHook([this](const CollectionOutcome &outcome) {
-        // Capture fresh prune decisions first: the verifier's audit
-        // invariant cross-checks the trail against the engine's own
-        // statistics, so the trail must be current when it runs.
-        capturePruneAudit();
         if (verifier_->due(outcome.epoch))
             verifier_->verify(outcome.epoch);
     });
@@ -99,7 +96,7 @@ Runtime::collectNow()
 {
     AllocLock lock(alloc_mutex_, threads_);
     bytes_since_gc_ = 0;
-    return collector_->collect();
+    return collector_->collect(/*tick=*/true);
 }
 
 VerifierReport
@@ -135,12 +132,10 @@ Runtime::collectLocked(bool exhausted)
     // deadlocks (no allocation succeeds until something is reclaimed,
     // nothing is reclaimed until the clock advances). Whether forced
     // aging is safe depends on the scheme — see
-    // GcPlugin::agesUnderExhaustion.
+    // CollectionPlugin::agesUnderExhaustion.
     const std::size_t pre_pause_clock_bytes = bytes_since_clock_tick_;
     const bool tick = exhausted || pre_pause_clock_bytes >= kClockQuantumBytes;
-    if (tolerance_plugin_)
-        tolerance_plugin_->pauseStalenessClock(!tick);
-    collector_->collect();
+    collector_->collect(tick);
     if (tick) {
         // Consume only what was on the clock when the tick was decided:
         // the world-stopped hook folds other threads' cache-local
@@ -150,8 +145,6 @@ Runtime::collectLocked(bool exhausted)
         bytes_since_clock_tick_ -= pre_pause_clock_bytes;
     }
     bytes_since_gc_ = 0;
-    if (tolerance_plugin_)
-        tolerance_plugin_->pauseStalenessClock(false);
 
     // Schedule the next collection at half the remaining headroom:
     // "allocations trigger more and more collections as memory fills
@@ -358,30 +351,6 @@ Runtime::readBarrierColdPath(Object *src, const ClassInfo &src_cls,
     tgt->clearStaleCounter();
     countOwned(counts.staleResets);
     return tgt;
-}
-
-void
-Runtime::capturePruneAudit()
-{
-    if (!pruning_)
-        return;
-    const std::vector<PruneEvent> &log = pruning_->pruneLog();
-    for (; audit_seen_prunes_ < log.size(); ++audit_seen_prunes_) {
-        const PruneEvent &ev = log[audit_seen_prunes_];
-        PruneAuditRecord rec;
-        rec.epoch = ev.epoch;
-        rec.hasType = ev.hasType;
-        rec.srcClass = ev.type.srcClass;
-        rec.tgtClass = ev.type.tgtClass;
-        rec.typeName = ev.typeName;
-        rec.staleLevel = ev.staleLevel;
-        rec.refsPoisoned = ev.refsPoisoned;
-        rec.bytesReclaimed = ev.bytesSelected;
-        telemetry_.audit().recordPrune(std::move(rec));
-        telemetry_.emitInstant(TracePhase::PruneDecision,
-                               static_cast<std::uint32_t>(ev.refsPoisoned),
-                               ev.bytesSelected, /*gc_track=*/true);
-    }
 }
 
 namespace {

@@ -255,7 +255,10 @@ class Runtime
 
     // --- collection ----------------------------------------------------------
 
-    /** Force a full-heap collection (tests, benches). */
+    /**
+     * Force a full-heap collection (tests, benches). It always ticks
+     * the staleness clock, allocated quantum or not.
+     */
     CollectionOutcome collectNow();
 
     // --- heap-integrity verification ----------------------------------------
@@ -360,20 +363,11 @@ class Runtime
                                 ref_t *addr, ref_t observed,
                                 BarrierStats &counts);
 
-    /**
-     * Fold PruneEvents the engine logged since the last capture into
-     * the audit trail (and emit prune-decision trace instants). Runs
-     * in the post-collection hook, before the verifier cross-checks
-     * audit totals against the engine's statistics.
-     */
-    void capturePruneAudit();
-
     RuntimeConfig config_;
     ClassRegistry registry_;
     //! Declared before the heap/caches/collector so the engine
     //! outlives every instrumented component during destruction.
     Telemetry telemetry_;
-    std::size_t audit_seen_prunes_ = 0; //!< pruneLog entries captured
     Heap heap_;
     std::size_t gc_budget_bytes_ = 0;     //!< allocation between collections
     std::size_t bytes_since_gc_ = 0;      //!< guarded by alloc_mutex_

@@ -128,13 +128,13 @@ TEST_F(AppsTest, EclipseDiffPrunesCompareInputStructures)
     // The paper: "correctly selects and prunes several edge types with
     // source type ResourceCompareInput".
     bool from_rci = false;
-    for (const PruneEvent &ev : r.pruneLog) {
-        if (ev.typeName.find("ResourceCompareInput ->") != std::string::npos)
+    for (const PruneAuditRecord &rec : r.pruneLog) {
+        if (rec.typeName.find("ResourceCompareInput ->") != std::string::npos)
             from_rci = true;
-        EXPECT_EQ(ev.typeName.find("NavigationHistory.List"),
+        EXPECT_EQ(rec.typeName.find("NavigationHistory.List"),
                   std::string::npos)
             << "the live history spine must never be pruned: "
-            << ev.typeName;
+            << rec.typeName;
     }
     EXPECT_TRUE(from_rci);
 }
@@ -167,10 +167,10 @@ TEST_F(AppsTest, EclipseCpPruneLogIsPinned)
         {40, events, 30}, {49, undo, 30},
     };
     for (std::size_t i = 0; i < std::size(first); ++i) {
-        const PruneEvent &ev = r.pruneLog[i];
-        EXPECT_EQ(ev.epoch, first[i].epoch) << "decision " << i;
-        EXPECT_EQ(ev.typeName, first[i].type) << "decision " << i;
-        EXPECT_EQ(ev.refsPoisoned, first[i].refs) << "decision " << i;
+        const PruneAuditRecord &rec = r.pruneLog[i];
+        EXPECT_EQ(rec.epoch, first[i].epoch) << "decision " << i;
+        EXPECT_EQ(rec.typeName, first[i].type) << "decision " << i;
+        EXPECT_EQ(rec.refsPoisoned, first[i].refs) << "decision " << i;
     }
 }
 
@@ -181,10 +181,10 @@ TEST_F(AppsTest, MySqlPrunesResultsNotStatements)
     cfg.maxSeconds = 15.0;
     const RunResult r = runWorkloadByName("MySQL", cfg);
     ASSERT_FALSE(r.pruneLog.empty());
-    for (const PruneEvent &ev : r.pruneLog) {
-        EXPECT_EQ(ev.typeName.find("-> com.mysql.jdbc.ServerPreparedStatement"),
+    for (const PruneAuditRecord &rec : r.pruneLog) {
+        EXPECT_EQ(rec.typeName.find("-> com.mysql.jdbc.ServerPreparedStatement"),
                   std::string::npos)
-            << "live statements must not be pruned: " << ev.typeName;
+            << "live statements must not be pruned: " << rec.typeName;
     }
     EXPECT_EQ(r.end, EndReason::OutOfMemory)
         << "MySQL's live statement growth eventually wins";
@@ -197,11 +197,11 @@ TEST_F(AppsTest, JbbModOrdersProtectedByMaxStaleUse)
     cfg.maxSeconds = 25.0;
     const RunResult r = runWorkloadByName("JbbMod", cfg);
     ASSERT_FALSE(r.pruneLog.empty());
-    for (const PruneEvent &ev : r.pruneLog) {
-        EXPECT_EQ(ev.typeName.find("Object[] -> spec.jbbmod.Order"),
+    for (const PruneAuditRecord &rec : r.pruneLog) {
+        EXPECT_EQ(rec.typeName.find("Object[] -> spec.jbbmod.Order"),
                   std::string::npos)
             << "phased maxStaleUse must protect Object[]->Order: "
-            << ev.typeName;
+            << rec.typeName;
     }
 }
 

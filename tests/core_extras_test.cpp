@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/edge_table.h"
+#include "core/errors.h"
 #include "core/pruning_report.h"
 #include "vm/handles.h"
 #include "vm/runtime.h"
@@ -139,7 +143,8 @@ TEST(PruningReportTest, EmptyWithoutExhaustion)
     cfg.heapBytes = 8u << 20;
     cfg.enableLeakPruning = true;
     Runtime rt(cfg);
-    const PruningReport report = buildPruningReport(*rt.pruning());
+    const PruningReport report =
+        buildPruningReport(*rt.pruning(), rt.telemetry()->audit());
     EXPECT_FALSE(report.memoryExhausted);
     EXPECT_TRUE(report.suspects.empty());
     EXPECT_NE(report.toString().find("never exhausted"), std::string::npos);
@@ -168,7 +173,8 @@ TEST(PruningReportTest, RanksSuspectsByStructureBytes)
         }
     }
 
-    const PruningReport report = buildPruningReport(*rt.pruning());
+    const PruningReport report =
+        buildPruningReport(*rt.pruning(), rt.telemetry()->audit());
     EXPECT_TRUE(report.memoryExhausted);
     EXPECT_FALSE(report.oomMessage.empty());
     ASSERT_FALSE(report.suspects.empty());
@@ -179,6 +185,53 @@ TEST(PruningReportTest, RanksSuspectsByStructureBytes)
     // Rendering mentions the top suspect.
     EXPECT_NE(report.toString().find("r.Node -> r.Payload"),
               std::string::npos);
+}
+
+TEST(PruningReportTest, PoisonAccessIsAttributedEndToEnd)
+{
+    // Prune holder -> victim, then read the pruned reference: the throw
+    // lands on the decision's one audit record, and the record, the
+    // report and the summary all grade the prediction as wrong.
+    RuntimeConfig cfg;
+    cfg.heapBytes = 8u << 20;
+    cfg.enableLeakPruning = true;
+    Runtime rt(cfg);
+    const class_id_t holder = rt.defineClass("a.Holder", 1, 0);
+    const class_id_t victim = rt.defineClass("a.Victim", 0, 64);
+
+    HandleScope scope(rt.roots());
+    Handle h = scope.handle(rt.allocate(holder));
+    {
+        HandleScope inner(rt.roots());
+        Handle v = inner.handle(rt.allocate(victim));
+        rt.writeRef(h.get(), 0, v.get());
+    }
+    rt.releaseAllocationRoot();
+
+    rt.pruning()->forceState(PruningState::Observe);
+    rt.collectNow();
+    rt.readRef(h.get(), 0)->setStaleCounter(4);
+    rt.pruning()->forceState(PruningState::Select);
+    rt.collectNow(); // SELECT
+    rt.collectNow(); // PRUNE: poisons holder -> victim
+    EXPECT_THROW(rt.readRef(h.get(), 0), InternalError);
+
+    const PruneAuditTrail &audit = rt.telemetry()->audit();
+    const std::vector<PruneAuditRecord> recs = audit.records();
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].typeName, "a.Holder -> a.Victim");
+    EXPECT_EQ(recs[0].poisonHits, 1u);
+    EXPECT_EQ(recs[0].refsPoisoned, rt.pruning()->stats().refsPoisoned);
+    EXPECT_EQ(recs[0].refsPoisoned, 1u);
+
+    const PruningReport report = buildPruningReport(*rt.pruning(), audit);
+    ASSERT_EQ(report.suspects.size(), 1u);
+    EXPECT_EQ(report.suspects[0].poisonAccessHits, 1u);
+
+    const PruneAuditSummary summary = audit.summary();
+    EXPECT_TRUE(summary.graded);
+    EXPECT_EQ(summary.unattributedHits, 0u);
+    EXPECT_DOUBLE_EQ(summary.accuracy, 0.0);
 }
 
 } // namespace

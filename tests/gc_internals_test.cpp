@@ -718,7 +718,8 @@ decideInRootOrder(unsigned seed, Predictor predictor, std::uint64_t select_epoch
 
     LeakPruningConfig cfg;
     cfg.predictor = predictor;
-    LeakPruning pruning(g.rt->classes(), cfg);
+    Telemetry telemetry;
+    LeakPruning pruning(g.rt->classes(), cfg, telemetry);
     // Uses that protect two edge types (maxStaleUse 3 and 2).
     pruning.forceState(PruningState::Observe);
     const class_id_t a = g.objects[0]->classId(), b = g.objects[1]->classId();

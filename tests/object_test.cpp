@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -279,9 +280,13 @@ TEST(ClassRegistryTest, ConcurrentRegistrationIsSafe)
     for (int t = 0; t < 4; ++t) {
         threads.emplace_back([&, t] {
             for (int i = 0; i < 50; ++i) {
-                reg.registerScalar("T" + std::to_string(t) + "_" +
-                                       std::to_string(i),
-                                   1, 8);
+                // Appended piece by piece: GCC 12 at -O3 warns
+                // (-Wrestrict) on the chained operator+ form.
+                std::string name = "T";
+                name += std::to_string(t);
+                name += '_';
+                name += std::to_string(i);
+                reg.registerScalar(name, 1, 8);
             }
         });
     }

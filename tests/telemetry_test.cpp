@@ -346,6 +346,14 @@ TEST(TelemetryTest, EngineOverflowIsCountedAndSurfaced)
     const JsonValue root = metricsJsonOf(rt);
     EXPECT_EQ(root.at("gauges").at("telemetry.dropped_events").number,
               static_cast<double>(kExcess));
+    // So does the trace itself, which check_trace.py then rejects.
+    std::ostringstream trace;
+    tel->writeChromeTrace(trace);
+    EXPECT_EQ(parseJsonOrDie(trace.str())
+                  .at("otherData")
+                  .at("dropped_events")
+                  .number,
+              static_cast<double>(kExcess));
 }
 
 TEST(TelemetryTest, DrainedBufferIsCapped)
@@ -542,9 +550,10 @@ TEST(AuditTrailTest, AttributionAndAccuracy)
     EXPECT_EQ(s.bytesMispredicted, 10000u);
     EXPECT_DOUBLE_EQ(s.accuracy, 0.0);
 
-    EXPECT_EQ(trail.poisonHitsForType(1, 2), 2u);
-    EXPECT_EQ(trail.poisonHitsForType(3, 4), 1u);
-    EXPECT_EQ(trail.poisonHitsForType(9, 9), 0u);
+    const std::vector<PruneAuditRecord> recs = trail.records();
+    ASSERT_EQ(recs.size(), 2u);
+    EXPECT_EQ(recs[0].poisonHits, 2u);
+    EXPECT_EQ(recs[1].poisonHits, 1u);
 }
 
 TEST(AuditTrailTest, NewestMatchingDecisionWins)

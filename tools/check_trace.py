@@ -14,7 +14,10 @@ checks the structural properties the telemetry subsystem promises:
   - at least --min-mutators named mutator tracks emitted events of
     their own (the multi-threaded trace criterion);
   - with --require-prune, at least one prune.decision instant is on
-    the GC track (the run was expected to reach the PRUNE state).
+    the GC track (the run was expected to reach the PRUNE state);
+  - the exporter dropped no event: "otherData"."dropped_events" is
+    present and zero. The telemetry buffer is capped, so a long run
+    keeps only its first events; such a trace is truncated and fails.
 
 Exit codes: 0 valid, 1 validation failure, 2 usage/IO error. Used by
 CI on a trace from `run_leak --trace` (see ctest -R trace_).
@@ -54,6 +57,12 @@ def main() -> None:
     events = root.get("traceEvents")
     if not isinstance(events, list) or not events:
         fail("no traceEvents array")
+    dropped = (root.get("otherData") or {}).get("dropped_events")
+    if not isinstance(dropped, int):
+        fail("no otherData.dropped_events count")
+    if dropped:
+        fail(f"trace is truncated: the telemetry buffer dropped {dropped} "
+             f"event(s)")
 
     track_names = {}
     events_per_tid = defaultdict(int)
