@@ -68,11 +68,38 @@ LeakPruning::tracePolicy() const
         return policy;
     policy.tagReferences = true;
     policy.trackStaleness = true;
-    policy.classifyEdges = active_state_ == PruningState::Select ||
-                           active_state_ == PruningState::Prune;
-    policy.notifyMarked = config_.predictor == Predictor::MostStale &&
-                          active_state_ == PruningState::Select;
     policy.epoch = epoch_;
+    const bool most_stale = config_.predictor == Predictor::MostStale;
+    // The reject rule is classifyEdge's own early Trace answers, taken
+    // from the header before any call: pinned targets never qualify,
+    // nor targets below the staleness every candidate or poisoned edge
+    // needs.
+    policy.rejectPinned = true;
+    switch (active_state_) {
+      case PruningState::Select:
+        // Most-stale selection reads objectMarked(), never an edge.
+        policy.classifyEdges = !most_stale;
+        policy.notifyMarked = most_stale;
+        policy.minStale = config_.staleUseMargin;
+        break;
+      case PruningState::Prune:
+        if (most_stale) {
+            policy.classifyEdges = true;
+            policy.minStale = most_stale_level_;
+        } else if (selected_) {
+            // Only the selected type is poisoned, and only past its
+            // current maxStaleUse plus the margin (isCandidate); the
+            // edge table does not change inside the pause.
+            policy.classifyEdges = true;
+            policy.srcClass = selected_->type.srcClass;
+            policy.tgtClass = selected_->type.tgtClass;
+            policy.minStale = edge_table_.maxStaleUse(selected_->type) +
+                              config_.staleUseMargin;
+        }
+        break;
+      default:
+        break;
+    }
     return policy;
 }
 

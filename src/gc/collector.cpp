@@ -80,8 +80,12 @@ Collector::collect(bool tick)
     // The in-use transitive closure from the roots, claiming in the
     // heap's side mark bitmaps (all clear between collections).
     TraceStats trace;
+    const bool classifying = plugin_ && plugin_->tracePolicy().classifyEdges;
     stage(PauseStage::Mark,
           [&] { trace = tracer_.traceFromRoots(roots_, plugin_); });
+    GcStats::MarkCost &mark = classifying ? stats_.classifyingMark : stats_.plainMark;
+    mark.nanos += timing(PauseStage::Mark).nanos();
+    mark.objects += trace.objectsMarked;
 
     // Plugin phase — in SELECT this is the stale closure and edge-type
     // selection; in other states it is a no-op. Closure work the

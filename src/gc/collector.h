@@ -61,6 +61,23 @@ struct GcStats {
     //! really is stopped while the verifier walks).
     std::uint64_t totalVerifyNanos = 0;
     std::uint64_t objectsMarkedTotal = 0;
+    //! The Mark stage's time and the objects its in-use closure marked,
+    //! kept apart for collections whose closure classified edges (leak
+    //! pruning's SELECT and PRUNE, the offloader's offloading
+    //! collections) and for the rest, so the cost of classification
+    //! per marked object shows against plain marking.
+    struct MarkCost {
+        std::uint64_t nanos = 0;
+        std::uint64_t objects = 0;
+        double
+        nsPerObject() const
+        {
+            return objects ? static_cast<double>(nanos) / static_cast<double>(objects)
+                           : 0.0;
+        }
+    };
+    MarkCost plainMark;
+    MarkCost classifyingMark;
     std::uint64_t objectsFinalized = 0;
     std::uint64_t refsPoisonedTotal = 0;
     std::size_t lastLiveBytes = 0;

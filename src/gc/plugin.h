@@ -73,6 +73,17 @@ struct TracePolicy {
     bool notifyMarked = false;   //!< call objectMarked per claimed object
     bool notifyInvalidRefs = false; //!< call invalidRefSeen per tagged ref
     std::uint64_t epoch = 0;     //!< collection number for the clock rule
+
+    // The cheap reject rule of a classifying closure, read from the
+    // source's class and the target's header alone: an edge it rejects
+    // is traced without a classifyEdge call (Tracer::rejectsEdge). A
+    // plugin may publish only rejections for which classifyEdge would
+    // answer Trace and record nothing, so the rule changes no decision.
+    // The defaults reject nothing.
+    bool rejectPinned = false;  //!< reject edges into pinned targets
+    unsigned minStale = 0;      //!< reject targets whose counter at start is below this
+    class_id_t srcClass = kInvalidClassId; //!< if valid, reject edges out of other classes
+    class_id_t tgtClass = kInvalidClassId; //!< if valid, reject edges into other classes
 };
 
 /**

@@ -66,6 +66,20 @@ Tracer::shade(Object *obj)
         gray_.push_back(obj);
 }
 
+bool
+Tracer::rejectsEdge(const TracePolicy &policy, class_id_t src_cls,
+                    const Object *tgt)
+{
+    if (policy.srcClass != kInvalidClassId && src_cls != policy.srcClass)
+        return true;
+    if (policy.tgtClass != kInvalidClassId && tgt->classId() != policy.tgtClass)
+        return true;
+    if (policy.minStale != 0 &&
+        tgt->staleCounterAtStart(policy.epoch) < policy.minStale)
+        return true;
+    return policy.rejectPinned && tgt->pinned();
+}
+
 void
 Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
                    const TracePolicy &policy, TraceStats &stats)
@@ -83,7 +97,7 @@ Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
         }
         Object *tgt = refTarget(r);
         EdgeAction action = EdgeAction::Trace;
-        if (policy.classifyEdges)
+        if (policy.classifyEdges && !rejectsEdge(policy, cls.id, tgt))
             action = plugin->classifyEdge(obj, cls, slot, tgt);
         switch (action) {
           case EdgeAction::Trace:

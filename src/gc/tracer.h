@@ -17,7 +17,10 @@
  * Both closures run one scan-and-mark routine (scanObject) over one
  * LIFO gray stack; the TracePolicy a closure is given selects what the
  * routine does per edge (tag, classify, notify) and per marked object
- * (tick the staleness clock, notify).
+ * (tick the staleness clock, notify). A classifying closure first
+ * applies the policy's reject rule (rejectsEdge) to the source class
+ * and the target's header, and calls the plugin's virtual classifyEdge
+ * only for an edge the rule cannot reject.
  *
  * Every closure claims an object at discovery, with the heap's side
  * mark bitmap (Heap::tryMark), so only a first discovery is pushed and
@@ -145,6 +148,15 @@ class Tracer
     //! Gray-stack capacity held between closures (at most
     //! kRetainedGrayCapacity).
     std::size_t grayCapacity() const { return gray_.capacity(); }
+
+    /**
+     * Does @p policy's cheap reject rule reject the edge from an
+     * object of class @p src_cls to @p tgt? A classifying closure
+     * traces a rejected edge without calling classifyEdge. Reads only
+     * @p tgt's header.
+     */
+    static bool rejectsEdge(const TracePolicy &policy, class_id_t src_cls,
+                            const Object *tgt);
 
   private:
     //! Gray objects kept in flight: each one's header is prefetched

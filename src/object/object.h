@@ -4,14 +4,17 @@
  *
  * Every object starts with a two-word header:
  *
- *  word 0 (status): class id (20 bits) | stale counter (3 bits) |
- *                   finalizer-enqueued bit | pinned bit |
- *                   tick stamp (ticked bit, parity bit)
- *  word 1 (size):   total object size in bytes, header included
+ *  word 0: class id (uint32) | stale byte | flags byte | 2 unused bytes
+ *  word 1: total object size in bytes, header included
  *
- * The three-bit stale counter is the paper's logarithmic staleness
- * clock (Section 4.1): value k means the object was last used about
- * 2^k full-heap collections ago. The header holds no mark bit: the
+ * The stale byte holds the three-bit stale counter (bits 0-2) and the
+ * two-bit tick stamp (bit 3 ticked, bit 4 the ticking collection's
+ * parity). The flags byte holds the finalizer-enqueued bit (bit 0)
+ * and the pinned bit (bit 1).
+ *
+ * The stale counter is the paper's logarithmic staleness clock
+ * (Section 4.1): value k means the object was last used about 2^k
+ * full-heap collections ago. The header holds no mark bit: the
  * collector claims objects in the heap's side mark bitmaps
  * (Heap::tryMark) and touches the header only to tick the clock
  * (tickStaleCounter) as it visits each marked object. The pinned bit
@@ -27,14 +30,20 @@
  * outlives the collection after the one that set it and no clearing
  * pass is needed.
  *
- * Who writes the status word: mutators change only the stale counter
- * (the read barrier's cold path) and the pinned bit, with atomic
- * read-modify-writes, and never during a collection pause. The
- * collector writes the stale and finalizer bits only inside the
- * pause, where every mutator is parked at a safepoint, so its writes
- * are a relaxed load and a relaxed store with no locked instruction.
- * Safepoint entry and exit order the two kinds of writer (DESIGN.md
- * "Known deviations: serial collector").
+ * Who writes which byte. The class id is written once, by format().
+ * The stale byte has one writer at a time: outside a pause only the
+ * read barrier's cold path writes it, and only ever zero
+ * (clearStaleCounter, one relaxed byte store), so racing readers
+ * store the same value and none can undo another's reset; inside a
+ * pause only the collector writes it. The flags byte's pinned bit is
+ * set and cleared by mutators with a locked or/and on that byte
+ * alone, outside pauses; the collector sets the finalizer bit inside
+ * the pause. No writer of one byte can lose a write to the other, so
+ * the barrier needs no read-modify-write on the header, and the
+ * collector, the only thread running in a pause, uses a relaxed load
+ * and a relaxed store. Safepoint entry and exit order the pause's
+ * writes against the mutators' (DESIGN.md "Known deviations: serial
+ * collector").
  *
  * Payload layouts by ObjectKind:
  *  Scalar:    [ref slots x numRefSlots][raw data bytes]
@@ -56,20 +65,8 @@
 
 namespace lp {
 
-/** Bit-field positions within the status word. */
-namespace header_bits {
-constexpr unsigned kClassIdLo = 0;
-constexpr unsigned kClassIdWidth = 20;
-constexpr unsigned kStaleLo = 20;
-constexpr unsigned kStaleWidth = 3;
-constexpr unsigned kFinalizerEnqueuedBit = 23;
-constexpr unsigned kPinnedBit = 24;
-constexpr unsigned kTickedBit = 25;
-constexpr unsigned kTickParityBit = 26;
-} // namespace header_bits
-
 /** Maximum value the 3-bit logarithmic stale counter can hold. */
-constexpr unsigned kMaxStaleCounter = (1u << header_bits::kStaleWidth) - 1;
+constexpr unsigned kMaxStaleCounter = 7;
 
 /**
  * A managed heap object. Instances live only inside a Heap; the
@@ -78,7 +75,7 @@ constexpr unsigned kMaxStaleCounter = (1u << header_bits::kStaleWidth) - 1;
 class Object
 {
   public:
-    /** Header size in bytes (status word + size word). */
+    /** Header size in bytes (word 0 + size word). */
     static constexpr std::size_t kHeaderBytes = 2 * kWordBytes;
 
     // --- formatting (called by the allocator only) -------------------
@@ -93,11 +90,10 @@ class Object
     format(void *mem, class_id_t cls, std::size_t total_bytes)
     {
         auto *obj = static_cast<Object *>(mem);
-        // Relaxed atomic store, like every other status-word access.
-        std::atomic_ref<word_t>(obj->status_)
-            .store(setBitField(word_t{0}, header_bits::kClassIdLo,
-                               header_bits::kClassIdWidth, cls),
-                   std::memory_order_relaxed);
+        // Relaxed atomic stores, like every other header access.
+        store(obj->class_id_, cls);
+        store(obj->stale_, std::uint8_t{0});
+        store(obj->flags_, std::uint8_t{0});
         obj->size_ = total_bytes;
         std::memset(obj->payload(), 0, total_bytes - kHeaderBytes);
         return obj;
@@ -105,23 +101,13 @@ class Object
 
     // --- header accessors --------------------------------------------
 
-    class_id_t
-    classId() const
-    {
-        return static_cast<class_id_t>(bitField(
-            statusRelaxed(), header_bits::kClassIdLo, header_bits::kClassIdWidth));
-    }
+    class_id_t classId() const { return load(class_id_); }
 
     /** Total size in bytes, header included. */
     std::size_t sizeBytes() const { return size_; }
 
     /** Current value of the logarithmic stale counter. */
-    unsigned
-    staleCounter() const
-    {
-        return static_cast<unsigned>(bitField(
-            statusRelaxed(), header_bits::kStaleLo, header_bits::kStaleWidth));
-    }
+    unsigned staleCounter() const { return load(stale_) & kCounterMask; }
 
     /**
      * The stale counter as it stood when collection @p epoch began:
@@ -133,39 +119,38 @@ class Object
     unsigned
     staleCounterAtStart(std::uint64_t epoch) const
     {
-        return staleCounter() - tickedIn(epoch);
+        const std::uint8_t s = load(stale_);
+        return (s & kCounterMask) - ((s & kTickStampMask) == tickStamp(epoch));
     }
 
     /** The visit of collection @p epoch raised the counter. */
     bool
     tickedIn(std::uint64_t epoch) const
     {
-        return (statusRelaxed() & kTickStampMask) == tickStamp(epoch);
+        return (load(stale_) & kTickStampMask) == tickStamp(epoch);
     }
 
     /**
-     * Set the stale counter with a CAS loop so concurrent updates of
-     * other header bits (finalizer, pinned) are not lost — the paper's
-     * barrier performs the same atomic header update (Section 4.1).
+     * Set the stale counter to @p k, keeping the tick stamp. A plain
+     * load and store of the stale byte: for tests that set up a
+     * counter from the thread that owns the object, never racing the
+     * barrier or a pause.
      */
     void
     setStaleCounter(unsigned k)
     {
         LP_ASSERT(k <= kMaxStaleCounter);
-        std::atomic_ref<word_t> st(status_);
-        word_t old = st.load(std::memory_order_relaxed);
-        while (true) {
-            const word_t next = setBitField(old, header_bits::kStaleLo,
-                                            header_bits::kStaleWidth, k);
-            if (next == old)
-                return;
-            if (st.compare_exchange_weak(old, next, std::memory_order_relaxed))
-                return;
-        }
+        store(stale_, static_cast<std::uint8_t>((load(stale_) & ~kCounterMask) | k));
     }
 
-    /** Zero the stale counter (the read barrier's cold-path action). */
-    void clearStaleCounter() { setStaleCounter(0); }
+    /**
+     * Zero the stale counter and its tick stamp: the read barrier's
+     * cold-path reset (paper Section 4.1). One relaxed byte store,
+     * safe without a read-modify-write because zero is the only value
+     * a mutator ever writes to the stale byte (file comment). A stamp
+     * it clears was the previous collection's and the next ignores it.
+     */
+    void clearStaleCounter() { store(stale_, std::uint8_t{0}); }
 
     /**
      * The visit of collection @p epoch to an object it marked: when the
@@ -174,27 +159,23 @@ class Object
      * stamp found here is the previous collection's).
      *
      * Collector only, world stopped: a relaxed load and, only when the
-     * word changes, a relaxed store, exact because no other thread
+     * byte changes, a relaxed store, exact because no other thread
      * writes the header during the pause (file comment). @p tick_below
      * is at most kMaxStaleCounter; 0 leaves the counter alone.
      */
     void
     tickStaleCounter(unsigned tick_below, std::uint64_t epoch)
     {
-        std::atomic_ref<word_t> st(status_);
-        const word_t old = st.load(std::memory_order_relaxed);
-        const auto k = static_cast<unsigned>(
-            bitField(old, header_bits::kStaleLo, header_bits::kStaleWidth));
-        word_t next = old & ~kTickStampMask;
-        if (k < tick_below)
-            next = setBitField(next, header_bits::kStaleLo,
-                               header_bits::kStaleWidth, k + 1) |
-                   tickStamp(epoch);
+        const std::uint8_t old = load(stale_);
+        const unsigned k = old & kCounterMask;
+        const std::uint8_t next =
+            k < tick_below ? static_cast<std::uint8_t>((k + 1) | tickStamp(epoch))
+                           : static_cast<std::uint8_t>(k);
         if (next != old)
-            st.store(next, std::memory_order_relaxed);
+            store(stale_, next);
     }
 
-    bool finalizerEnqueued() const { return testBit(header_bits::kFinalizerEnqueuedBit); }
+    bool finalizerEnqueued() const { return load(flags_) & kFinalizerEnqueuedBit; }
 
     /**
      * Claim the finalizer run of an unmarked object. Collector only,
@@ -204,17 +185,30 @@ class Object
     bool
     tryEnqueueFinalizer()
     {
-        if (finalizerEnqueued())
+        const std::uint8_t old = load(flags_);
+        if (old & kFinalizerEnqueuedBit)
             return false;
-        std::atomic_ref<word_t>(status_).store(
-            statusRelaxed() | (word_t{1} << header_bits::kFinalizerEnqueuedBit),
-            std::memory_order_relaxed);
+        store(flags_, static_cast<std::uint8_t>(old | kFinalizerEnqueuedBit));
         return true;
     }
 
-    bool pinned() const { return testBit(header_bits::kPinnedBit); }
-    void setPinned(bool on) { on ? setBit(header_bits::kPinnedBit)
-                                 : clearBit(header_bits::kPinnedBit); }
+    bool pinned() const { return load(flags_) & kPinnedBit; }
+
+    /**
+     * Set or clear the pinned bit: a locked or/and on the flags byte
+     * alone, so a racing pin of the same object and the barrier's
+     * stale-byte store are never lost. Mutators only, outside pauses.
+     */
+    void
+    setPinned(bool on)
+    {
+        std::atomic_ref<std::uint8_t> flags(flags_);
+        if (on)
+            flags.fetch_or(kPinnedBit, std::memory_order_acq_rel);
+        else
+            flags.fetch_and(static_cast<std::uint8_t>(~kPinnedBit),
+                            std::memory_order_acq_rel);
+    }
 
     // --- payload access (layout depends on the ClassInfo) -------------
 
@@ -311,44 +305,39 @@ class Object
     }
 
   private:
-    static constexpr word_t kTickStampMask =
-        (word_t{1} << header_bits::kTickedBit) |
-        (word_t{1} << header_bits::kTickParityBit);
+    static constexpr std::uint8_t kCounterMask = kMaxStaleCounter;
+    static constexpr std::uint8_t kTickedBit = 1u << 3;
+    static constexpr std::uint8_t kTickParityBit = 1u << 4;
+    static constexpr std::uint8_t kTickStampMask = kTickedBit | kTickParityBit;
+    static constexpr std::uint8_t kFinalizerEnqueuedBit = 1u << 0;
+    static constexpr std::uint8_t kPinnedBit = 1u << 1;
 
     //! The stamp a tick in collection @p epoch leaves.
-    static constexpr word_t
+    static constexpr std::uint8_t
     tickStamp(std::uint64_t epoch)
     {
-        return (word_t{1} << header_bits::kTickedBit) |
-               (static_cast<word_t>(epoch & 1) << header_bits::kTickParityBit);
+        return kTickedBit | ((epoch & 1) ? kTickParityBit : 0);
     }
 
-    word_t statusRelaxed() const
+    //! Relaxed atomic load and store of one header field: tear-free
+    //! and race-free under the writer rules of the file comment.
+    template <typename T>
+    static T
+    load(const T &field)
     {
-        return std::atomic_ref<const word_t>(status_).load(std::memory_order_relaxed);
+        return std::atomic_ref<const T>(field).load(std::memory_order_relaxed);
     }
 
-    bool
-    testBit(unsigned bit) const
+    template <typename T>
+    static void
+    store(T &field, T value)
     {
-        return (statusRelaxed() >> bit) & 1;
+        std::atomic_ref<T>(field).store(value, std::memory_order_relaxed);
     }
 
-    void
-    setBit(unsigned bit)
-    {
-        std::atomic_ref<word_t> st(status_);
-        st.fetch_or(word_t{1} << bit, std::memory_order_acq_rel);
-    }
-
-    void
-    clearBit(unsigned bit)
-    {
-        std::atomic_ref<word_t> st(status_);
-        st.fetch_and(~(word_t{1} << bit), std::memory_order_acq_rel);
-    }
-
-    word_t status_;
+    class_id_t class_id_;
+    std::uint8_t stale_;
+    std::uint8_t flags_;
     word_t size_;
 };
 

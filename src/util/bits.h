@@ -48,21 +48,6 @@ isAligned(word_t v, std::size_t align)
     return (v & (align - 1)) == 0;
 }
 
-/** Extract bits [lo, lo+width) of @p v. */
-constexpr word_t
-bitField(word_t v, unsigned lo, unsigned width)
-{
-    return (v >> lo) & ((word_t{1} << width) - 1);
-}
-
-/** Return @p v with bits [lo, lo+width) replaced by @p field. */
-constexpr word_t
-setBitField(word_t v, unsigned lo, unsigned width, word_t field)
-{
-    const word_t mask = ((word_t{1} << width) - 1) << lo;
-    return (v & ~mask) | ((field << lo) & mask);
-}
-
 /** Floor of log2 for nonzero @p v. */
 constexpr unsigned
 log2Floor(std::size_t v)

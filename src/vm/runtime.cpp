@@ -333,10 +333,12 @@ Runtime::readBarrierColdPath(Object *src, const ClassInfo &src_cls,
 
     // Stale-check bit set: first use of this reference since the last
     // collection. Record how stale the target had become, clear the
-    // bit, and zero the target's stale counter — all atomically enough
-    // that a racing writer's store is never clobbered (the CAS
-    // publishes the cleaned reference only if the slot is unchanged,
-    // the paper's "[iff a.f == t]").
+    // bit, and zero the target's stale counter. The slot CAS, the one
+    // locked instruction here, publishes the cleaned reference only if
+    // the slot is unchanged (the paper's "[iff a.f == t]"), so a racing
+    // writer's store is never clobbered. The counter reset is a plain
+    // byte store: zero is the only value a mutator writes there
+    // (Object's file comment), and a zero counter needs none.
     Object *tgt = refTarget(observed);
     const unsigned stale = tgt->staleCounter();
     if (pruning_ && stale >= 2)
@@ -348,7 +350,8 @@ Runtime::readBarrierColdPath(Object *src, const ClassInfo &src_cls,
     // If the CAS failed another thread wrote a valid reference; using
     // our already-loaded value remains a correct serialization.
 
-    tgt->clearStaleCounter();
+    if (stale != 0)
+        tgt->clearStaleCounter();
     countOwned(counts.staleResets);
     return tgt;
 }
@@ -407,6 +410,10 @@ Runtime::writeMetricsJson(const std::string &path)
            << "\n    \"gc.objects_finalized\": " << gc.objectsFinalized
            << "\n  },\n  \"gauges\": {"
            << "\n    \"gc.live_bytes\": " << gc.lastLiveBytes << ","
+           << "\n    \"gc.mark_plain_ns_per_object\": "
+           << gc.plainMark.nsPerObject() << ","
+           << "\n    \"gc.mark_classifying_ns_per_object\": "
+           << gc.classifyingMark.nsPerObject() << ","
            << "\n    \"telemetry.dropped_events\": "
            << telemetry_.droppedEvents() << ","
            << "\n    \"telemetry.threads\": " << telemetry_.threadCount();

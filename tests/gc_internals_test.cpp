@@ -24,6 +24,8 @@
 #include "core/leak_pruning.h"
 #include "gc/plugin.h"
 #include "gc/tracer.h"
+#include "object/object.h"
+#include "telemetry/telemetry.h"
 #include "vm/handles.h"
 #include "vm/runtime.h"
 
@@ -678,6 +680,30 @@ expectSameDecisions(const Decisions &got, const Decisions &want)
         << want.survivors.size();
 }
 
+/**
+ * One collection of a stand-alone leak-pruning engine over @p rt's heap,
+ * driven through @p plugin (the engine or a wrapper of it), with the
+ * engine forced into @p state.
+ */
+void
+collectWith(Runtime &rt, LeakPruning &engine, CollectionPlugin &plugin,
+            Tracer &tracer, RootProvider &roots, PruningState state,
+            std::uint64_t epoch)
+{
+    engine.forceState(state);
+    plugin.beginCollection(epoch);
+    tracer.traceFromRoots(roots, &plugin);
+    plugin.afterInUseClosure(tracer);
+    tracer.takeExtraStats();
+    const Heap::FlipResult flip = rt.heap().flipMarkEpoch();
+    CollectionOutcome outcome;
+    outcome.epoch = epoch;
+    outcome.liveBytes = flip.liveBytes;
+    outcome.committedBytes = flip.committedBytes;
+    outcome.capacityBytes = rt.heap().capacity();
+    plugin.endCollection(outcome);
+}
+
 /** Root order @p order (0 forward, 1 reversed, else a seeded shuffle). */
 Decisions
 decideInRootOrder(unsigned seed, Predictor predictor, std::uint64_t select_epoch,
@@ -728,18 +754,7 @@ decideInRootOrder(unsigned seed, Predictor predictor, std::uint64_t select_epoch
     RecordingPlugin plugin(pruning, index);
     Tracer tracer(g.rt->heap(), g.rt->classes());
     const auto collect = [&](PruningState state, std::uint64_t epoch) {
-        pruning.forceState(state);
-        plugin.beginCollection(epoch);
-        tracer.traceFromRoots(roots, &plugin);
-        plugin.afterInUseClosure(tracer);
-        tracer.takeExtraStats();
-        const Heap::FlipResult flip = g.rt->heap().flipMarkEpoch();
-        CollectionOutcome outcome;
-        outcome.epoch = epoch;
-        outcome.liveBytes = flip.liveBytes;
-        outcome.committedBytes = flip.committedBytes;
-        outcome.capacityBytes = g.rt->heap().capacity();
-        plugin.endCollection(outcome);
+        collectWith(*g.rt, pruning, plugin, tracer, roots, state, epoch);
     };
 
     Decisions d;
@@ -838,6 +853,120 @@ TEST(StaleClosureTest, WideArrayOfLiveTargetsKeepsASmallGrayStack)
         << "only the array itself is claimed";
     EXPECT_LE(plugin.retained, 1024u);
     static_assert(Tracer::kRetainedGrayCapacity > 1024);
+}
+
+// --- The classifying closure's reject rule -------------------------------------
+//
+// A classifying closure traces an edge without calling classifyEdge
+// when the policy's reject rule rejects it (Tracer::rejectsEdge), and
+// every edge when the policy does not classify. That is sound only if
+// classifyEdge would have answered Trace. Checked for every pruning
+// state and predictor, with and without a selection, over every
+// source and target class match, pinned bit and counter at start, the
+// latter both before and after this collection's tick.
+
+TEST(RejectRuleTest, RejectsOnlyEdgesClassifyEdgeTraces)
+{
+    RuntimeConfig cfg;
+    cfg.heapBytes = 4u << 20;
+    cfg.enableLeakPruning = false;
+    cfg.barrierMode = BarrierMode::None;
+    cfg.gcTriggerFraction = 0;
+    cfg.verifier.enabled = false;
+    Runtime rt(cfg);
+    const class_id_t src_cls = rt.defineClass("rr.Src", 1, 8);
+    const class_id_t other_src = rt.defineClass("rr.OtherSrc", 1, 8);
+    const class_id_t tgt_cls = rt.defineClass("rr.Tgt", 0, 8);
+    const class_id_t other_tgt = rt.defineClass("rr.OtherTgt", 0, 8);
+
+    // A stale Src -> Tgt edge for the SELECT collection to choose.
+    // Allocated before its source: the newest allocation is a root.
+    HandleScope scope(rt.roots());
+    Handle tgt = scope.handle(rt.allocate(tgt_cls));
+    Handle src = scope.handle(rt.allocate(src_cls));
+    rt.writeRef(src.get(), 0, tgt.get());
+    tgt.set(nullptr);
+    // Retire the allocation cache, so the test's flips find no lease.
+    rt.collectNow();
+    OrderedRoots roots;
+    rt.roots().forEachRoot([&](ref_t *slot) { roots.slots.push_back(slot); });
+
+    std::uint64_t rejected = 0, not_traced = 0;
+    const auto check = [&](LeakPruning &engine, PruningState state,
+                           std::uint64_t epoch) {
+        engine.forceState(state);
+        engine.beginCollection(epoch);
+        const TracePolicy policy = engine.tracePolicy();
+        for (const class_id_t s : {src_cls, other_src}) {
+            for (const class_id_t t : {tgt_cls, other_tgt}) {
+                for (const bool pinned : {false, true}) {
+                    for (unsigned at_start = 0; at_start <= kMaxStaleCounter;
+                         ++at_start) {
+                        for (const bool ticked : {false, true}) {
+                            if (ticked && at_start == kMaxStaleCounter)
+                                continue;
+                            alignas(8) unsigned char src_mem[32] = {};
+                            alignas(8) unsigned char tgt_mem[32] = {};
+                            Object *from = Object::format(src_mem, s, 32);
+                            Object *to = Object::format(tgt_mem, t, 32);
+                            to->setStaleCounter(at_start);
+                            if (ticked)
+                                to->tickStaleCounter(at_start + 1, epoch);
+                            if (pinned)
+                                to->setPinned(true);
+                            ASSERT_EQ(to->staleCounterAtStart(epoch), at_start);
+                            ref_t slot = makeRef(to);
+                            const bool skipped =
+                                !policy.classifyEdges ||
+                                Tracer::rejectsEdge(policy, s, to);
+                            const EdgeAction action = engine.classifyEdge(
+                                from, rt.classes().info(s), &slot, to);
+                            rejected += policy.classifyEdges && skipped;
+                            not_traced += action != EdgeAction::Trace;
+                            EXPECT_TRUE(!skipped || action == EdgeAction::Trace)
+                                << "state " << static_cast<int>(state)
+                                << ", src " << s << ", tgt " << t
+                                << ", pinned " << pinned << ", at start "
+                                << at_start << ", ticked " << ticked;
+                        }
+                    }
+                }
+            }
+        }
+    };
+
+    for (const Predictor predictor :
+         {Predictor::Default, Predictor::IndividualRefs, Predictor::MostStale}) {
+        SCOPED_TRACE(testing::Message()
+                     << "predictor " << static_cast<int>(predictor));
+        LeakPruningConfig pcfg;
+        pcfg.predictor = predictor;
+        Telemetry telemetry;
+        Tracer tracer(rt.heap(), rt.classes());
+
+        // No selection yet: PRUNE poisons nothing.
+        LeakPruning fresh(rt.classes(), pcfg, telemetry);
+        for (const PruningState state :
+             {PruningState::Inactive, PruningState::Observe,
+              PruningState::Select, PruningState::Prune})
+            check(fresh, state, 9);
+
+        // A use at counter 2 protects Src -> Tgt up to maxStaleUse 2,
+        // so a PRUNE of that type needs a counter of 4 at start; the
+        // SELECT collection at epoch 64 finds the target at 5.
+        LeakPruning engine(rt.classes(), pcfg, telemetry);
+        engine.forceState(PruningState::Observe);
+        engine.onReferenceUsed(src_cls, tgt_cls, 2);
+        rt.peekRef(src.get(), 0)->setStaleCounter(5);
+        collectWith(rt, engine, engine, tracer, roots, PruningState::Select, 64);
+        ASSERT_TRUE(engine.selectedEdge().has_value());
+        if (predictor != Predictor::MostStale) {
+            EXPECT_TRUE(engine.selectedEdge()->type == (EdgeType{src_cls, tgt_cls}));
+        }
+        check(engine, PruningState::Prune, 65);
+    }
+    EXPECT_GT(rejected, 0u) << "the rule rejected nothing";
+    EXPECT_GT(not_traced, 0u) << "classifyEdge never deferred or poisoned";
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/errors.h"
+#include "object/object.h"
 #include "vm/handles.h"
 #include "vm/runtime.h"
 
@@ -247,6 +248,79 @@ readSlots(Runtime &rt, Object *slots, std::size_t first, std::size_t count,
     for (int p = 0; p < passes; ++p)
         for (std::size_t i = first; i < first + count; ++i)
             ASSERT_NE(rt.readRef(slots, i), nullptr);
+}
+
+// Two readers take the read barrier's cold path on one tagged slot
+// while a writer stores a new target into it. The slot CAS cleans the
+// reference only if the slot still holds the tagged one, so the
+// writer's store is never lost; the counter reset is a plain byte
+// store, and the old target's counter must still end at 0 whenever a
+// reader saw that target.
+TEST(MultithreadTest, ColdPathRacesKeepTheWritersStore)
+{
+    RuntimeConfig cfg;
+    cfg.heapBytes = 4u << 20;
+    cfg.verifier.enabled = false;
+    Runtime rt(cfg);
+    const class_id_t holder_cls = rt.defineClass("mt.Holder", 1, 0);
+    const class_id_t tgt_cls = rt.defineClass("mt.Target", 0, 8);
+    HandleScope scope(rt.roots());
+    Handle holder = scope.handle(rt.allocate(holder_cls));
+    Handle old_tgt = scope.handle(rt.allocate(tgt_cls));
+    Handle new_tgt = scope.handle(rt.allocate(tgt_cls));
+    Object *const holder_obj = holder.get();
+    Object *const old_obj = old_tgt.get();
+    Object *const new_obj = new_tgt.get();
+
+    // Rounds start when `round` advances and end when all three
+    // threads have reported; nothing allocates, so no pause intervenes.
+    constexpr int kRounds = 3000;
+    constexpr int kThreads = 3;
+    std::atomic<int> round{0};
+    std::atomic<int> done{0};
+    std::atomic<bool> saw_old[2] = {false, false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            MutatorScope mutator(rt.threads());
+            for (int r = 1; r <= kRounds; ++r) {
+                while (round.load(std::memory_order_acquire) < r) {
+                }
+                if (t < 2) {
+                    if (rt.readRef(holder_obj, 0) == old_obj)
+                        saw_old[t].store(true, std::memory_order_relaxed);
+                } else {
+                    rt.writeRef(holder_obj, 0, new_obj);
+                }
+                done.fetch_add(1, std::memory_order_acq_rel);
+            }
+        });
+    }
+
+    int lost_stores = 0, stale_left = 0, raced = 0;
+    {
+        BlockedScope blocked(rt.threads());
+        for (int r = 1; r <= kRounds; ++r) {
+            rt.pokeRefBitsForTesting(holder_obj, 0, refWithStaleCheck(makeRef(old_obj)));
+            old_obj->setStaleCounter(5);
+            saw_old[0].store(false, std::memory_order_relaxed);
+            saw_old[1].store(false, std::memory_order_relaxed);
+            round.store(r, std::memory_order_release);
+            while (done.load(std::memory_order_acquire) < r * kThreads) {
+            }
+            lost_stores += rt.peekRefBits(holder_obj, 0) != makeRef(new_obj);
+            if (saw_old[0].load(std::memory_order_relaxed) ||
+                saw_old[1].load(std::memory_order_relaxed)) {
+                ++raced;
+                stale_left += old_obj->staleCounter() != 0;
+            }
+        }
+        for (auto &t : threads)
+            t.join();
+    }
+    EXPECT_EQ(lost_stores, 0) << "a cold-path CAS overwrote the writer's store";
+    EXPECT_EQ(stale_left, 0) << "a cold path left the old target's counter";
+    EXPECT_GT(raced, 0) << "no reader ever took the cold path";
 }
 
 TEST(MultithreadTest, BarrierCountsAreExactAfterJoin)

@@ -141,10 +141,11 @@ TEST(ObjectTest, StaleCounterAtStartIgnoresOnlyThisCollectionsTick)
 TEST(ObjectTest, MutatorHeaderWritesAreNotLost)
 {
     // Mutators race on the header outside collection pauses: the read
-    // barrier writes the stale counter, and pinning sets or clears the
-    // pinned bit. Each is an atomic read-modify-write, so no write
-    // undoes another or disturbs the collector-owned bits. One thread
-    // owns each field, so after every write its owner must read back
+    // barrier's clearStaleCounter stores zero into the stale byte, and
+    // pinning sets or clears the pinned bit with a locked or/and on the
+    // flags byte. The two bytes are apart, so no write undoes another
+    // or disturbs the collector-owned finalizer bit. One thread owns
+    // each field, so after every write its owner must read back
     // exactly what it wrote.
     alignas(8) unsigned char backing[64] = {};
     Object *obj = Object::format(backing, 777, 64);

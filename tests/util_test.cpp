@@ -33,19 +33,6 @@ TEST(BitsTest, PowerOfTwoAndRounding)
     EXPECT_FALSE(isAligned(65, 8));
 }
 
-TEST(BitsTest, BitFieldRoundTrip)
-{
-    word_t v = 0;
-    v = setBitField(v, 0, 20, 0x12345);
-    v = setBitField(v, 20, 3, 0x5);
-    EXPECT_EQ(bitField(v, 0, 20), word_t{0x12345});
-    EXPECT_EQ(bitField(v, 20, 3), word_t{0x5});
-    // Overwriting one field leaves the other intact.
-    v = setBitField(v, 20, 3, 0x2);
-    EXPECT_EQ(bitField(v, 0, 20), word_t{0x12345});
-    EXPECT_EQ(bitField(v, 20, 3), word_t{0x2});
-}
-
 TEST(BitsTest, Log2)
 {
     EXPECT_EQ(log2Floor(1), 0u);

@@ -38,7 +38,9 @@ carves from a chunk it owns. The mark loop (the claim, the chunk byte
 tally, the per-edge and per-object plugin hooks) runs on the one
 collector thread with the world stopped, so its header and counter
 writes are plain stores. Atomic operations belong on the out-of-line
-cold and refill paths.
+cold and refill paths, and the read barrier's cold path keeps only
+its slot CAS: its stale-counter reset (Object::clearStaleCounter) is
+listed so a locked update of the header cannot creep back.
 
 `--self-test` proves the scanner actually detects offenders by running
 it over tests/lint_fixtures/, which contains a deliberate raw
@@ -88,8 +90,9 @@ ALLOWLIST = [
 SOURCE_SUFFIXES = {".h", ".hpp", ".cpp", ".cc"}
 
 # (file, function) pairs whose bodies run on every reference load or
-# store (including the inline helpers the read barrier calls), every
-# small-object allocation, or every object the mark loop visits. A
+# store (including the inline helpers the read barrier calls and its
+# cold path's header store), every small-object allocation, or every
+# object or edge the mark loop visits. A
 # listed function that can no longer be found is itself a violation,
 # so a rename cannot silently retire the check.
 FAST_PATHS = [
@@ -110,8 +113,10 @@ FAST_PATHS = [
     ("src/heap/heap.h", "tryMark"),
     ("src/object/object.h", "tickStaleCounter"),
     ("src/object/object.h", "staleCounterAtStart"),
+    ("src/object/object.h", "clearStaleCounter"),
     ("src/gc/tracer.cpp", "onMarked"),
     ("src/gc/tracer.cpp", "shade"),
+    ("src/gc/tracer.cpp", "rejectsEdge"),
     ("src/gc/tracer.cpp", "scanObject"),
     ("src/gc/tracer.cpp", "drain"),
     ("src/gc/tracer.cpp", "traceFromRoots"),
