@@ -8,7 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/edge_table.h"
+#include "gc/edge_table.h"
 #include "vm/handles.h"
 #include "vm/runtime.h"
 

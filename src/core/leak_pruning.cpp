@@ -1,6 +1,7 @@
 #include "core/leak_pruning.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "gc/tracer.h"
@@ -35,9 +36,6 @@ LeakPruning::beginCollection(std::uint64_t epoch)
     // The state set at the end of the previous collection governs this
     // one; snapshot it so endCollection's transition can't confuse us.
     active_state_ = pinned_state_.value_or(machine_.state());
-    candidates_.clear();
-    max_stale_seen_ = 0;
-    poisoned_this_gc_ = 0;
 
     switch (active_state_) {
       case PruningState::Observe: ++stats_.observeCollections; break;
@@ -69,116 +67,50 @@ LeakPruning::tracePolicy() const
     policy.tagReferences = true;
     policy.trackStaleness = true;
     policy.epoch = epoch_;
-    const bool most_stale = config_.predictor == Predictor::MostStale;
-    // The reject rule is classifyEdge's own early Trace answers, taken
-    // from the header before any call: pinned targets never qualify,
-    // nor targets below the staleness every candidate or poisoned edge
-    // needs.
-    policy.rejectPinned = true;
+    // The rule never matches a pinned target: pinned objects model
+    // memory the VM cannot reclaim (e.g. thread stacks, Mckoi leak).
+    // A candidate must be `margin` levels staler than its edge type's
+    // most-stale-then-used record, because the counters only
+    // approximate the logarithm of staleness (the per-type floor).
+    const unsigned margin = config_.staleUseMargin;
     switch (active_state_) {
       case PruningState::Select:
-        // Most-stale selection reads objectMarked(), never an edge.
-        policy.classifyEdges = !most_stale;
-        policy.notifyMarked = most_stale;
-        policy.minStale = config_.staleUseMargin;
+        switch (config_.predictor) {
+          case Predictor::Default:
+          case Predictor::IndividualRefs:
+            // Default candidates wait for the stale closure; without
+            // one, afterInUseClosure charges each match's direct
+            // target, and the edge is traced.
+            policy.rule = EdgeRule{config_.predictor == Predictor::Default
+                                       ? EdgeAction::Defer
+                                       : EdgeAction::Trace,
+                                   margin};
+            policy.rule->floors = &edge_table_;
+            break;
+          case Predictor::MostStale:
+            // Selection reads the highest counter marked, never an edge.
+            policy.recordMaxStale = true;
+            break;
+        }
         break;
       case PruningState::Prune:
-        if (most_stale) {
-            policy.classifyEdges = true;
-            policy.minStale = most_stale_level_;
+        if (config_.predictor == Predictor::MostStale) {
+            if (most_stale_level_ >= margin)
+                policy.rule = EdgeRule{EdgeAction::Poison, most_stale_level_};
         } else if (selected_) {
             // Only the selected type is poisoned, and only past its
-            // current maxStaleUse plus the margin (isCandidate); the
-            // edge table does not change inside the pause.
-            policy.classifyEdges = true;
-            policy.srcClass = selected_->type.srcClass;
-            policy.tgtClass = selected_->type.tgtClass;
-            policy.minStale = edge_table_.maxStaleUse(selected_->type) +
-                              config_.staleUseMargin;
+            // current maxStaleUse plus the margin; the edge table does
+            // not change inside the pause.
+            policy.rule = EdgeRule{EdgeAction::Poison,
+                                   edge_table_.maxStaleUse(selected_->type) + margin,
+                                   selected_->type.srcClass,
+                                   selected_->type.tgtClass};
         }
         break;
       default:
         break;
     }
     return policy;
-}
-
-void
-LeakPruning::objectMarked(Object *obj)
-{
-    // Only requested (via TracePolicy::notifyMarked) by the Most-stale
-    // predictor's SELECT state: track the highest staleness level.
-    max_stale_seen_ = std::max(max_stale_seen_, obj->staleCounter());
-}
-
-bool
-LeakPruning::isCandidate(EdgeType type, Object *tgt) const
-{
-    // Conservatively require the target to be `margin` levels staler
-    // than the edge type's most-stale-then-used record, because the
-    // counters only approximate the logarithm of staleness. The
-    // counter is read as it stood when the collection began, so the
-    // answer does not depend on whether the target was visited yet.
-    const unsigned stale = tgt->staleCounterAtStart(epoch_);
-    if (stale < config_.staleUseMargin)
-        return false;
-    return stale >= edge_table_.maxStaleUse(type) + config_.staleUseMargin;
-}
-
-EdgeAction
-LeakPruning::classifyEdge(Object *src, const ClassInfo &src_cls, ref_t *slot,
-                          Object *tgt)
-{
-    (void)src;
-    const EdgeType type{src_cls.id, tgt->classId()};
-
-    switch (active_state_) {
-      case PruningState::Inactive:
-      case PruningState::Observe:
-        return EdgeAction::Trace;
-
-      case PruningState::Select:
-        switch (config_.predictor) {
-          case Predictor::Default:
-            // Pinned targets model memory the VM cannot reclaim (e.g.
-            // thread stacks, Mckoi leak): never a candidate.
-            if (!tgt->pinned() && isCandidate(type, tgt)) {
-                candidates_.push_back(Candidate{slot, type, tgt});
-                ++stats_.candidatesQueued;
-                return EdgeAction::Defer;
-            }
-            return EdgeAction::Trace;
-          case Predictor::IndividualRefs:
-            // No candidate queue / stale closure: charge only the
-            // direct target's size and keep tracing.
-            if (!tgt->pinned() && isCandidate(type, tgt)) {
-                edge_table_.chargeBytes(type, tgt->sizeBytes());
-                ++stats_.candidatesQueued;
-            }
-            return EdgeAction::Trace;
-          case Predictor::MostStale:
-            return EdgeAction::Trace; // selection uses objectMarked()
-        }
-        return EdgeAction::Trace;
-
-      case PruningState::Prune:
-        if (tgt->pinned())
-            return EdgeAction::Trace;
-        if (config_.predictor == Predictor::MostStale) {
-            if (most_stale_level_ >= config_.staleUseMargin &&
-                tgt->staleCounterAtStart(epoch_) >= most_stale_level_) {
-                ++poisoned_this_gc_;
-                return EdgeAction::Poison;
-            }
-            return EdgeAction::Trace;
-        }
-        if (selected_ && type == selected_->type && isCandidate(type, tgt)) {
-            ++poisoned_this_gc_;
-            return EdgeAction::Poison;
-        }
-        return EdgeAction::Trace;
-    }
-    return EdgeAction::Trace;
 }
 
 void
@@ -191,20 +123,24 @@ LeakPruning::runStaleClosure(Tracer &tracer)
     // ascending (source class, target class) order, and the first type
     // to reach a shared subgraph is charged its bytes. Within one type
     // the charges land on one entry in any order, so trace order
-    // decides nothing.
-    std::stable_sort(candidates_.begin(), candidates_.end(),
-                     [](const Candidate &a, const Candidate &b) {
-                         return std::pair(a.type.srcClass, a.type.tgtClass) <
-                                std::pair(b.type.srcClass, b.type.tgtClass);
+    // decides nothing. The candidates are the in-use closure's
+    // matches, which were deferred.
+    const std::span<EdgeMatch> candidates = tracer.matches();
+    const auto type_of = [](const EdgeMatch &m) {
+        return std::pair(m.srcClass, m.target->classId());
+    };
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [&](const EdgeMatch &a, const EdgeMatch &b) {
+                         return type_of(a) < type_of(b);
                      });
+    stats_.candidatesQueued += candidates.size();
     TracePolicy stale = tracePolicy();
-    stale.classifyEdges = false;
+    stale.rule.reset();
     TraceStats closure;
-    for (const Candidate &c : candidates_) {
-        const std::uint64_t bytes =
-            tracer.traceSubgraph(c.target, this, stale, closure);
+    for (const EdgeMatch &c : candidates) {
+        const std::uint64_t bytes = tracer.traceSubgraph(c.target, stale, closure);
         if (bytes > 0)
-            edge_table_.chargeBytes(c.type, bytes);
+            edge_table_.chargeBytes(EdgeType{c.srcClass, c.target->classId()}, bytes);
         stats_.staleBytesSized += bytes;
     }
     // Stale-closure marking is collection work; fold it into the
@@ -224,10 +160,15 @@ LeakPruning::afterInUseClosure(Tracer &tracer)
         selected_ = edge_table_.selectMaxBytesAndReset();
         break;
       case Predictor::IndividualRefs:
+        // Each candidate charges only its direct target's size.
+        for (const EdgeMatch &m : tracer.matches())
+            edge_table_.chargeBytes(EdgeType{m.srcClass, m.target->classId()},
+                                    m.target->sizeBytes());
+        stats_.candidatesQueued += tracer.matches().size();
         selected_ = edge_table_.selectMaxBytesAndReset();
         break;
       case Predictor::MostStale:
-        most_stale_level_ = max_stale_seen_;
+        most_stale_level_ = tracer.maxStaleMarked();
         // Represent "a level was found" via selected_ so the state
         // machine's selection_available input works for all predictors.
         selected_.reset();
@@ -247,8 +188,11 @@ LeakPruning::afterInUseClosure(Tracer &tracer)
 void
 LeakPruning::endCollection(const CollectionOutcome &outcome)
 {
+    // Only the tracer's Poison action raises the outcome's count, so
+    // the audit record, stats().refsPoisoned and the collector's total
+    // are one number.
     last_gc_state_ = active_state_;
-    last_gc_poisoned_ = poisoned_this_gc_;
+    last_gc_poisoned_ = outcome.refsPoisoned;
     stats_.refsPoisoned += last_gc_poisoned_;
 
     if (active_state_ == PruningState::Prune) {

@@ -12,8 +12,9 @@
  *    multiple of 2^k);
  *  - maintain the edge table from read-barrier use reports;
  *  - in SELECT, divide the closure into the in-use and stale phases
- *    via the candidate queue, size candidate data structures, and pick
- *    the edge type holding the most stale bytes;
+ *    (the in-use closure defers the edges the published rule matches),
+ *    size candidate data structures, and pick the edge type holding
+ *    the most stale bytes;
  *  - in PRUNE, poison matching references so the sweep reclaims
  *    everything only they reached, and write the decision to the
  *    telemetry audit trail (paper Section 3.2's report of "the data
@@ -30,12 +31,11 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/config.h"
-#include "core/edge_table.h"
 #include "core/errors.h"
 #include "core/state_machine.h"
+#include "gc/edge_table.h"
 #include "gc/plugin.h"
 
 namespace lp {
@@ -73,9 +73,6 @@ class LeakPruning : public CollectionPlugin
 
     void beginCollection(std::uint64_t epoch) override;
     TracePolicy tracePolicy() const override;
-    void objectMarked(Object *obj) override; //!< MostStale tracking only
-    EdgeAction classifyEdge(Object *src, const ClassInfo &src_cls,
-                            ref_t *slot, Object *tgt) override;
     void afterInUseClosure(Tracer &tracer) override;
     void endCollection(const CollectionOutcome &outcome) override;
     bool finalizersEnabled() const override;
@@ -153,14 +150,6 @@ class LeakPruning : public CollectionPlugin
     void pinStateForEvaluation(std::optional<PruningState> state);
 
   private:
-    /** One deferred edge awaiting the stale closure. */
-    struct Candidate {
-        ref_t *slot;
-        EdgeType type;
-        Object *target;
-    };
-
-    bool isCandidate(EdgeType type, Object *tgt) const;
     void runStaleClosure(Tracer &tracer);
 
     const ClassRegistry &registry_;
@@ -174,21 +163,13 @@ class LeakPruning : public CollectionPlugin
     PruningState active_state_ = PruningState::Inactive;
     std::optional<PruningState> pinned_state_;
 
-    //! The current SELECT collection's deferred edges: the stale
-    //! closure's input, which it sorts by edge type.
-    std::vector<Candidate> candidates_;
-
     // Selection carried from a SELECT collection to the PRUNE one.
     std::optional<EdgeEntrySnapshot> selected_;
 
-    // Most-stale predictor bookkeeping. Like the per-collection poison
-    // count below, written only by collection hooks (one thread,
-    // world stopped), so plain members.
-    unsigned max_stale_seen_ = 0;
+    // Most-stale predictor: the level the last SELECT found. Written
+    // only by collection hooks (one thread, world stopped), so a plain
+    // member.
     unsigned most_stale_level_ = 0;
-
-    // Per-collection poison count.
-    std::uint64_t poisoned_this_gc_ = 0;
 
     // Outcome of the most recent collection, for shouldKeepCollecting.
     PruningState last_gc_state_ = PruningState::Inactive;

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "core/edge_table.h"
+#include "gc/edge_table.h"
 
 namespace lp {
 

@@ -78,12 +78,14 @@ Collector::collect(bool tick)
         plugin_->beginCollection(epoch_);
 
     // The in-use transitive closure from the roots, claiming in the
-    // heap's side mark bitmaps (all clear between collections).
+    // heap's side mark bitmaps (all clear between collections), under
+    // the policy the plugin publishes for this collection.
+    const TracePolicy policy = plugin_ ? plugin_->tracePolicy() : TracePolicy{};
     TraceStats trace;
-    const bool classifying = plugin_ && plugin_->tracePolicy().classifyEdges;
     stage(PauseStage::Mark,
-          [&] { trace = tracer_.traceFromRoots(roots_, plugin_); });
-    GcStats::MarkCost &mark = classifying ? stats_.classifyingMark : stats_.plainMark;
+          [&] { trace = tracer_.traceFromRoots(roots_, policy); });
+    GcStats::MarkCost &mark =
+        policy.rule ? stats_.classifyingMark : stats_.plainMark;
     mark.nanos += timing(PauseStage::Mark).nanos();
     mark.objects += trace.objectsMarked;
 

@@ -3,8 +3,8 @@
  * The stop-the-world mark collector: an explicit staged pipeline.
  *
  * One collection runs the fixed PauseStage sequence inside the pause:
- * retire thread caches, run the in-use closure
- * (with plugin edge hooks), let the plugin run its stale closure and
+ * retire thread caches, run the in-use closure (under the edge rule
+ * the plugin publishes), let the plugin run its stale closure and
  * selection, scan for and run finalizers on dead objects, flip the
  * heap's mark epoch (which reclaims every unmarked block from the side
  * bitmaps and clears the marks), and verify. Nothing is left to sweep
@@ -62,8 +62,8 @@ struct GcStats {
     std::uint64_t totalVerifyNanos = 0;
     std::uint64_t objectsMarkedTotal = 0;
     //! The Mark stage's time and the objects its in-use closure marked,
-    //! kept apart for collections whose closure classified edges (leak
-    //! pruning's SELECT and PRUNE, the offloader's offloading
+    //! kept apart for collections whose closure applied an edge rule
+    //! (leak pruning's SELECT and PRUNE, the offloader's offloading
     //! collections) and for the rest, so the cost of classification
     //! per marked object shows against plain marking.
     struct MarkCost {

@@ -5,30 +5,55 @@
  * The paper implements leak pruning "almost exclusively in shared
  * [MMTk] code" by piggybacking on the collector's transitive closure.
  * We model that as a CollectionPlugin: the collector calls out at
- * well-defined points (collection start/end, every marked object,
- * every heap edge, after the in-use closure) and the plugin decides
- * whether an edge is traced, deferred to the candidate queue, or
- * poisoned. A null plugin yields a plain tracing collector.
+ * collection start and end and after the in-use closure, and at each
+ * collection's start the plugin publishes a TracePolicy whose edge
+ * rule says which heap edges are traced, deferred to the candidate
+ * queue, or poisoned. The tracer applies that rule itself and records
+ * its matches; the plugin reads them after the closure. A null plugin
+ * yields a plain tracing collector.
  */
 
 #ifndef LP_GC_PLUGIN_H
 #define LP_GC_PLUGIN_H
 
 #include <cstdint>
+#include <optional>
 
 #include "object/class_info.h"
-#include "object/ref.h"
 
 namespace lp {
 
-class Object;
+class EdgeTable;
 class Tracer;
 
-/** What the in-use closure should do with one heap edge. */
+/** What the in-use closure does with a heap edge its rule matches. */
 enum class EdgeAction : std::uint8_t {
     Trace,  //!< normal edge: tag it, mark and trace the target
-    Defer,  //!< pruning candidate: skip for now (plugin recorded it)
+    Defer,  //!< pruning candidate: tag it, skip it for now
     Poison, //!< prune: invalidate the reference, do not trace
+};
+
+/**
+ * The edge rule of a classifying closure. An edge's fate depends only
+ * on its source class, its target's class, the target's stale counter
+ * at the start of the collection and the target's pinned bit, so a
+ * rule over those is every decision a plugin makes per edge. An edge
+ * matches iff
+ *  - its target is not pinned;
+ *  - the target's counter at start is at least minStale;
+ *  - srcClass and tgtClass, where valid, are the edge's classes;
+ *  - with a floor table, the counter at start is also at least the
+ *    edge type's floors->maxStaleUse() plus minStale (probed only
+ *    after the header tests pass).
+ * The tracer records every match (Tracer::matches) and applies
+ * onMatch to it; an edge that does not match is traced.
+ */
+struct EdgeRule {
+    EdgeAction onMatch = EdgeAction::Trace;
+    unsigned minStale = 0;
+    class_id_t srcClass = kInvalidClassId;
+    class_id_t tgtClass = kInvalidClassId;
+    const EdgeTable *floors = nullptr; //!< per-type floor, if set
 };
 
 /** Summary of one completed collection, fed to plugin/state machine. */
@@ -58,32 +83,21 @@ struct CollectionOutcome {
 };
 
 /**
- * Per-collection trace policy, snapshotted by the tracer so the hot
- * closure loop pays no virtual calls for the common cases. The
- * staleness clock itself runs inside the tracer (as in the paper,
- * where the collector maintains the stale bits). The plugin says
- * whether its scheme ages objects at all; the collector says whether
- * this collection counts as program time (Collector::collect), and the
- * clock ticks only when both agree.
+ * Per-collection trace policy, fetched once per collection, so the
+ * closure loop makes no virtual call. The staleness clock itself runs
+ * inside the tracer (as in the paper, where the collector maintains
+ * the stale bits). The plugin says whether its scheme ages objects at
+ * all; the collector says whether this collection counts as program
+ * time (Collector::collect), and the clock ticks only when both agree.
  */
 struct TracePolicy {
     bool tagReferences = false;  //!< set stale-check bits on traced refs
     bool trackStaleness = false; //!< this scheme ages objects (the clock)
-    bool classifyEdges = false;  //!< call classifyEdge per heap edge
-    bool notifyMarked = false;   //!< call objectMarked per claimed object
-    bool notifyInvalidRefs = false; //!< call invalidRefSeen per tagged ref
+    bool recordMaxStale = false; //!< keep the highest ticked counter marked
+    bool recordStubs = false;    //!< keep every stub word a scan passes
     std::uint64_t epoch = 0;     //!< collection number for the clock rule
-
-    // The cheap reject rule of a classifying closure, read from the
-    // source's class and the target's header alone: an edge it rejects
-    // is traced without a classifyEdge call (Tracer::rejectsEdge). A
-    // plugin may publish only rejections for which classifyEdge would
-    // answer Trace and record nothing, so the rule changes no decision.
-    // The defaults reject nothing.
-    bool rejectPinned = false;  //!< reject edges into pinned targets
-    unsigned minStale = 0;      //!< reject targets whose counter at start is below this
-    class_id_t srcClass = kInvalidClassId; //!< if valid, reject edges out of other classes
-    class_id_t tgtClass = kInvalidClassId; //!< if valid, reject edges into other classes
+    //! The in-use closure's edge rule; without one every edge is traced.
+    std::optional<EdgeRule> rule;
 };
 
 /**
@@ -102,35 +116,11 @@ class CollectionPlugin
     /** What the closure should do this collection. */
     virtual TracePolicy tracePolicy() const { return {}; }
 
-    /** An object was claimed (only if policy.notifyMarked). */
-    virtual void objectMarked(Object *obj) { (void)obj; }
-
     /**
-     * A poisoned/stub reference was seen in a live object's slot
-     * (only if policy.notifyInvalidRefs). The disk-offload baseline
-     * uses this as its "disk GC" liveness scan: stub ids never seen
-     * again have no referents left and their records can be freed.
-     */
-    virtual void invalidRefSeen(ref_t ref) { (void)ref; }
-
-    /**
-     * Classify one heap edge during the in-use closure.
-     *
-     * @param src source object, @p src_cls its class.
-     * @param slot address of the reference slot (stable: non-moving
-     *             heap, stopped world).
-     * @param tgt decoded target object (non-null).
-     */
-    virtual EdgeAction
-    classifyEdge(Object *src, const ClassInfo &src_cls, ref_t *slot, Object *tgt)
-    {
-        (void)src; (void)src_cls; (void)slot; (void)tgt;
-        return EdgeAction::Trace;
-    }
-
-    /**
-     * The in-use closure is complete; deferred candidates may now be
-     * processed (the SELECT state's stale closure runs here).
+     * The in-use closure is complete; @p tracer holds its records
+     * (matched edges, the highest counter, stub words), and deferred
+     * candidates may now be processed (the SELECT state's stale
+     * closure runs here).
      */
     virtual void afterInUseClosure(Tracer &tracer) { (void)tracer; }
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <utility>
 
+#include "gc/edge_table.h"
 #include "heap/heap.h"
 #include "object/object.h"
 #include "util/logging.h"
@@ -29,6 +30,20 @@ staleTickLimit(const TracePolicy &policy)
     return std::min(divides + 1, kMaxStaleCounter);
 }
 
+/**
+ * Empty @p list, freeing its storage if a past collection grew it
+ * beyond kRetainedGrayCapacity entries.
+ */
+template <typename T>
+void
+clearTrimmed(std::vector<T> &list)
+{
+    if (list.capacity() > Tracer::kRetainedGrayCapacity)
+        std::vector<T>().swap(list);
+    else
+        list.clear();
+}
+
 } // namespace
 
 Tracer::Tracer(Heap &heap, const ClassRegistry &registry)
@@ -47,14 +62,13 @@ Tracer::beginClosure(const TracePolicy &policy)
 // line, they cost oom_horizon about 9% of its requests per second on a
 // 4-vCPU Xeon host.
 inline void
-Tracer::onMarked(Object *obj, CollectionPlugin *plugin,
-                 const TracePolicy &policy, TraceStats &stats)
+Tracer::onMarked(Object *obj, const TracePolicy &policy, TraceStats &stats)
 {
     obj->tickStaleCounter(tick_below_, epoch_);
     ++stats.objectsMarked;
     stats.bytesMarked += obj->sizeBytes();
-    if (policy.notifyMarked)
-        plugin->objectMarked(obj);
+    if (policy.recordMaxStale)
+        max_stale_marked_ = std::max(max_stale_marked_, obj->staleCounter());
 }
 
 inline void
@@ -67,22 +81,26 @@ Tracer::shade(Object *obj)
 }
 
 bool
-Tracer::rejectsEdge(const TracePolicy &policy, class_id_t src_cls,
+Tracer::ruleMatches(const TracePolicy &policy, class_id_t src_cls,
                     const Object *tgt)
 {
-    if (policy.srcClass != kInvalidClassId && src_cls != policy.srcClass)
-        return true;
-    if (policy.tgtClass != kInvalidClassId && tgt->classId() != policy.tgtClass)
-        return true;
-    if (policy.minStale != 0 &&
-        tgt->staleCounterAtStart(policy.epoch) < policy.minStale)
-        return true;
-    return policy.rejectPinned && tgt->pinned();
+    const EdgeRule &rule = *policy.rule;
+    if (rule.srcClass != kInvalidClassId && src_cls != rule.srcClass)
+        return false;
+    if (rule.tgtClass != kInvalidClassId && tgt->classId() != rule.tgtClass)
+        return false;
+    // The counter is read as it stood when the collection began, so
+    // the answer does not depend on whether the target was visited yet.
+    const unsigned stale = tgt->staleCounterAtStart(policy.epoch);
+    if (stale < rule.minStale || tgt->pinned())
+        return false;
+    return !rule.floors ||
+           stale >= rule.floors->maxStaleUse(EdgeType{src_cls, tgt->classId()}) +
+                        rule.minStale;
 }
 
 void
-Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
-                   const TracePolicy &policy, TraceStats &stats)
+Tracer::scanObject(Object *obj, const TracePolicy &policy, TraceStats &stats)
 {
     const ClassInfo &cls = registry_.info(obj->classId());
     obj->forEachRefSlot(cls, [&](ref_t *slot) {
@@ -91,14 +109,16 @@ Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
             return;
         if (refIsPoisoned(r)) {
             // Pruned (or offloaded) in an earlier GC: never traced.
-            if (policy.notifyInvalidRefs)
-                plugin->invalidRefSeen(r);
+            if (policy.recordStubs)
+                stubs_.push_back(r);
             return;
         }
         Object *tgt = refTarget(r);
         EdgeAction action = EdgeAction::Trace;
-        if (policy.classifyEdges && !rejectsEdge(policy, cls.id, tgt))
-            action = plugin->classifyEdge(obj, cls, slot, tgt);
+        if (policy.rule && ruleMatches(policy, cls.id, tgt)) {
+            matches_.push_back(EdgeMatch{slot, cls.id, tgt});
+            action = policy.rule->onMatch;
+        }
         switch (action) {
           case EdgeAction::Trace:
             // Avoid the store when the tag survived from an earlier
@@ -108,8 +128,8 @@ Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
             shade(tgt);
             break;
           case EdgeAction::Defer:
-            // The plugin recorded (slot, src class, target) in its
-            // candidate queue; the stale closure deals with it later.
+            // The match is the plugin's candidate; the stale closure
+            // deals with it after the in-use closure.
             // The reference still gets the stale-check tag: if the
             // program uses it before the PRUNE collection, the barrier
             // resets the target's staleness and the edge escapes
@@ -126,8 +146,7 @@ Tracer::scanObject(Object *obj, CollectionPlugin *plugin,
 }
 
 void
-Tracer::drain(CollectionPlugin *plugin, const TracePolicy &policy,
-              TraceStats &stats)
+Tracer::drain(const TracePolicy &policy, TraceStats &stats)
 {
     // Each popped object waits in the prefetch ring, which loads its
     // header while the objects ahead of it are scanned, and is visited
@@ -155,8 +174,8 @@ Tracer::drain(CollectionPlugin *plugin, const TracePolicy &policy,
             break;
         }
         ring_head = (ring_head + 1) % kPrefetchDepth;
-        onMarked(obj, plugin, policy, stats);
-        scanObject(obj, plugin, policy, stats);
+        onMarked(obj, policy, stats);
+        scanObject(obj, policy, stats);
     }
     if (gray_.capacity() > kRetainedGrayCapacity) {
         std::vector<Object *>().swap(gray_);
@@ -165,10 +184,12 @@ Tracer::drain(CollectionPlugin *plugin, const TracePolicy &policy,
 }
 
 TraceStats
-Tracer::traceFromRoots(RootProvider &roots, CollectionPlugin *plugin)
+Tracer::traceFromRoots(RootProvider &roots, const TracePolicy &policy)
 {
     LP_ASSERT(gray_.empty(), "gray stack not drained by the last closure");
-    const TracePolicy policy = plugin ? plugin->tracePolicy() : TracePolicy{};
+    clearTrimmed(matches_);
+    clearTrimmed(stubs_);
+    max_stale_marked_ = 0;
     beginClosure(policy);
     // Seed the gray stack from the root set (stacks/registers +
     // statics).
@@ -178,20 +199,22 @@ Tracer::traceFromRoots(RootProvider &roots, CollectionPlugin *plugin)
             shade(refTarget(r));
     });
     TraceStats stats;
-    drain(plugin, policy, stats);
+    drain(policy, stats);
     return stats;
 }
 
 std::uint64_t
-Tracer::traceSubgraph(Object *start, CollectionPlugin *plugin,
-                      const TracePolicy &policy, TraceStats &stats)
+Tracer::traceSubgraph(Object *start, const TracePolicy &policy,
+                      TraceStats &stats)
 {
+    // A rule would append to matches_ while the caller iterates it.
+    LP_ASSERT(!policy.rule, "a subgraph closure traces every edge");
     beginClosure(policy);
     // A start object already live via another path (or an earlier
     // candidate) is not claimed again, so the call returns 0.
     const std::uint64_t before = stats.bytesMarked;
     shade(start);
-    drain(plugin, policy, stats);
+    drain(policy, stats);
     return stats.bytesMarked - before;
 }
 

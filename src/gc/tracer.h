@@ -6,8 +6,9 @@
  *
  *  - traceFromRoots(): the in-use closure. Starts from the root set,
  *    marks reachable objects, sets the stale-check bit on every
- *    reference it traces, and consults the CollectionPlugin per edge
- *    so leak pruning can defer candidates or poison selected ones.
+ *    reference it traces, and applies the policy's edge rule to every
+ *    heap edge, so leak pruning can defer candidates or poison
+ *    selected ones.
  *
  *  - traceSubgraph(): the stale closure's workhorse. Marks everything
  *    (not already marked) reachable from one candidate target and
@@ -16,19 +17,22 @@
  *
  * Both closures run one scan-and-mark routine (scanObject) over one
  * LIFO gray stack; the TracePolicy a closure is given selects what the
- * routine does per edge (tag, classify, notify) and per marked object
- * (tick the staleness clock, notify). A classifying closure first
- * applies the policy's reject rule (rejectsEdge) to the source class
- * and the target's header, and calls the plugin's virtual classifyEdge
- * only for an edge the rule cannot reject.
+ * routine does per edge (tag, apply the edge rule, keep stub words)
+ * and per marked object (tick the staleness clock, keep the highest
+ * counter). The rule (ruleMatches) reads the source class, the
+ * target's header and, for a per-type floor, one edge-table probe; the
+ * mark loop makes no virtual call. The records a collection leaves
+ * (matches(), maxStaleMarked(), stubs()) are what the plugin reads
+ * after the in-use closure; they are cleared when the next
+ * collection's in-use closure starts.
  *
  * Every closure claims an object at discovery, with the heap's side
  * mark bitmap (Heap::tryMark), so only a first discovery is pushed and
  * the gray stack is bounded by marked objects, never by edges. drain
  * passes each popped object through a small FIFO ring that prefetches
  * its header and visits it as it leaves (the clock tick, the byte
- * tally, the plugin's notification), so the header is touched once,
- * after the prefetch.
+ * tally, the highest counter), so the header is touched once, after
+ * the prefetch.
  *
  * Trace order decides nothing. A classifying closure reads a target's
  * stale counter as it stood when the collection began
@@ -36,8 +40,9 @@
  * visited yet, and leak pruning's stale closure charges shared
  * subgraphs in edge-type order, not trace order. What a closure leaves
  * behind (the marked set, one clock tick per marked object, tags,
- * byte tallies, candidates, poisoned slots, the set of stub words
- * seen) is the same in any order.
+ * byte tallies, the set of matched edges, poisoned slots, the highest
+ * counter, the multiset of stub words seen) is the same in any
+ * order.
  *
  * Both run on the one collector thread, inside the stop-the-world
  * pause. The paper's MMTk collector runs them on several threads
@@ -54,6 +59,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gc/plugin.h"
@@ -79,6 +85,13 @@ class RootProvider
     virtual void forEachRoot(FunctionRef<void(ref_t *)> fn) = 0;
 };
 
+/** One edge the policy's rule matched, recorded by the in-use closure. */
+struct EdgeMatch {
+    ref_t *slot;         //!< the reference slot (stable: non-moving heap)
+    class_id_t srcClass; //!< the source object's class
+    Object *target;      //!< the decoded target
+};
+
 /** Counters from one closure run. */
 struct TraceStats {
     std::uint64_t objectsMarked = 0;
@@ -99,11 +112,11 @@ class Tracer
     Tracer &operator=(const Tracer &) = delete;
 
     /**
-     * Run the in-use closure: mark everything reachable from
-     * @p roots, classifying edges through @p plugin (may be null).
+     * Run the in-use closure: clear the last collection's records and
+     * mark everything reachable from @p roots, as @p policy says.
      * Must run with the world stopped.
      */
-    TraceStats traceFromRoots(RootProvider &roots, CollectionPlugin *plugin);
+    TraceStats traceFromRoots(RootProvider &roots, const TracePolicy &policy);
 
     /**
      * Mark the subgraph rooted at @p start during the in-progress
@@ -111,12 +124,12 @@ class Tracer
      * only objects not already marked, and return the bytes claimed
      * (0 when @p start was already marked).
      * @p policy selects the per-edge and per-object work as in the
-     * in-use closure; the caller passes it with classifyEdges off, as
-     * every edge inside the subgraph is traced. The objects and edges
-     * visited fold into @p stats. Must run with the world stopped.
+     * in-use closure, but carries no edge rule: every edge inside the
+     * subgraph is traced. The objects and edges visited fold into
+     * @p stats. Must run with the world stopped.
      */
-    std::uint64_t traceSubgraph(Object *start, CollectionPlugin *plugin,
-                                const TracePolicy &policy, TraceStats &stats);
+    std::uint64_t traceSubgraph(Object *start, const TracePolicy &policy,
+                                TraceStats &stats);
 
     /**
      * Fold closure work a plugin performed outside traceFromRoots
@@ -142,7 +155,8 @@ class Tracer
     //! Gray-stack capacity (in objects) kept for the next closure; a
     //! larger stack is freed when its closure ends, so a closure that
     //! once held many objects gray does not pin that memory for the
-    //! runtime's lifetime.
+    //! runtime's lifetime. The record lists are trimmed to the same
+    //! length when the next collection clears them.
     static constexpr std::size_t kRetainedGrayCapacity = 16 * 1024;
 
     //! Gray-stack capacity held between closures (at most
@@ -150,13 +164,27 @@ class Tracer
     std::size_t grayCapacity() const { return gray_.capacity(); }
 
     /**
-     * Does @p policy's cheap reject rule reject the edge from an
-     * object of class @p src_cls to @p tgt? A classifying closure
-     * traces a rejected edge without calling classifyEdge. Reads only
-     * @p tgt's header.
+     * Does @p policy's edge rule (which must be set) match the edge
+     * from an object of class @p src_cls to @p tgt? Reads @p tgt's
+     * header and, for a per-type floor, probes the edge table.
      */
-    static bool rejectsEdge(const TracePolicy &policy, class_id_t src_cls,
+    static bool ruleMatches(const TracePolicy &policy, class_id_t src_cls,
                             const Object *tgt);
+
+    // --- the running collection's records (see TracePolicy) ---------------
+
+    /**
+     * The edges the in-use closure's rule matched, in trace order. A
+     * plugin may reorder them (the stale closure sorts them by edge
+     * type).
+     */
+    std::span<EdgeMatch> matches() { return matches_; }
+
+    /** The highest counter a marked object held after its tick. */
+    unsigned maxStaleMarked() const { return max_stale_marked_; }
+
+    /** Every stub (poisoned) word the closures' scans passed. */
+    const std::vector<ref_t> &stubs() const { return stubs_; }
 
   private:
     //! Gray objects kept in flight: each one's header is prefetched
@@ -170,25 +198,22 @@ class Tracer
      * reference slots and, as @p policy says, classify each edge, tag
      * traced references and shade their targets.
      */
-    void scanObject(Object *obj, CollectionPlugin *plugin,
-                    const TracePolicy &policy, TraceStats &stats);
+    void scanObject(Object *obj, const TracePolicy &policy, TraceStats &stats);
 
     /** Claim @p obj and, if this call claimed it, push it gray. */
     void shade(Object *obj);
 
     /**
      * Header work for an object this closure marked, once: tick its
-     * staleness clock, tally it and report it to the plugin if asked.
+     * staleness clock, tally it and, if asked, keep its counter.
      */
-    void onMarked(Object *obj, CollectionPlugin *plugin,
-                  const TracePolicy &policy, TraceStats &stats);
+    void onMarked(Object *obj, const TracePolicy &policy, TraceStats &stats);
 
     /**
      * Scan gray objects to empty: pop the newest, pass it through the
      * prefetch ring and visit and scan it as it leaves.
      */
-    void drain(CollectionPlugin *plugin, const TracePolicy &policy,
-               TraceStats &stats);
+    void drain(const TracePolicy &policy, TraceStats &stats);
 
     //! Set the per-closure state that @p policy implies.
     void beginClosure(const TracePolicy &policy);
@@ -207,6 +232,10 @@ class Tracer
     //! The running closure's gray objects, newest last (empty between
     //! closures).
     std::vector<Object *> gray_;
+    //! The running collection's records.
+    std::vector<EdgeMatch> matches_;
+    unsigned max_stale_marked_ = 0;
+    std::vector<ref_t> stubs_;
 };
 
 } // namespace lp

@@ -1,5 +1,6 @@
 #include "vm/disk_offload.h"
 
+#include <unordered_set>
 #include <vector>
 
 #include "gc/tracer.h"
@@ -21,9 +22,7 @@ DiskOffload::beginCollection(std::uint64_t epoch)
 {
     epoch_ = epoch;
     offloaded_this_gc_ = 0;
-    candidate_slots_.clear();
     offload_map_.clear();
-    live_ids_.clear();
     gc_start_id_ = next_stub_id_;
     // Offload during this collection if the heap was nearly full at
     // the end of the previous one.
@@ -38,37 +37,16 @@ DiskOffload::tracePolicy() const
         return policy;
     policy.tagReferences = true;
     policy.trackStaleness = true;
-    policy.classifyEdges = offloading_this_gc_;
-    policy.notifyInvalidRefs = true; // the disk GC's liveness scan
+    policy.recordStubs = true; // the disk GC's liveness scan
     policy.epoch = epoch_;
-    return policy;
-}
-
-EdgeAction
-DiskOffload::classifyEdge(Object *src, const ClassInfo &src_cls, ref_t *slot,
-                          Object *tgt)
-{
-    (void)src;
-    (void)src_cls;
     // Staleness-only rule (the paper's "Most stale" family): any
-    // sufficiently stale target is a move candidate. Unlike pruning,
-    // mispredictions are recoverable, so no maxStaleUse protection is
-    // needed — which is exactly why this predictor is too imprecise
-    // for pruning (Section 6.1). Like pruning, it reads the counter as
-    // it stood when the collection began.
-    if (!tgt->pinned() &&
-        tgt->staleCounterAtStart(epoch_) >= config_.staleThreshold &&
-        !stats_.diskExhausted) {
-        candidate_slots_.push_back(slot);
-        return EdgeAction::Defer;
-    }
-    return EdgeAction::Trace;
-}
-
-void
-DiskOffload::invalidRefSeen(ref_t ref)
-{
-    live_ids_.insert(stubId(ref));
+    // sufficiently stale, unpinned target is a move candidate. Unlike
+    // pruning, mispredictions are recoverable, so no maxStaleUse floor
+    // is needed — which is exactly why this predictor is too imprecise
+    // for pruning (Section 6.1).
+    if (offloading_this_gc_ && !stats_.diskExhausted)
+        policy.rule = EdgeRule{EdgeAction::Defer, config_.staleThreshold};
+    return policy;
 }
 
 template <typename Fn>
@@ -178,40 +156,40 @@ DiskOffload::offloadSubgraph(Object *root)
 void
 DiskOffload::afterInUseClosure(Tracer &tracer)
 {
-    if (!offloading_this_gc_)
-        return;
-    ++stats_.offloadCollections;
-    // A deferred target the full disk cannot take is rescued: marked
-    // with its subgraph so the epoch flip keeps it, as if its edge had
-    // been traced, but without tags or clock ticks. Stub words inside
-    // it still count as live references for the disk GC.
-    TracePolicy rescue;
-    rescue.notifyInvalidRefs = true;
-    TraceStats rescued;
-    for (ref_t *slot : candidate_slots_) {
-        const ref_t r = *slot;
-        if (refIsNull(r) || refIsPoisoned(r))
-            continue;
-        Object *tgt = refTarget(r);
-        if (rt_.heap().isMarked(tgt))
-            continue; // reached via a live path after all
-        if (stats_.diskLiveBytes >= config_.diskBudgetBytes)
-            stats_.diskExhausted = true; // how disk-based systems die
-        if (stats_.diskExhausted) {
-            tracer.traceSubgraph(tgt, this, rescue, rescued);
-            continue;
+    if (offloading_this_gc_) {
+        ++stats_.offloadCollections;
+        // A deferred target the full disk cannot take is rescued:
+        // marked with its subgraph so the epoch flip keeps it, as if
+        // its edge had been traced, but without tags or clock ticks.
+        // Stub words inside it still count as live references for the
+        // disk GC.
+        TracePolicy rescue;
+        rescue.recordStubs = true;
+        TraceStats rescued;
+        for (const EdgeMatch &m : tracer.matches()) {
+            if (rt_.heap().isMarked(m.target))
+                continue; // reached via a live path after all
+            if (stats_.diskLiveBytes >= config_.diskBudgetBytes)
+                stats_.diskExhausted = true; // how disk-based systems die
+            if (stats_.diskExhausted) {
+                tracer.traceSubgraph(m.target, rescue, rescued);
+                continue;
+            }
+            auto it = offload_map_.find(m.target);
+            const std::uint64_t id = it != offload_map_.end()
+                                         ? it->second
+                                         : offloadSubgraph(m.target);
+            *m.slot = stubRef(id);
+            ++offloaded_this_gc_;
         }
-        auto it = offload_map_.find(tgt);
-        const std::uint64_t id =
-            it != offload_map_.end() ? it->second : offloadSubgraph(tgt);
-        *slot = stubRef(id);
-        ++offloaded_this_gc_;
+        tracer.addClosureStats(rescued);
     }
-    tracer.addClosureStats(rescued);
+    if (observing_)
+        collectDisk(tracer.stubs());
 }
 
 void
-DiskOffload::collectDisk()
+DiskOffload::collectDisk(const std::vector<ref_t> &stubs)
 {
     std::lock_guard<std::mutex> disk_lock(disk_mutex_);
 
@@ -220,9 +198,9 @@ DiskOffload::collectDisk()
     // trace), transitively closed over record-internal references.
     std::unordered_set<std::uint64_t> live;
     std::vector<std::uint64_t> work;
-    for (std::uint64_t id : live_ids_) {
-        live.insert(id);
-        work.push_back(id);
+    for (ref_t r : stubs) {
+        if (live.insert(stubId(r)).second)
+            work.push_back(stubId(r));
     }
     for (std::uint64_t id = gc_start_id_; id < next_stub_id_; ++id) {
         if (live.insert(id).second)
@@ -266,8 +244,6 @@ DiskOffload::collectDisk()
 void
 DiskOffload::endCollection(const CollectionOutcome &outcome)
 {
-    if (observing_)
-        collectDisk();
     const double fullness = outcome.fullness();
     if (!observing_ && fullness > config_.observeThreshold)
         observing_ = true; // sticky, like the paper's OBSERVE

@@ -10,8 +10,9 @@
  * do not have to be perfect ... All will eventually exhaust disk
  * space and crash."
  *
- * Implementation: when the heap is nearly full, a collection's in-use
- * closure defers references to highly stale targets (staleness alone —
+ * Implementation: when the heap is nearly full, the offloader's edge
+ * rule has the in-use closure defer references to highly stale,
+ * unpinned targets (staleness alone —
  * the "Most stale" criterion of Section 6.1, which the paper notes
  * "is effectively the same as those that move objects to disk"). Each
  * deferred subgraph that the closure did not otherwise reach is
@@ -37,7 +38,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "gc/plugin.h"
@@ -88,9 +88,6 @@ class DiskOffload : public CollectionPlugin
 
     void beginCollection(std::uint64_t epoch) override;
     TracePolicy tracePolicy() const override;
-    EdgeAction classifyEdge(Object *src, const ClassInfo &src_cls,
-                            ref_t *slot, Object *tgt) override;
-    void invalidRefSeen(ref_t ref) override;
     void afterInUseClosure(Tracer &tracer) override;
     void endCollection(const CollectionOutcome &outcome) override;
     bool shouldKeepCollecting(unsigned rounds_so_far) const override;
@@ -141,14 +138,15 @@ class DiskOffload : public CollectionPlugin
     std::uint64_t offloadSubgraph(Object *root);
 
     /**
-     * Disk garbage collection (end of each offloading-capable GC):
-     * compute the stub ids still reachable — ids seen in live heap
-     * slots this trace, transitively closed over references between
-     * disk records — and free everything else: dead records, spent
+     * Disk garbage collection (after the closures of each
+     * offloading-capable GC): compute the stub ids still reachable —
+     * ids in @p stubs, the stub words seen in live heap slots this
+     * trace, transitively closed over references between disk
+     * records — and free everything else: dead records, spent
      * forwarding entries, and their keep-alive roots. This is what
      * lets re-materialized (faulted-in) data become garbage again.
      */
-    void collectDisk();
+    void collectDisk(const std::vector<ref_t> &stubs);
 
     /** Visit each stub id referenced from @p record's payload. */
     template <typename Fn>
@@ -164,8 +162,6 @@ class DiskOffload : public CollectionPlugin
     bool offloading_this_gc_ = false;
     std::uint64_t epoch_ = 0;
     std::uint64_t offloaded_this_gc_ = 0;
-
-    std::vector<ref_t *> candidate_slots_;
 
     // The "disk": stub id -> record. Records are freed on retrieval or
     // by the disk GC once nothing names their id anymore.
@@ -189,8 +185,6 @@ class DiskOffload : public CollectionPlugin
     std::unordered_map<std::uint64_t, std::unique_ptr<GlobalRoot>>
         retrieved_roots_;
 
-    // The per-GC stub-liveness scan (fed by invalidRefSeen).
-    std::unordered_set<std::uint64_t> live_ids_;
     std::uint64_t gc_start_id_ = 1; //!< ids >= this were minted this GC
 };
 

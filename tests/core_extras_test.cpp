@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
-#include "core/edge_table.h"
 #include "core/errors.h"
 #include "core/pruning_report.h"
+#include "gc/edge_table.h"
 #include "vm/handles.h"
 #include "vm/runtime.h"
 

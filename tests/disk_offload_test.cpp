@@ -3,8 +3,9 @@
  * Tests for the disk-offload baseline (LeakSurvivor/Melt model):
  * offloading frees heap, faulted-in objects come back bit-for-bit,
  * mispredictions are survivable (the key semantic difference from
- * pruning), shared subgraphs resolve through the forwarding map, and
- * a full disk ends tolerance the way the paper describes.
+ * pruning), shared subgraphs resolve through the forwarding map, only
+ * stale unpinned targets move, and a full disk ends tolerance the way
+ * the paper describes.
  */
 
 #include <gtest/gtest.h>
@@ -195,6 +196,82 @@ TEST(DiskOffloadTest, DiskExhaustionEndsTolerance)
     // Tolerance window ~ (heap + disk) / leak rate: well under the cap.
     EXPECT_LT(iters, 4000u);
     EXPECT_GT(iters, 800u);
+}
+
+// The offloader's edge rule: an edge into a pinned target, or into one
+// whose counter at the collection's start is below staleThreshold, is
+// traced; an edge into a stale unpinned target is offloaded; and once
+// the disk is exhausted a collection defers nothing, so every target
+// stays in the heap.
+TEST(DiskOffloadTest, OffloadsOnlyStaleUnpinnedTargetsUntilTheDiskIsFull)
+{
+    for (const std::size_t disk : {std::size_t{64} << 20, std::size_t{1}}) {
+        SCOPED_TRACE(testing::Message() << "disk budget " << disk);
+        RuntimeConfig cfg = offloadConfig(4u << 20, disk);
+        cfg.gcTriggerFraction = 0;
+        cfg.offload.observeThreshold = 0; // observe after collection 1
+        cfg.offload.offloadThreshold = 0; // and offload in collection 2
+        Runtime rt(cfg);
+        const class_id_t holder_cls = rt.defineClass("do.Holder", 4, 0);
+        const class_id_t target_cls = rt.defineClass("do.Target", 0, 64);
+
+        HandleScope scope(rt.roots());
+        Handle holder = scope.handle(nullptr);
+        Object *targets[4];
+        {
+            // The holder last: a mutator's latest allocation is a root.
+            HandleScope inner(rt.roots());
+            for (Object *&target : targets)
+                target = inner.handle(rt.allocate(target_cls)).get();
+            holder.set(rt.allocate(holder_cls));
+            for (std::size_t i = 0; i < 4; ++i)
+                rt.writeRef(holder.get(), i, targets[i]);
+        }
+        rt.collectNow(); // collection 1: not observing yet, ticks nothing
+        ASSERT_EQ(cfg.offload.staleThreshold, 2u);
+        targets[0]->setPinned(true);
+        targets[0]->setStaleCounter(kMaxStaleCounter);
+        // Collection 2 ticks it to 2, but it read 1 when it began.
+        targets[1]->setStaleCounter(1);
+        targets[2]->setStaleCounter(kMaxStaleCounter);
+        targets[3]->setStaleCounter(kMaxStaleCounter);
+        rt.collectNow(); // collection 2: offloads
+
+        const DiskOffloadStats &stats = rt.diskOffload()->stats();
+        const auto offloaded = [&](std::size_t i) {
+            return refIsPoisoned(rt.peekRefBits(holder.get(), i));
+        };
+        EXPECT_FALSE(offloaded(0)) << "pinned";
+        EXPECT_FALSE(offloaded(1)) << "below staleThreshold at start";
+        EXPECT_TRUE(offloaded(2));
+        EXPECT_EQ(stats.offloadCollections, 1u);
+        if (disk > 1) {
+            EXPECT_TRUE(offloaded(3));
+            EXPECT_EQ(stats.objectsOffloaded, 2u);
+            EXPECT_FALSE(stats.diskExhausted);
+            continue;
+        }
+        // The first stale target filled the disk; the second was kept.
+        EXPECT_FALSE(offloaded(3));
+        EXPECT_EQ(stats.objectsOffloaded, 1u);
+        ASSERT_TRUE(stats.diskExhausted);
+
+        targets[1]->setStaleCounter(kMaxStaleCounter);
+        rt.collectNow(); // collection 3: the disk is full
+        EXPECT_TRUE(stats.diskExhausted);
+        EXPECT_EQ(stats.offloadCollections, 1u);
+        EXPECT_EQ(stats.objectsOffloaded, 1u);
+        std::size_t in_heap = 0;
+        rt.heap().forEachObject([&](Object *obj) {
+            in_heap += obj == targets[0] || obj == targets[1] || obj == targets[3];
+        });
+        EXPECT_EQ(in_heap, 3u);
+        for (const std::size_t i : {0u, 1u, 3u}) {
+            EXPECT_FALSE(offloaded(i));
+            EXPECT_EQ(rt.readRef(holder.get(), i), targets[i]);
+        }
+        EXPECT_TRUE(rt.verifyHeap().clean());
+    }
 }
 
 TEST(DiskOffloadTest, LiveDataNeverMovedWrongly)

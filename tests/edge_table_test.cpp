@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/edge_table.h"
+#include "gc/edge_table.h"
 
 namespace lp {
 namespace {

@@ -1,19 +1,20 @@
 /**
  * @file
- * Tests for GC internals: the TracePolicy seam (hooks fire exactly
- * when the policy asks), the stale closure leak pruning runs in its
- * SELECT state, an oracle that checks both closures against a plain
- * recursive walk of a seeded random graph, and a check that leak
- * pruning decides the same on that graph whatever order the roots are
- * traced in.
+ * Tests for GC internals: the TracePolicy seam (the tracer keeps each
+ * record exactly when the policy asks), the stale closure leak pruning
+ * runs in its SELECT state, an oracle that checks both closures
+ * against a plain recursive walk of a seeded random graph, a check
+ * that leak pruning decides the same on that graph whatever order the
+ * roots are traced in, and a check of the edge rule leak pruning
+ * publishes against the paper's condition.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <tuple>
@@ -34,32 +35,21 @@ namespace {
 
 // --- TracePolicy seam ----------------------------------------------------------
 
-/** Counts every hook invocation; policy configurable per collection. */
+/** Publishes a configurable policy and keeps the tracer's records. */
 class CountingPlugin : public CollectionPlugin
 {
   public:
     TracePolicy policy;
-    std::atomic<std::uint64_t> classified{0};
-    std::atomic<std::uint64_t> marked{0};
-    std::atomic<std::uint64_t> invalid{0};
+    std::size_t matched = 0;
+    unsigned maxStale = 0;
 
     TracePolicy tracePolicy() const override { return policy; }
 
-    EdgeAction
-    classifyEdge(Object *, const ClassInfo &, ref_t *, Object *) override
+    void
+    afterInUseClosure(Tracer &tracer) override
     {
-        classified.fetch_add(1, std::memory_order_relaxed);
-        return EdgeAction::Trace;
-    }
-
-    void objectMarked(Object *) override
-    {
-        marked.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    void invalidRefSeen(ref_t) override
-    {
-        invalid.fetch_add(1, std::memory_order_relaxed);
+        matched = tracer.matches().size();
+        maxStale = tracer.maxStaleMarked();
     }
 };
 
@@ -93,12 +83,13 @@ class TracePolicyTest : public ::testing::Test
     CountingPlugin plugin;
 };
 
-TEST_F(TracePolicyTest, NoHooksWithDefaultPolicy)
+TEST_F(TracePolicyTest, NoRecordsWithDefaultPolicy)
 {
+    rt->heap().forEachObject([&](Object *obj) { obj->setStaleCounter(4); });
     rt->installPluginForTesting(&plugin);
     rt->collectNow();
-    EXPECT_EQ(plugin.classified.load(), 0u);
-    EXPECT_EQ(plugin.marked.load(), 0u);
+    EXPECT_EQ(plugin.matched, 0u);
+    EXPECT_EQ(plugin.maxStale, 0u);
     // No tagging either.
     bool any_tagged = false;
     rt->heap().forEachObject([&](Object *obj) {
@@ -110,20 +101,31 @@ TEST_F(TracePolicyTest, NoHooksWithDefaultPolicy)
     EXPECT_FALSE(any_tagged);
 }
 
-TEST_F(TracePolicyTest, ClassifyFiresPerEdgeWhenRequested)
+TEST_F(TracePolicyTest, RuleRecordsEveryEdgeItMatches)
 {
-    plugin.policy.classifyEdges = true;
+    plugin.policy.rule = EdgeRule{}; // every unpinned target
     rt->installPluginForTesting(&plugin);
     rt->collectNow();
-    EXPECT_EQ(plugin.classified.load(), 9u) << "9 chain edges";
+    EXPECT_EQ(plugin.matched, 9u) << "9 chain edges";
 }
 
-TEST_F(TracePolicyTest, NotifyMarkedFiresPerObjectWhenRequested)
+TEST_F(TracePolicyTest, MaxStaleRecordedWhenRequested)
 {
-    plugin.policy.notifyMarked = true;
+    // Collection 1 ticks the counters holding 0 to 1; the one at 4
+    // stays (2^4 does not divide 1).
+    Object *idle = nullptr;
+    rt->heap().forEachObject([&](Object *obj) { idle = obj; });
+    idle->setStaleCounter(4);
+    plugin.policy.trackStaleness = true;
+    plugin.policy.recordMaxStale = true;
+    plugin.policy.epoch = 1;
     rt->installPluginForTesting(&plugin);
     rt->collectNow();
-    EXPECT_EQ(plugin.marked.load(), 10u) << "10 chain nodes";
+    EXPECT_EQ(plugin.maxStale, 4u);
+
+    idle->setStaleCounter(0);
+    rt->collectNow();
+    EXPECT_EQ(plugin.maxStale, 1u) << "cleared at the collection's start";
 }
 
 TEST_F(TracePolicyTest, TaggingFollowsPolicy)
@@ -272,14 +274,13 @@ TEST(StaleClosureTest, SharedSubgraphChargeIgnoresTraceOrder)
 // flip reclaims without writing them), the marked-object count and the
 // live bytes of the epoch flip.
 
-/** OBSERVE's policy (plus the disk GC's poisoned-slot scan); with
- *  @c defer non-empty, edges into those targets are deferred and the
- *  stale closure sizes them afterwards, as leak pruning's SELECT does. */
+/** OBSERVE's policy (plus the disk GC's stub-word scan); with a
+ *  Defer rule, the edges it matches are deferred and the stale
+ *  closure sizes them afterwards, as leak pruning's SELECT does. */
 class OraclePlugin : public CollectionPlugin
 {
   public:
     TracePolicy policy;
-    std::unordered_set<Object *> defer;
     std::vector<Object *> candidates;     //!< deferred targets, in order
     std::vector<std::uint64_t> bytes;     //!< traceSubgraph's result each
     std::multiset<ref_t> invalid;
@@ -292,26 +293,18 @@ class OraclePlugin : public CollectionPlugin
 
     TracePolicy tracePolicy() const override { return policy; }
 
-    EdgeAction
-    classifyEdge(Object *, const ClassInfo &, ref_t *, Object *tgt) override
-    {
-        if (!defer.count(tgt))
-            return EdgeAction::Trace;
-        candidates.push_back(tgt);
-        return EdgeAction::Defer;
-    }
-
-    void invalidRefSeen(ref_t ref) override { invalid.insert(ref); }
-
     void
     afterInUseClosure(Tracer &tracer) override
     {
         TracePolicy stale = policy;
-        stale.classifyEdges = false;
+        stale.rule.reset();
         TraceStats closure;
-        for (Object *c : candidates)
-            bytes.push_back(tracer.traceSubgraph(c, this, stale, closure));
+        for (const EdgeMatch &m : tracer.matches()) {
+            candidates.push_back(m.target);
+            bytes.push_back(tracer.traceSubgraph(m.target, stale, closure));
+        }
         tracer.addClosureStats(closure);
+        invalid.insert(tracer.stubs().begin(), tracer.stubs().end());
         retained = tracer.grayCapacity();
         if (watched) {
             for (Object *obj : *watched) {
@@ -451,6 +444,22 @@ struct OracleGraph {
         return rt->heap().sizeClassBytes(rt->heap().sizeClassFor(size));
     }
 
+    /**
+     * Stamp the counters so that exactly the targets in @p defer sit at
+     * kMaxStaleCounter, which deferStamped()'s rule matches.
+     */
+    void
+    stampDeferred(const std::unordered_set<Object *> &defer)
+    {
+        for (Object *obj : objects) {
+            const unsigned k = defer.count(obj)
+                                   ? kMaxStaleCounter
+                                   : std::min(counters.at(obj), kMaxStaleCounter - 1);
+            obj->setStaleCounter(k);
+            counters[obj] = k;
+        }
+    }
+
     /** Watch every graph object's side mark through @p plugin. */
     void
     watch(OraclePlugin &plugin)
@@ -509,8 +518,18 @@ observePolicy()
     TracePolicy policy;
     policy.tagReferences = true;
     policy.trackStaleness = true;
-    policy.notifyInvalidRefs = true;
+    policy.recordStubs = true;
     policy.epoch = 12;
+    return policy;
+}
+
+/** OBSERVE's policy, deferring the edges into targets at the top
+ *  counter (OracleGraph::stampDeferred). */
+TracePolicy
+deferStamped()
+{
+    TracePolicy policy = observePolicy();
+    policy.rule = EdgeRule{EdgeAction::Defer, kMaxStaleCounter};
     return policy;
 }
 
@@ -539,16 +558,17 @@ TEST(ClosureOracleTest, EachStaleClosureClaimsWhatTheWalkDoes)
         SCOPED_TRACE(testing::Message() << "seed " << seed);
         OracleGraph g(seed, 4u << 20);
         OraclePlugin plugin;
-        plugin.policy = observePolicy();
-        plugin.policy.classifyEdges = true;
+        plugin.policy = deferStamped();
         std::mt19937 rng(seed);
         const std::vector<Object *> root_targets = g.rootTargets();
-        while (plugin.defer.size() < 12) {
+        std::unordered_set<Object *> defer;
+        while (defer.size() < 12) {
             Object *obj = g.objects[rng() % g.objects.size()];
             if (std::find(root_targets.begin(), root_targets.end(), obj) ==
                 root_targets.end())
-                plugin.defer.insert(obj);
+                defer.insert(obj);
         }
+        g.stampDeferred(defer);
 
         g.watch(plugin);
         g.rt->installPluginForTesting(&plugin);
@@ -559,7 +579,7 @@ TEST(ClosureOracleTest, EachStaleClosureClaimsWhatTheWalkDoes)
         // is reachable from it and not yet marked.
         std::unordered_set<Object *> marked;
         for (Object *root : root_targets)
-            g.walk(root, marked, plugin.defer);
+            g.walk(root, marked, defer);
         ASSERT_EQ(plugin.bytes.size(), plugin.candidates.size());
         std::size_t repeats = 0;
         for (std::size_t i = 0; i < plugin.candidates.size(); ++i) {
@@ -598,46 +618,45 @@ class OrderedRoots : public RootProvider
     }
 };
 
-/** Forwards every hook to leak pruning and records its edge decisions. */
+/** Forwards every hook to leak pruning and reads its edge decisions
+ *  from the tracer's records. */
 class RecordingPlugin : public CollectionPlugin
 {
   public:
     using SlotId = std::pair<std::size_t, std::ptrdiff_t>; //!< object, word
 
     RecordingPlugin(LeakPruning &inner,
-                    const std::unordered_map<Object *, std::size_t> &index)
-        : inner_(inner), index_(index)
+                    const std::unordered_map<Object *, std::size_t> &index,
+                    const std::map<ref_t *, SlotId> &slot_ids)
+        : inner_(inner), index_(index), slot_ids_(slot_ids)
     {}
 
     std::vector<std::pair<SlotId, std::size_t>> deferred; //!< slot, target
     std::vector<SlotId> poisoned;
-    //! Bytes charged per edge type before selection resets them.
+    //! Bytes the traced matches charge per edge type (IndividualRefs).
     std::map<std::pair<class_id_t, class_id_t>, std::uint64_t> charges;
 
     void beginCollection(std::uint64_t epoch) override { inner_.beginCollection(epoch); }
     TracePolicy tracePolicy() const override { return inner_.tracePolicy(); }
-    void objectMarked(Object *obj) override { inner_.objectMarked(obj); }
-
-    EdgeAction
-    classifyEdge(Object *src, const ClassInfo &src_cls, ref_t *slot,
-                 Object *tgt) override
-    {
-        const EdgeAction action = inner_.classifyEdge(src, src_cls, slot, tgt);
-        const SlotId id{index_.at(src), slot - reinterpret_cast<ref_t *>(src)};
-        if (action == EdgeAction::Defer)
-            deferred.emplace_back(id, index_.at(tgt));
-        else if (action == EdgeAction::Poison)
-            poisoned.push_back(id);
-        return action;
-    }
 
     void
     afterInUseClosure(Tracer &tracer) override
     {
-        inner_.edgeTable().forEach([&](const EdgeEntrySnapshot &e) {
-            if (e.bytesUsed > 0)
-                charges[{e.type.srcClass, e.type.tgtClass}] = e.bytesUsed;
-        });
+        const TracePolicy policy = inner_.tracePolicy();
+        for (const EdgeMatch &m : tracer.matches()) {
+            const SlotId id = slot_ids_.at(m.slot);
+            switch (policy.rule->onMatch) {
+              case EdgeAction::Defer:
+                deferred.emplace_back(id, index_.at(m.target));
+                break;
+              case EdgeAction::Poison:
+                poisoned.push_back(id);
+                break;
+              case EdgeAction::Trace:
+                charges[{m.srcClass, m.target->classId()}] += m.target->sizeBytes();
+                break;
+            }
+        }
         inner_.afterInUseClosure(tracer);
     }
 
@@ -646,6 +665,7 @@ class RecordingPlugin : public CollectionPlugin
   private:
     LeakPruning &inner_;
     const std::unordered_map<Object *, std::size_t> &index_;
+    const std::map<ref_t *, SlotId> &slot_ids_;
 };
 
 /** Everything one root order decided, by object index. */
@@ -692,7 +712,7 @@ collectWith(Runtime &rt, LeakPruning &engine, CollectionPlugin &plugin,
 {
     engine.forceState(state);
     plugin.beginCollection(epoch);
-    tracer.traceFromRoots(roots, &plugin);
+    const TraceStats trace = tracer.traceFromRoots(roots, plugin.tracePolicy());
     plugin.afterInUseClosure(tracer);
     tracer.takeExtraStats();
     const Heap::FlipResult flip = rt.heap().flipMarkEpoch();
@@ -701,6 +721,7 @@ collectWith(Runtime &rt, LeakPruning &engine, CollectionPlugin &plugin,
     outcome.liveBytes = flip.liveBytes;
     outcome.committedBytes = flip.committedBytes;
     outcome.capacityBytes = rt.heap().capacity();
+    outcome.refsPoisoned = trace.refsPoisoned;
     plugin.endCollection(outcome);
 }
 
@@ -719,6 +740,7 @@ decideInRootOrder(unsigned seed, Predictor predictor, std::uint64_t select_epoch
     // has no plugin and ticks nothing.
     g.rt->collectNow();
     std::unordered_map<Object *, std::size_t> index;
+    std::map<ref_t *, RecordingPlugin::SlotId> slot_ids;
     std::unordered_set<Object *> live;
     g.rt->heap().forEachObject([&](Object *obj) { live.insert(obj); });
     for (std::size_t i = 0; i < g.objects.size(); ++i) {
@@ -726,6 +748,10 @@ decideInRootOrder(unsigned seed, Predictor predictor, std::uint64_t select_epoch
         if (!live.count(obj))
             continue;
         index.emplace(obj, i);
+        obj->forEachRefSlot(g.rt->classes().info(obj->classId()), [&](ref_t *slot) {
+            slot_ids.emplace(slot, RecordingPlugin::SlotId{
+                                       i, slot - reinterpret_cast<ref_t *>(obj)});
+        });
         // One in three at 1 or 6, one tick below the candidate margin
         // (2) and the most-stale level (7); the rest anywhere.
         const unsigned roll = static_cast<unsigned>(rng() % 12);
@@ -751,7 +777,7 @@ decideInRootOrder(unsigned seed, Predictor predictor, std::uint64_t select_epoch
     const class_id_t a = g.objects[0]->classId(), b = g.objects[1]->classId();
     pruning.onReferenceUsed(a, b, 3);
     pruning.onReferenceUsed(b, a, 2);
-    RecordingPlugin plugin(pruning, index);
+    RecordingPlugin plugin(pruning, index, slot_ids);
     Tracer tracer(g.rt->heap(), g.rt->classes());
     const auto collect = [&](PruningState state, std::uint64_t epoch) {
         collectWith(*g.rt, pruning, plugin, tracer, roots, state, epoch);
@@ -839,9 +865,8 @@ TEST(StaleClosureTest, WideArrayOfLiveTargetsKeepsASmallGrayStack)
     rt.writeRef(holder.get(), 1, wide.get());
     GlobalRoot root(rt.roots(), holder.get());
     OraclePlugin plugin;
-    plugin.policy = observePolicy();
-    plugin.policy.classifyEdges = true;
-    plugin.defer.insert(wide.get());
+    plugin.policy = deferStamped();
+    wide.get()->setStaleCounter(kMaxStaleCounter);
     Object *const wide_obj = wide.get();
     live.set(nullptr);
     wide.set(nullptr);
@@ -855,17 +880,24 @@ TEST(StaleClosureTest, WideArrayOfLiveTargetsKeepsASmallGrayStack)
     static_assert(Tracer::kRetainedGrayCapacity > 1024);
 }
 
-// --- The classifying closure's reject rule -------------------------------------
+// --- The published edge rule --------------------------------------------------
 //
-// A classifying closure traces an edge without calling classifyEdge
-// when the policy's reject rule rejects it (Tracer::rejectsEdge), and
-// every edge when the policy does not classify. That is sound only if
-// classifyEdge would have answered Trace. Checked for every pruning
-// state and predictor, with and without a selection, over every
+// Leak pruning's whole per-edge decision is the rule its policy
+// publishes. Checked against the paper's condition, written out here:
+// an edge src -> tgt is a SELECT candidate iff tgt is not pinned and
+// its stale counter at the start of the collection is at least the
+// margin and at least its edge type's maxStaleUse plus the margin
+// (Section 4.1); Default SELECT defers a candidate to the stale
+// closure, Individual-refs SELECT traces it and charges its target;
+// PRUNE poisons exactly the candidates of the selected type; and under
+// the Most-stale predictor (Section 6.1) SELECT reads the highest
+// counter and PRUNE poisons every unpinned target at least as stale as
+// the level SELECT found, if that level reaches the margin. Checked for
+// every state and predictor, with and without a selection, over every
 // source and target class match, pinned bit and counter at start, the
 // latter both before and after this collection's tick.
 
-TEST(RejectRuleTest, RejectsOnlyEdgesClassifyEdgeTraces)
+TEST(EdgeRuleTest, PublishedRuleIsThePapersCondition)
 {
     RuntimeConfig cfg;
     cfg.heapBytes = 4u << 20;
@@ -891,12 +923,52 @@ TEST(RejectRuleTest, RejectsOnlyEdgesClassifyEdgeTraces)
     OrderedRoots roots;
     rt.roots().forEachRoot([&](ref_t *slot) { roots.slots.push_back(slot); });
 
-    std::uint64_t rejected = 0, not_traced = 0;
+    // The paper's condition. Uses at counters 2 and 4 protect
+    // Src -> Tgt and OtherSrc -> Tgt (below); other types have
+    // maxStaleUse 0. @p selected: a SELECT chose Src -> Tgt; @p level:
+    // the most-stale level SELECT found. nullopt: an ordinary edge,
+    // traced and not recorded.
+    constexpr unsigned kMargin = 2; // LeakPruningConfig's default
+    const auto max_stale_use = [&](class_id_t s, class_id_t t) -> unsigned {
+        if (t != tgt_cls)
+            return 0;
+        return s == src_cls ? 2 : 4;
+    };
+    const auto paper = [&](PruningState state, Predictor predictor,
+                           bool selected, unsigned level, class_id_t s,
+                           class_id_t t, bool pinned,
+                           unsigned at_start) -> std::optional<EdgeAction> {
+        const bool candidate = !pinned && at_start >= kMargin &&
+                               at_start >= max_stale_use(s, t) + kMargin;
+        switch (state) {
+          case PruningState::Select:
+            if (!candidate || predictor == Predictor::MostStale)
+                return std::nullopt;
+            return predictor == Predictor::Default ? EdgeAction::Defer
+                                                   : EdgeAction::Trace;
+          case PruningState::Prune:
+            if (predictor == Predictor::MostStale) {
+                if (!pinned && level >= kMargin && at_start >= level)
+                    return EdgeAction::Poison;
+                return std::nullopt;
+            }
+            if (selected && candidate && s == src_cls && t == tgt_cls)
+                return EdgeAction::Poison;
+            return std::nullopt;
+          default:
+            return std::nullopt;
+        }
+    };
+
+    std::map<EdgeAction, std::uint64_t> matched;
     const auto check = [&](LeakPruning &engine, PruningState state,
+                           Predictor predictor, bool selected, unsigned level,
                            std::uint64_t epoch) {
         engine.forceState(state);
         engine.beginCollection(epoch);
         const TracePolicy policy = engine.tracePolicy();
+        EXPECT_EQ(policy.recordMaxStale,
+                  state == PruningState::Select && predictor == Predictor::MostStale);
         for (const class_id_t s : {src_cls, other_src}) {
             for (const class_id_t t : {tgt_cls, other_tgt}) {
                 for (const bool pinned : {false, true}) {
@@ -905,9 +977,7 @@ TEST(RejectRuleTest, RejectsOnlyEdgesClassifyEdgeTraces)
                         for (const bool ticked : {false, true}) {
                             if (ticked && at_start == kMaxStaleCounter)
                                 continue;
-                            alignas(8) unsigned char src_mem[32] = {};
                             alignas(8) unsigned char tgt_mem[32] = {};
-                            Object *from = Object::format(src_mem, s, 32);
                             Object *to = Object::format(tgt_mem, t, 32);
                             to->setStaleCounter(at_start);
                             if (ticked)
@@ -915,19 +985,20 @@ TEST(RejectRuleTest, RejectsOnlyEdgesClassifyEdgeTraces)
                             if (pinned)
                                 to->setPinned(true);
                             ASSERT_EQ(to->staleCounterAtStart(epoch), at_start);
-                            ref_t slot = makeRef(to);
-                            const bool skipped =
-                                !policy.classifyEdges ||
-                                Tracer::rejectsEdge(policy, s, to);
-                            const EdgeAction action = engine.classifyEdge(
-                                from, rt.classes().info(s), &slot, to);
-                            rejected += policy.classifyEdges && skipped;
-                            not_traced += action != EdgeAction::Trace;
-                            EXPECT_TRUE(!skipped || action == EdgeAction::Trace)
+                            const bool matches =
+                                policy.rule && Tracer::ruleMatches(policy, s, to);
+                            const std::optional<EdgeAction> want =
+                                paper(state, predictor, selected, level, s, t,
+                                      pinned, at_start);
+                            EXPECT_EQ(matches, want.has_value())
                                 << "state " << static_cast<int>(state)
                                 << ", src " << s << ", tgt " << t
                                 << ", pinned " << pinned << ", at start "
                                 << at_start << ", ticked " << ticked;
+                            if (matches && want) {
+                                EXPECT_EQ(policy.rule->onMatch, *want);
+                                ++matched[*want];
+                            }
                         }
                     }
                 }
@@ -941,32 +1012,41 @@ TEST(RejectRuleTest, RejectsOnlyEdgesClassifyEdgeTraces)
                      << "predictor " << static_cast<int>(predictor));
         LeakPruningConfig pcfg;
         pcfg.predictor = predictor;
+        ASSERT_EQ(pcfg.staleUseMargin, kMargin);
         Telemetry telemetry;
         Tracer tracer(rt.heap(), rt.classes());
+        const auto protect = [&](LeakPruning &engine) {
+            engine.forceState(PruningState::Observe);
+            engine.onReferenceUsed(src_cls, tgt_cls, 2);
+            engine.onReferenceUsed(other_src, tgt_cls, 4);
+        };
 
         // No selection yet: PRUNE poisons nothing.
         LeakPruning fresh(rt.classes(), pcfg, telemetry);
+        protect(fresh);
         for (const PruningState state :
              {PruningState::Inactive, PruningState::Observe,
               PruningState::Select, PruningState::Prune})
-            check(fresh, state, 9);
+            check(fresh, state, predictor, false, 0, 9);
 
-        // A use at counter 2 protects Src -> Tgt up to maxStaleUse 2,
-        // so a PRUNE of that type needs a counter of 4 at start; the
-        // SELECT collection at epoch 64 finds the target at 5.
+        // A SELECT of Src -> Tgt needs a counter of 4 at start; the
+        // collection at epoch 64 finds the target at 5 and ticks it to
+        // 6, the highest counter it marks.
         LeakPruning engine(rt.classes(), pcfg, telemetry);
-        engine.forceState(PruningState::Observe);
-        engine.onReferenceUsed(src_cls, tgt_cls, 2);
+        protect(engine);
         rt.peekRef(src.get(), 0)->setStaleCounter(5);
         collectWith(rt, engine, engine, tracer, roots, PruningState::Select, 64);
         ASSERT_TRUE(engine.selectedEdge().has_value());
-        if (predictor != Predictor::MostStale) {
+        if (predictor == Predictor::MostStale) {
+            EXPECT_EQ(engine.selectedEdge()->maxStaleUse, 6u);
+        } else {
             EXPECT_TRUE(engine.selectedEdge()->type == (EdgeType{src_cls, tgt_cls}));
         }
-        check(engine, PruningState::Prune, 65);
+        check(engine, PruningState::Prune, predictor, true, 6, 65);
     }
-    EXPECT_GT(rejected, 0u) << "the rule rejected nothing";
-    EXPECT_GT(not_traced, 0u) << "classifyEdge never deferred or poisoned";
+    EXPECT_GT(matched[EdgeAction::Defer], 0u);
+    EXPECT_GT(matched[EdgeAction::Trace], 0u);
+    EXPECT_GT(matched[EdgeAction::Poison], 0u);
 }
 
 } // namespace

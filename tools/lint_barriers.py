@@ -35,7 +35,7 @@ compare_exchange_*). One shared
 fetch_add per load once cost more than the barrier's tag test; the
 barrier counters are per-thread for that reason, and a thread cache
 carves from a chunk it owns. The mark loop (the claim, the chunk byte
-tally, the per-edge and per-object plugin hooks) runs on the one
+tally, the edge rule with its edge-table probe) runs on the one
 collector thread with the world stopped, so its header and counter
 writes are plain stores. Atomic operations belong on the out-of-line
 cold and refill paths, and the read barrier's cold path keeps only
@@ -116,13 +116,12 @@ FAST_PATHS = [
     ("src/object/object.h", "clearStaleCounter"),
     ("src/gc/tracer.cpp", "onMarked"),
     ("src/gc/tracer.cpp", "shade"),
-    ("src/gc/tracer.cpp", "rejectsEdge"),
+    ("src/gc/tracer.cpp", "ruleMatches"),
+    ("src/gc/edge_table.cpp", "maxStaleUse"),
     ("src/gc/tracer.cpp", "scanObject"),
     ("src/gc/tracer.cpp", "drain"),
     ("src/gc/tracer.cpp", "traceFromRoots"),
     ("src/gc/tracer.cpp", "traceSubgraph"),
-    ("src/core/leak_pruning.cpp", "classifyEdge"),
-    ("src/core/leak_pruning.cpp", "objectMarked"),
 ]
 LOCKED_RMW_RE = re.compile(
     r"\b(fetch_add|fetch_sub|fetch_or|fetch_and|exchange|compare_exchange\w*)\b")
