@@ -35,7 +35,7 @@ run(const char *workload, bool pruning,
     const std::function<void(DriverConfig &)> &tweak = {})
 {
     DriverConfig cfg;
-    cfg.enablePruning = pruning;
+    cfg.tolerance = pruning ? ToleranceMode::LeakPruning : ToleranceMode::None;
     cfg.maxSeconds = 10.0;
     if (tweak)
         tweak(cfg);

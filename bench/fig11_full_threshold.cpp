@@ -30,7 +30,6 @@ main()
                 "trigger (option 1)");
 
     DriverConfig cfg;
-    cfg.enablePruning = true;
     cfg.pruneTrigger = PruneTrigger::OnlyWhenExhausted;
     cfg.recordSeries = true;
     cfg.maxIterations = 3000;

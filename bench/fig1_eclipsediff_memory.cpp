@@ -30,7 +30,7 @@ main()
 
     auto run = [&](const char *workload, bool pruning) {
         DriverConfig cfg;
-        cfg.enablePruning = pruning;
+        cfg.tolerance = pruning ? ToleranceMode::LeakPruning : ToleranceMode::None;
         cfg.maxIterations = iterations;
         cfg.maxSeconds = 30.0;
         cfg.recordSeries = true;

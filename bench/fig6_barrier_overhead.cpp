@@ -44,7 +44,7 @@ double
 runOnce(const char *workload, std::uint64_t iters, bool barriers)
 {
     DriverConfig cfg;
-    cfg.enablePruning = barriers;
+    cfg.tolerance = barriers ? ToleranceMode::LeakPruning : ToleranceMode::None;
     if (barriers)
         cfg.pinState = PruningState::Select;
     cfg.maxIterations = iters;
@@ -89,7 +89,6 @@ main()
 
         // One extra instrumented run to report barrier counters.
         DriverConfig cfg;
-        cfg.enablePruning = true;
         cfg.pinState = PruningState::Select;
         cfg.maxIterations = spec.iterations;
         cfg.maxSeconds = 60.0;

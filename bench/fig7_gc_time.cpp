@@ -42,7 +42,7 @@ gcSeconds(const char *workload, std::size_t heap_bytes,
     double best = 1e9;
     for (int trial = 0; trial < 2; ++trial) {
         DriverConfig cfg;
-        cfg.enablePruning = pin.has_value();
+        cfg.tolerance = pin ? ToleranceMode::LeakPruning : ToleranceMode::None;
         cfg.pinState = pin;
         cfg.heapBytes = heap_bytes;
         cfg.maxIterations = kIterations;
@@ -68,7 +68,7 @@ main()
     std::vector<std::size_t> min_heap;
     for (const char *w : kSuite) {
         DriverConfig cfg;
-        cfg.enablePruning = false;
+        cfg.tolerance = ToleranceMode::None;
         cfg.heapBytes = 64u << 20;
         cfg.maxIterations = 50;
         cfg.maxSeconds = 30.0;

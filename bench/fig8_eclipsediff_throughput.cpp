@@ -25,12 +25,12 @@ main()
                 "(log x)");
 
     DriverConfig base_cfg;
-    base_cfg.enablePruning = false;
+    base_cfg.tolerance = ToleranceMode::None;
     base_cfg.recordSeries = true;
     base_cfg.maxSeconds = 20.0;
 
     DriverConfig prune_cfg = base_cfg;
-    prune_cfg.enablePruning = true;
+    prune_cfg.tolerance = ToleranceMode::LeakPruning;
     prune_cfg.maxSeconds = 20.0;
 
     const RunResult base = runWorkloadByName("EclipseDiff", base_cfg);

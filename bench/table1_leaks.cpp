@@ -83,11 +83,10 @@ main()
 
     for (const PaperRow &row : kPaperRows) {
         DriverConfig base_cfg;
-        base_cfg.enablePruning = false;
+        base_cfg.tolerance = ToleranceMode::None;
         base_cfg.maxSeconds = 6.0;
 
         DriverConfig prune_cfg;
-        prune_cfg.enablePruning = true;
         prune_cfg.maxSeconds = 12.0;
 
         const RunResult base = runWorkloadByName(row.name, base_cfg);

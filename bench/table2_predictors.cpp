@@ -49,13 +49,12 @@ main()
 
     for (const char *leak : leaks) {
         DriverConfig base_cfg;
-        base_cfg.enablePruning = false;
+        base_cfg.tolerance = ToleranceMode::None;
         base_cfg.maxSeconds = 5.0;
         const RunResult base = runWorkloadByName(leak, base_cfg);
 
         auto pruned = [&](Predictor p) {
             DriverConfig cfg;
-            cfg.enablePruning = true;
             cfg.predictor = p;
             cfg.maxSeconds = 8.0;
             return runWorkloadByName(leak, cfg);
@@ -63,7 +62,6 @@ main()
         // The real disk-offloading baseline (LeakSurvivor/Melt), with
         // disk capped at 4x the heap so its exhaustion is observable.
         DriverConfig disk_cfg;
-        disk_cfg.enablePruning = true;
         disk_cfg.tolerance = ToleranceMode::DiskOffload;
         disk_cfg.diskBudgetHeapMultiple = 4.0;
         disk_cfg.maxSeconds = 8.0;

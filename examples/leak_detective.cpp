@@ -31,7 +31,6 @@ main(int argc, char **argv)
     const std::string workload = argc > 1 ? argv[1] : "EclipseDiff";
 
     DriverConfig config;
-    config.enablePruning = true;
     config.maxSeconds = 6.0;
     config.maxIterations = 20000;
 

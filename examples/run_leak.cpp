@@ -9,7 +9,8 @@
  *
  * Options:
  *   --workload NAME     which program to run (see --list)
- *   --no-pruning        unmodified-VM baseline (no barriers)
+ *   --no-pruning        unmodified-VM baseline (no barriers); wins
+ *                       over --disk-offload
  *   --disk-offload      LeakSurvivor/Melt-style baseline (move stale
  *                       objects to disk instead of pruning; §6.1/§7)
  *   --disk-multiple X   disk budget as a multiple of the heap (def. 4)
@@ -53,6 +54,17 @@ listWorkloads()
     table.print(std::cout);
 }
 
+const char *
+schemeName(ToleranceMode mode)
+{
+    switch (mode) {
+      case ToleranceMode::None: return "none (unmodified runtime)";
+      case ToleranceMode::LeakPruning: return "leak pruning";
+      case ToleranceMode::DiskOffload: return "disk offload (LS/Melt baseline)";
+    }
+    return "?";
+}
+
 [[noreturn]] void
 usage()
 {
@@ -73,6 +85,7 @@ main(int argc, char **argv)
     std::string workload;
     DriverConfig config;
     bool series = false;
+    bool baseline = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -87,7 +100,7 @@ main(int argc, char **argv)
         } else if (arg == "--workload") {
             workload = next();
         } else if (arg == "--no-pruning") {
-            config.enablePruning = false;
+            baseline = true;
         } else if (arg == "--disk-offload") {
             // The LeakSurvivor/Melt-style baseline (paper §6.1/§7).
             config.tolerance = ToleranceMode::DiskOffload;
@@ -129,14 +142,16 @@ main(int argc, char **argv)
     }
     if (workload.empty())
         usage();
+    // The baseline wins over --disk-offload, in either order.
+    if (baseline)
+        config.tolerance = ToleranceMode::None;
 
     const RunResult result = runWorkloadByName(workload, config);
 
     std::printf("workload:    %s\n", result.workload.c_str());
     std::printf("heap:        %.1f MB\n",
                 static_cast<double>(result.heapBytes) / (1024.0 * 1024.0));
-    std::printf("pruning:     %s\n",
-                config.enablePruning ? "enabled" : "disabled (baseline)");
+    std::printf("scheme:      %s\n", schemeName(config.tolerance));
     std::printf("iterations:  %llu\n",
                 static_cast<unsigned long long>(result.iterations));
     std::printf("wall time:   %.2f s\n", result.seconds);
@@ -155,8 +170,7 @@ main(int argc, char **argv)
     std::printf("barrier:     %llu reads, %llu cold-path hits\n",
                 static_cast<unsigned long long>(result.barrier.reads),
                 static_cast<unsigned long long>(result.barrier.coldPathHits));
-    if (config.tolerance == ToleranceMode::DiskOffload &&
-        config.enablePruning) {
+    if (config.tolerance == ToleranceMode::DiskOffload) {
         std::printf("offload:     %llu objects moved (%0.1f MB), %llu "
                     "retrieved, %llu disk records GC'd, disk %s\n",
                     static_cast<unsigned long long>(
@@ -168,7 +182,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         result.offload.recordsCollected),
                     result.offload.diskExhausted ? "EXHAUSTED" : "ok");
-    } else if (config.enablePruning) {
+    } else if (config.tolerance == ToleranceMode::LeakPruning) {
         std::printf("pruning:     %llu refs poisoned across %llu prune GCs; "
                     "%llu edge types in table\n",
                     static_cast<unsigned long long>(result.pruning.refsPoisoned),

@@ -26,9 +26,8 @@ main(int argc, char **argv)
     const std::string workload = argc > 1 ? argv[1] : "MySQL";
     const double seconds = argc > 2 ? std::strtod(argv[2], nullptr) : 10.0;
 
-    auto run = [&](const char *label, bool pruning, ToleranceMode mode) {
+    auto run = [&](const char *label, ToleranceMode mode) {
         DriverConfig cfg;
-        cfg.enablePruning = pruning;
         cfg.tolerance = mode;
         cfg.maxSeconds = seconds;
         RunResult r = runWorkloadByName(workload, cfg);
@@ -41,11 +40,11 @@ main(int argc, char **argv)
     std::printf("workload: %s (cap %.0fs per run)\n\n", workload.c_str(),
                 seconds);
     const RunResult base =
-        run("unmodified runtime", false, ToleranceMode::None);
+        run("unmodified runtime", ToleranceMode::None);
     const RunResult pruned =
-        run("leak pruning (paper)", true, ToleranceMode::LeakPruning);
+        run("leak pruning (paper)", ToleranceMode::LeakPruning);
     const RunResult disk =
-        run("disk offload (LS/Melt, x4)", true, ToleranceMode::DiskOffload);
+        run("disk offload (LS/Melt, x4)", ToleranceMode::DiskOffload);
 
     TextTable table({"scheme", "lifetime vs base", "mechanism cost",
                      "failure mode"});

@@ -29,10 +29,9 @@ LeakPruning::edgeTypeName(EdgeType type) const
 
 // --- CollectionPlugin -----------------------------------------------------
 
-void
+TracePolicy
 LeakPruning::beginCollection(std::uint64_t epoch)
 {
-    epoch_ = epoch;
     // The state set at the end of the previous collection governs this
     // one; snapshot it so endCollection's transition can't confuse us.
     active_state_ = pinned_state_.value_or(machine_.state());
@@ -52,11 +51,7 @@ LeakPruning::beginCollection(std::uint64_t epoch)
         epoch % config_.maxStaleUseDecayPeriod == 0) {
         edge_table_.decayMaxStaleUse();
     }
-}
 
-TracePolicy
-LeakPruning::tracePolicy() const
-{
     // Staleness maintenance (and hence reference tagging) starts with
     // OBSERVE; in INACTIVE the program is behaving as expected and we
     // avoid the analysis entirely (paper Section 3.1). Edge
@@ -64,9 +59,7 @@ LeakPruning::tracePolicy() const
     TracePolicy policy;
     if (active_state_ == PruningState::Inactive)
         return policy;
-    policy.tagReferences = true;
-    policy.trackStaleness = true;
-    policy.epoch = epoch_;
+    policy.observe = true;
     // The rule never matches a pinned target: pinned objects model
     // memory the VM cannot reclaim (e.g. thread stacks, Mckoi leak).
     // A candidate must be `margin` levels staler than its edge type's
@@ -134,18 +127,17 @@ LeakPruning::runStaleClosure(Tracer &tracer)
                          return type_of(a) < type_of(b);
                      });
     stats_.candidatesQueued += candidates.size();
-    TracePolicy stale = tracePolicy();
-    stale.rule.reset();
-    TraceStats closure;
+    // OBSERVE's work on every object and edge the closure reaches,
+    // without the rule; what it marks counts in the collection's
+    // totals.
+    TracePolicy stale;
+    stale.observe = true;
     for (const EdgeMatch &c : candidates) {
-        const std::uint64_t bytes = tracer.traceSubgraph(c.target, stale, closure);
+        const std::uint64_t bytes = tracer.traceSubgraph(c.target, stale);
         if (bytes > 0)
             edge_table_.chargeBytes(EdgeType{c.srcClass, c.target->classId()}, bytes);
         stats_.staleBytesSized += bytes;
     }
-    // Stale-closure marking is collection work; fold it into the
-    // collection's totals rather than losing it.
-    tracer.addClosureStats(closure);
 }
 
 void
@@ -268,9 +260,9 @@ LeakPruning::onReferenceUsed(class_id_t src, class_id_t tgt,
 
 // --- runtime interface --------------------------------------------------------
 
-void
-LeakPruning::noteMemoryExhausted(std::size_t requested_bytes,
-                                 std::uint64_t epoch)
+bool
+LeakPruning::memoryExhausted(std::size_t requested_bytes, std::uint64_t epoch,
+                             unsigned rounds_so_far)
 {
     {
         std::lock_guard<std::mutex> lock(oom_mutex_);
@@ -283,11 +275,7 @@ LeakPruning::noteMemoryExhausted(std::size_t requested_bytes,
         }
     }
     machine_.noteMemoryExhausted();
-}
 
-bool
-LeakPruning::shouldKeepCollecting(unsigned rounds_so_far) const
-{
     // Always allow the OBSERVE -> SELECT -> PRUNE pipeline to fill.
     if (rounds_so_far < 3)
         return true;

@@ -71,8 +71,7 @@ class LeakPruning : public CollectionPlugin
 
     // --- CollectionPlugin ------------------------------------------------
 
-    void beginCollection(std::uint64_t epoch) override;
-    TracePolicy tracePolicy() const override;
+    TracePolicy beginCollection(std::uint64_t epoch) override;
     void afterInUseClosure(Tracer &tracer) override;
     void endCollection(const CollectionOutcome &outcome) override;
     bool finalizersEnabled() const override;
@@ -105,18 +104,15 @@ class LeakPruning : public CollectionPlugin
     /**
      * Allocation still failed after a collection: the program has
      * exhausted memory. Records (once) the deferred OutOfMemoryError
-     * and, under the OnlyWhenExhausted trigger, unlocks pruning.
-     */
-    void noteMemoryExhausted(std::size_t requested_bytes,
-                             std::uint64_t epoch) override;
-
-    /**
-     * Should the runtime collect again rather than throw? True while a
-     * selection is pending or the last prune made progress.
+     * and, under the OnlyWhenExhausted trigger, unlocks pruning. Then
+     * answers whether the runtime should collect again rather than
+     * throw: true while a selection is pending or the last prune made
+     * progress.
      *
      * @param rounds_so_far collections already run for this allocation.
      */
-    bool shouldKeepCollecting(unsigned rounds_so_far) const override;
+    bool memoryExhausted(std::size_t requested_bytes, std::uint64_t epoch,
+                         unsigned rounds_so_far) override;
 
     /** The recorded first out-of-memory error (null until exhaustion). */
     std::shared_ptr<const OutOfMemoryError> avertedOutOfMemory() const;
@@ -159,7 +155,6 @@ class LeakPruning : public CollectionPlugin
     EdgeTable edge_table_;
 
     // Per-collection context (set in beginCollection).
-    std::uint64_t epoch_ = 0;
     PruningState active_state_ = PruningState::Inactive;
     std::optional<PruningState> pinned_state_;
 
@@ -171,7 +166,7 @@ class LeakPruning : public CollectionPlugin
     // member.
     unsigned most_stale_level_ = 0;
 
-    // Outcome of the most recent collection, for shouldKeepCollecting.
+    // Outcome of the most recent collection, for memoryExhausted.
     PruningState last_gc_state_ = PruningState::Inactive;
     std::uint64_t last_gc_poisoned_ = 0;
 

@@ -72,33 +72,30 @@ Collector::collect(bool tick)
             world_stopped_hook_();
     });
 
+    // The collection's number, its clock decision and its totals are
+    // the tracer's from here on; the plugin learns the number and
+    // answers with the policy its closures run under.
     ++epoch_;
-    tracer_.setClockTicks(tick);
-    if (plugin_)
-        plugin_->beginCollection(epoch_);
+    tracer_.beginCollection(epoch_, tick);
+    const TracePolicy policy =
+        plugin_ ? plugin_->beginCollection(epoch_) : TracePolicy{};
 
     // The in-use transitive closure from the roots, claiming in the
-    // heap's side mark bitmaps (all clear between collections), under
-    // the policy the plugin publishes for this collection.
-    const TracePolicy policy = plugin_ ? plugin_->tracePolicy() : TracePolicy{};
-    TraceStats trace;
-    stage(PauseStage::Mark,
-          [&] { trace = tracer_.traceFromRoots(roots_, policy); });
+    // heap's side mark bitmaps (all clear between collections).
+    stage(PauseStage::Mark, [&] { tracer_.traceFromRoots(roots_, policy); });
     GcStats::MarkCost &mark =
         policy.rule ? stats_.classifyingMark : stats_.plainMark;
     mark.nanos += timing(PauseStage::Mark).nanos();
-    mark.objects += trace.objectsMarked;
+    mark.objects += tracer_.stats().objectsMarked;
 
     // Plugin phase — in SELECT this is the stale closure and edge-type
-    // selection; in other states it is a no-op. Closure work the
-    // plugin ran through the tracer folds into this collection's
-    // totals.
+    // selection; in other states it is a no-op. Every closure the
+    // plugin runs through the tracer adds to the collection's totals.
     stage(PauseStage::Plugin, [&] {
         if (plugin_)
             plugin_->afterInUseClosure(tracer_);
-        const TraceStats extra = tracer_.takeExtraStats();
-        trace.objectsMarked += extra.objectsMarked;
     });
+    const TraceStats trace = tracer_.stats();
 
     // Finalizers run before the flip reclaims dead blocks, while the
     // marks still tell live from dead. By default the paper (and we)

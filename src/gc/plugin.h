@@ -4,13 +4,14 @@
  *
  * The paper implements leak pruning "almost exclusively in shared
  * [MMTk] code" by piggybacking on the collector's transitive closure.
- * We model that as a CollectionPlugin: the collector calls out at
- * collection start and end and after the in-use closure, and at each
- * collection's start the plugin publishes a TracePolicy whose edge
+ * We model that as a CollectionPlugin. The collector owns each
+ * collection: its number, whether it ticks the staleness clock, and
+ * its totals. It tells the plugin the number once, at the start, and
+ * the plugin answers with the collection's TracePolicy, whose edge
  * rule says which heap edges are traced, deferred to the candidate
  * queue, or poisoned. The tracer applies that rule itself and records
- * its matches; the plugin reads them after the closure. A null plugin
- * yields a plain tracing collector.
+ * its matches; the plugin reads them after the in-use closure. A null
+ * plugin yields a plain tracing collector.
  */
 
 #ifndef LP_GC_PLUGIN_H
@@ -83,19 +84,20 @@ struct CollectionOutcome {
 };
 
 /**
- * Per-collection trace policy, fetched once per collection, so the
+ * Per-collection trace policy, published once per collection, so the
  * closure loop makes no virtual call. The staleness clock itself runs
  * inside the tracer (as in the paper, where the collector maintains
- * the stale bits). The plugin says whether its scheme ages objects at
- * all; the collector says whether this collection counts as program
- * time (Collector::collect), and the clock ticks only when both agree.
+ * the stale bits). The plugin says whether its scheme observes
+ * staleness at all; the collector says whether this collection counts
+ * as program time (Collector::collect), and the clock ticks only when
+ * both agree.
  */
 struct TracePolicy {
-    bool tagReferences = false;  //!< set stale-check bits on traced refs
-    bool trackStaleness = false; //!< this scheme ages objects (the clock)
+    //! OBSERVE: set the stale-check bit on every traced reference and
+    //! tick the staleness clock of every marked object.
+    bool observe = false;
     bool recordMaxStale = false; //!< keep the highest ticked counter marked
     bool recordStubs = false;    //!< keep every stub word a scan passes
-    std::uint64_t epoch = 0;     //!< collection number for the clock rule
     //! The in-use closure's edge rule; without one every edge is traced.
     std::optional<EdgeRule> rule;
 };
@@ -110,11 +112,16 @@ class CollectionPlugin
   public:
     virtual ~CollectionPlugin() = default;
 
-    /** Start of collection number @p epoch (1-based). */
-    virtual void beginCollection(std::uint64_t epoch) { (void)epoch; }
-
-    /** What the closure should do this collection. */
-    virtual TracePolicy tracePolicy() const { return {}; }
+    /**
+     * Start of collection number @p epoch (1-based): return what the
+     * closures should do this collection.
+     */
+    virtual TracePolicy
+    beginCollection(std::uint64_t epoch)
+    {
+        (void)epoch;
+        return {};
+    }
 
     /**
      * The in-use closure is complete; @p tracer holds its records
@@ -135,22 +142,19 @@ class CollectionPlugin
     virtual bool finalizersEnabled() const { return true; }
 
     /**
-     * Allocation failed even after a collection: the program is at the
-     * point where the VM would throw an out-of-memory error.
+     * Allocation of @p requested_bytes failed even after collection
+     * number @p epoch, the @p rounds_so_far-th for this allocation: the
+     * program is at the point where the VM would throw an
+     * out-of-memory error. Record that, and answer whether the runtime
+     * should collect again rather than throw. Tolerance schemes answer
+     * yes while they can still free something.
      */
-    virtual void noteMemoryExhausted(std::size_t requested_bytes,
-                                     std::uint64_t epoch)
+    virtual bool
+    memoryExhausted(std::size_t requested_bytes, std::uint64_t epoch,
+                    unsigned rounds_so_far)
     {
         (void)requested_bytes;
         (void)epoch;
-    }
-
-    /**
-     * Should the runtime collect again rather than throw? Tolerance
-     * schemes return true while they can still free something.
-     */
-    virtual bool shouldKeepCollecting(unsigned rounds_so_far) const
-    {
         (void)rounds_so_far;
         return false;
     }

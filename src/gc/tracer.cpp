@@ -22,11 +22,9 @@ namespace {
  * it marks (Object::tickStaleCounter), exactly as in the paper.
  */
 unsigned
-staleTickLimit(const TracePolicy &policy)
+staleTickLimit(std::uint64_t epoch)
 {
-    if (!policy.trackStaleness)
-        return 0;
-    const auto divides = static_cast<unsigned>(std::countr_zero(policy.epoch));
+    const auto divides = static_cast<unsigned>(std::countr_zero(epoch));
     return std::min(divides + 1, kMaxStaleCounter);
 }
 
@@ -51,10 +49,21 @@ Tracer::Tracer(Heap &heap, const ClassRegistry &registry)
 {}
 
 void
+Tracer::beginCollection(std::uint64_t epoch, bool tick)
+{
+    LP_ASSERT(gray_.empty(), "gray stack not drained by the last closure");
+    clearTrimmed(matches_);
+    clearTrimmed(stubs_);
+    max_stale_marked_ = 0;
+    stats_ = TraceStats{};
+    epoch_ = epoch;
+    collection_tick_below_ = tick ? staleTickLimit(epoch) : 0;
+}
+
+void
 Tracer::beginClosure(const TracePolicy &policy)
 {
-    tick_below_ = clock_ticks_ ? staleTickLimit(policy) : 0;
-    epoch_ = policy.epoch;
+    tick_below_ = policy.observe ? collection_tick_below_ : 0;
 }
 
 // The mark loop's helpers (onMarked, shade) are declared inline so
@@ -62,11 +71,11 @@ Tracer::beginClosure(const TracePolicy &policy)
 // line, they cost oom_horizon about 9% of its requests per second on a
 // 4-vCPU Xeon host.
 inline void
-Tracer::onMarked(Object *obj, const TracePolicy &policy, TraceStats &stats)
+Tracer::onMarked(Object *obj, const TracePolicy &policy)
 {
     obj->tickStaleCounter(tick_below_, epoch_);
-    ++stats.objectsMarked;
-    stats.bytesMarked += obj->sizeBytes();
+    ++stats_.objectsMarked;
+    stats_.bytesMarked += obj->sizeBytes();
     if (policy.recordMaxStale)
         max_stale_marked_ = std::max(max_stale_marked_, obj->staleCounter());
 }
@@ -81,17 +90,16 @@ Tracer::shade(Object *obj)
 }
 
 bool
-Tracer::ruleMatches(const TracePolicy &policy, class_id_t src_cls,
-                    const Object *tgt)
+Tracer::ruleMatches(const EdgeRule &rule, class_id_t src_cls,
+                    const Object *tgt) const
 {
-    const EdgeRule &rule = *policy.rule;
     if (rule.srcClass != kInvalidClassId && src_cls != rule.srcClass)
         return false;
     if (rule.tgtClass != kInvalidClassId && tgt->classId() != rule.tgtClass)
         return false;
     // The counter is read as it stood when the collection began, so
     // the answer does not depend on whether the target was visited yet.
-    const unsigned stale = tgt->staleCounterAtStart(policy.epoch);
+    const unsigned stale = tgt->staleCounterAtStart(epoch_);
     if (stale < rule.minStale || tgt->pinned())
         return false;
     return !rule.floors ||
@@ -100,7 +108,7 @@ Tracer::ruleMatches(const TracePolicy &policy, class_id_t src_cls,
 }
 
 void
-Tracer::scanObject(Object *obj, const TracePolicy &policy, TraceStats &stats)
+Tracer::scanObject(Object *obj, const TracePolicy &policy)
 {
     const ClassInfo &cls = registry_.info(obj->classId());
     obj->forEachRefSlot(cls, [&](ref_t *slot) {
@@ -115,7 +123,7 @@ Tracer::scanObject(Object *obj, const TracePolicy &policy, TraceStats &stats)
         }
         Object *tgt = refTarget(r);
         EdgeAction action = EdgeAction::Trace;
-        if (policy.rule && ruleMatches(policy, cls.id, tgt)) {
+        if (policy.rule && ruleMatches(*policy.rule, cls.id, tgt)) {
             matches_.push_back(EdgeMatch{slot, cls.id, tgt});
             action = policy.rule->onMatch;
         }
@@ -123,7 +131,7 @@ Tracer::scanObject(Object *obj, const TracePolicy &policy, TraceStats &stats)
           case EdgeAction::Trace:
             // Avoid the store when the tag survived from an earlier
             // collection (the barrier only clears it on use).
-            if (policy.tagReferences && !refHasStaleCheck(r))
+            if (policy.observe && !refHasStaleCheck(r))
                 *slot = refWithStaleCheck(r);
             shade(tgt);
             break;
@@ -134,19 +142,19 @@ Tracer::scanObject(Object *obj, const TracePolicy &policy, TraceStats &stats)
             // program uses it before the PRUNE collection, the barrier
             // resets the target's staleness and the edge escapes
             // pruning.
-            if (policy.tagReferences && !refHasStaleCheck(r))
+            if (policy.observe && !refHasStaleCheck(r))
                 *slot = refWithStaleCheck(r);
             break;
           case EdgeAction::Poison:
             *slot = refPoisoned(r);
-            ++stats.refsPoisoned;
+            ++stats_.refsPoisoned;
             break;
         }
     });
 }
 
 void
-Tracer::drain(const TracePolicy &policy, TraceStats &stats)
+Tracer::drain(const TracePolicy &policy)
 {
     // Each popped object waits in the prefetch ring, which loads its
     // header while the objects ahead of it are scanned, and is visited
@@ -174,8 +182,8 @@ Tracer::drain(const TracePolicy &policy, TraceStats &stats)
             break;
         }
         ring_head = (ring_head + 1) % kPrefetchDepth;
-        onMarked(obj, policy, stats);
-        scanObject(obj, policy, stats);
+        onMarked(obj, policy);
+        scanObject(obj, policy);
     }
     if (gray_.capacity() > kRetainedGrayCapacity) {
         std::vector<Object *>().swap(gray_);
@@ -183,13 +191,9 @@ Tracer::drain(const TracePolicy &policy, TraceStats &stats)
     }
 }
 
-TraceStats
+void
 Tracer::traceFromRoots(RootProvider &roots, const TracePolicy &policy)
 {
-    LP_ASSERT(gray_.empty(), "gray stack not drained by the last closure");
-    clearTrimmed(matches_);
-    clearTrimmed(stubs_);
-    max_stale_marked_ = 0;
     beginClosure(policy);
     // Seed the gray stack from the root set (stacks/registers +
     // statics).
@@ -198,36 +202,21 @@ Tracer::traceFromRoots(RootProvider &roots, const TracePolicy &policy)
         if (!refIsNull(r) && !refIsPoisoned(r))
             shade(refTarget(r));
     });
-    TraceStats stats;
-    drain(policy, stats);
-    return stats;
+    drain(policy);
 }
 
 std::uint64_t
-Tracer::traceSubgraph(Object *start, const TracePolicy &policy,
-                      TraceStats &stats)
+Tracer::traceSubgraph(Object *start, const TracePolicy &policy)
 {
     // A rule would append to matches_ while the caller iterates it.
     LP_ASSERT(!policy.rule, "a subgraph closure traces every edge");
     beginClosure(policy);
     // A start object already live via another path (or an earlier
     // candidate) is not claimed again, so the call returns 0.
-    const std::uint64_t before = stats.bytesMarked;
+    const std::uint64_t before = stats_.bytesMarked;
     shade(start);
-    drain(policy, stats);
-    return stats.bytesMarked - before;
-}
-
-void
-Tracer::addClosureStats(const TraceStats &stats)
-{
-    extra_.objectsMarked += stats.objectsMarked;
-}
-
-TraceStats
-Tracer::takeExtraStats()
-{
-    return std::exchange(extra_, TraceStats{});
+    drain(policy);
+    return stats_.bytesMarked - before;
 }
 
 } // namespace lp

@@ -2,7 +2,11 @@
  * @file
  * The transitive-closure engine ("the tracer").
  *
- * Implements the two closures of paper Section 4.2 as services:
+ * Implements the two closures of paper Section 4.2 as services. The
+ * collector opens each collection with beginCollection(), which gives
+ * the tracer the collection number and the clock decision once and
+ * zeroes the collection's totals; every closure of the collection then
+ * adds to those totals (stats()).
  *
  *  - traceFromRoots(): the in-use closure. Starts from the root set,
  *    marks reachable objects, sets the stale-check bit on every
@@ -23,8 +27,7 @@
  * target's header and, for a per-type floor, one edge-table probe; the
  * mark loop makes no virtual call. The records a collection leaves
  * (matches(), maxStaleMarked(), stubs()) are what the plugin reads
- * after the in-use closure; they are cleared when the next
- * collection's in-use closure starts.
+ * after the in-use closure; the next beginCollection() clears them.
  *
  * Every closure claims an object at discovery, with the heap's side
  * mark bitmap (Heap::tryMark), so only a first discovery is pushed and
@@ -92,7 +95,7 @@ struct EdgeMatch {
     Object *target;      //!< the decoded target
 };
 
-/** Counters from one closure run. */
+/** One collection's closure totals, summed over all its closures. */
 struct TraceStats {
     std::uint64_t objectsMarked = 0;
     std::uint64_t refsPoisoned = 0;
@@ -112,11 +115,20 @@ class Tracer
     Tracer &operator=(const Tracer &) = delete;
 
     /**
-     * Run the in-use closure: clear the last collection's records and
-     * mark everything reachable from @p roots, as @p policy says.
-     * Must run with the world stopped.
+     * Open collection number @p epoch: clear the last collection's
+     * records and totals, and take the collector's clock decision
+     * (@p tick: whether this collection counts as program time). A
+     * closure ticks the staleness clock iff @p tick holds and its
+     * policy observes.
      */
-    TraceStats traceFromRoots(RootProvider &roots, const TracePolicy &policy);
+    void beginCollection(std::uint64_t epoch, bool tick);
+
+    /**
+     * Run the in-use closure: mark everything reachable from @p roots,
+     * as @p policy says. Must run with the world stopped, after
+     * beginCollection.
+     */
+    void traceFromRoots(RootProvider &roots, const TracePolicy &policy);
 
     /**
      * Mark the subgraph rooted at @p start during the in-progress
@@ -125,32 +137,13 @@ class Tracer
      * (0 when @p start was already marked).
      * @p policy selects the per-edge and per-object work as in the
      * in-use closure, but carries no edge rule: every edge inside the
-     * subgraph is traced. The objects and edges visited fold into
-     * @p stats. Must run with the world stopped.
+     * subgraph is traced. The objects it marks count in the
+     * collection's totals. Must run with the world stopped.
      */
-    std::uint64_t traceSubgraph(Object *start, const TracePolicy &policy,
-                                TraceStats &stats);
+    std::uint64_t traceSubgraph(Object *start, const TracePolicy &policy);
 
-    /**
-     * Fold closure work a plugin performed outside traceFromRoots
-     * (e.g. its stale-closure tallies) into this collection's totals;
-     * the collector drains them with takeExtraStats() after the plugin
-     * phase.
-     */
-    void addClosureStats(const TraceStats &stats);
-
-    /** Drain the stats accumulated through addClosureStats(). */
-    TraceStats takeExtraStats();
-
-    /**
-     * May the closures of the collection about to run tick the
-     * staleness clock? The collector decides once per collection
-     * (Collector::collect); a closure ticks iff this holds and its
-     * policy's trackStaleness does. True until set.
-     */
-    void setClockTicks(bool ticks) { clock_ticks_ = ticks; }
-
-    const ClassRegistry &registry() const { return registry_; }
+    /** The running collection's totals so far, over all its closures. */
+    const TraceStats &stats() const { return stats_; }
 
     //! Gray-stack capacity (in objects) kept for the next closure; a
     //! larger stack is freed when its closure ends, so a closure that
@@ -164,12 +157,12 @@ class Tracer
     std::size_t grayCapacity() const { return gray_.capacity(); }
 
     /**
-     * Does @p policy's edge rule (which must be set) match the edge
-     * from an object of class @p src_cls to @p tgt? Reads @p tgt's
-     * header and, for a per-type floor, probes the edge table.
+     * Does @p rule match the edge from an object of class @p src_cls
+     * to @p tgt in the running collection? Reads @p tgt's header and,
+     * for a per-type floor, probes the edge table.
      */
-    static bool ruleMatches(const TracePolicy &policy, class_id_t src_cls,
-                            const Object *tgt);
+    bool ruleMatches(const EdgeRule &rule, class_id_t src_cls,
+                     const Object *tgt) const;
 
     // --- the running collection's records (see TracePolicy) ---------------
 
@@ -198,7 +191,7 @@ class Tracer
      * reference slots and, as @p policy says, classify each edge, tag
      * traced references and shade their targets.
      */
-    void scanObject(Object *obj, const TracePolicy &policy, TraceStats &stats);
+    void scanObject(Object *obj, const TracePolicy &policy);
 
     /** Claim @p obj and, if this call claimed it, push it gray. */
     void shade(Object *obj);
@@ -207,13 +200,13 @@ class Tracer
      * Header work for an object this closure marked, once: tick its
      * staleness clock, tally it and, if asked, keep its counter.
      */
-    void onMarked(Object *obj, const TracePolicy &policy, TraceStats &stats);
+    void onMarked(Object *obj, const TracePolicy &policy);
 
     /**
      * Scan gray objects to empty: pop the newest, pass it through the
      * prefetch ring and visit and scan it as it leaves.
      */
-    void drain(const TracePolicy &policy, TraceStats &stats);
+    void drain(const TracePolicy &policy);
 
     //! Set the per-closure state that @p policy implies.
     void beginClosure(const TracePolicy &policy);
@@ -223,12 +216,13 @@ class Tracer
     //! The running closure's stale-clock limit: a visit raises a stale
     //! counter k to k+1 iff k < tick_below_ (0 when the clock is off).
     unsigned tick_below_ = 0;
+    //! The running collection's limit for closures that observe: set
+    //! by beginCollection from the epoch and the clock decision.
+    unsigned collection_tick_below_ = 0;
     //! The running collection's number, whose parity stamps each tick.
     std::uint64_t epoch_ = 0;
-    //! The collector's clock decision for the running collection.
-    bool clock_ticks_ = true;
-    //! Closure work plugins report via addClosureStats().
-    TraceStats extra_;
+    //! The running collection's totals.
+    TraceStats stats_;
     //! The running closure's gray objects, newest last (empty between
     //! closures).
     std::vector<Object *> gray_;

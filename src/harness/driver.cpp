@@ -96,12 +96,12 @@ runWorkload(const WorkloadInfo &info, const DriverConfig &config)
     RuntimeConfig rc;
     rc.heapBytes = config.heapBytes ? config.heapBytes
                                     : workload->defaultHeapBytes();
-    rc.enableLeakPruning = config.enablePruning;
     rc.tolerance = config.tolerance;
     rc.offload.diskBudgetBytes = static_cast<std::size_t>(
         config.diskBudgetHeapMultiple * static_cast<double>(rc.heapBytes));
-    rc.barrierMode = config.enablePruning ? BarrierMode::AllTheTime
-                                          : BarrierMode::None;
+    rc.barrierMode = config.tolerance == ToleranceMode::None
+                         ? BarrierMode::None
+                         : BarrierMode::AllTheTime;
     rc.pruning.predictor = config.predictor;
     rc.pruning.pruneTrigger = config.pruneTrigger;
     rc.pruning.maxStaleUseDecayPeriod = config.decayPeriod;
@@ -199,6 +199,10 @@ runWorkload(const WorkloadInfo &info, const DriverConfig &config)
 std::uint64_t
 RunResult::pausePercentileNanos(double fraction) const
 {
+    // The sample list stops at GcStats::kMaxPauseSamples; the
+    // histogram holds every pause.
+    if (gc.collections > gc.pauseSamplesNanos.size())
+        return gc.pauseHistogram.percentileBound(fraction);
     if (gc.pauseSamplesNanos.empty())
         return 0;
     std::vector<std::uint64_t> s = gc.pauseSamplesNanos;

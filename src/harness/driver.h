@@ -39,8 +39,11 @@ const char *endReasonName(EndReason r);
 /** Driver knobs for one run. */
 struct DriverConfig {
     std::size_t heapBytes = 0; //!< 0 = the workload's paper heap (2x live)
-    bool enablePruning = true;
-    /** LeakPruning (default) or the DiskOffload (LS/Melt) baseline. */
+    /**
+     * LeakPruning (default), the DiskOffload (LS/Melt) baseline, or
+     * None: the unmodified runtime, with the read barriers compiled
+     * out (BarrierMode::None).
+     */
     ToleranceMode tolerance = ToleranceMode::LeakPruning;
     /** Disk budget for the offload baseline, as a multiple of heap. */
     double diskBudgetHeapMultiple = 4.0;
@@ -117,8 +120,10 @@ struct RunResult {
     PruneAuditSummary audit;
 
     /**
-     * Exact pause-time percentile in nanos from the collector's capped
-     * sample list (p50: fraction=0.5). 0 when no collection ran.
+     * Pause-time percentile in nanos (p50: fraction=0.5): exact from
+     * the collector's sample list while it holds every pause, else the
+     * bound of the pause histogram's bucket holding it. 0 when no
+     * collection ran.
      */
     std::uint64_t pausePercentileNanos(double fraction) const;
 

@@ -17,28 +17,22 @@ DiskOffload::DiskOffload(Runtime &rt, DiskOffloadConfig config)
 
 DiskOffload::~DiskOffload() = default;
 
-void
+TracePolicy
 DiskOffload::beginCollection(std::uint64_t epoch)
 {
-    epoch_ = epoch;
+    (void)epoch;
     offloaded_this_gc_ = 0;
     offload_map_.clear();
     gc_start_id_ = next_stub_id_;
     // Offload during this collection if the heap was nearly full at
     // the end of the previous one.
     offloading_this_gc_ = offload_pending_;
-}
 
-TracePolicy
-DiskOffload::tracePolicy() const
-{
     TracePolicy policy;
     if (!observing_)
         return policy;
-    policy.tagReferences = true;
-    policy.trackStaleness = true;
+    policy.observe = true;
     policy.recordStubs = true; // the disk GC's liveness scan
-    policy.epoch = epoch_;
     // Staleness-only rule (the paper's "Most stale" family): any
     // sufficiently stale, unpinned target is a move candidate. Unlike
     // pruning, mispredictions are recoverable, so no maxStaleUse floor
@@ -162,17 +156,16 @@ DiskOffload::afterInUseClosure(Tracer &tracer)
         // marked with its subgraph so the epoch flip keeps it, as if
         // its edge had been traced, but without tags or clock ticks.
         // Stub words inside it still count as live references for the
-        // disk GC.
+        // disk GC, and its objects count in the collection's totals.
         TracePolicy rescue;
         rescue.recordStubs = true;
-        TraceStats rescued;
         for (const EdgeMatch &m : tracer.matches()) {
             if (rt_.heap().isMarked(m.target))
                 continue; // reached via a live path after all
             if (stats_.diskLiveBytes >= config_.diskBudgetBytes)
                 stats_.diskExhausted = true; // how disk-based systems die
             if (stats_.diskExhausted) {
-                tracer.traceSubgraph(m.target, rescue, rescued);
+                tracer.traceSubgraph(m.target, rescue);
                 continue;
             }
             auto it = offload_map_.find(m.target);
@@ -182,7 +175,6 @@ DiskOffload::afterInUseClosure(Tracer &tracer)
             *m.slot = stubRef(id);
             ++offloaded_this_gc_;
         }
-        tracer.addClosureStats(rescued);
     }
     if (observing_)
         collectDisk(tracer.stubs());
@@ -254,8 +246,12 @@ DiskOffload::endCollection(const CollectionOutcome &outcome)
 }
 
 bool
-DiskOffload::shouldKeepCollecting(unsigned rounds_so_far) const
+DiskOffload::memoryExhausted(std::size_t requested_bytes, std::uint64_t epoch,
+                             unsigned rounds_so_far)
 {
+    // Nothing to record: the offloader defers no error.
+    (void)requested_bytes;
+    (void)epoch;
     if (rounds_so_far < 3)
         return true; // let the observe/offload pipeline fill
     if (stats_.diskExhausted)

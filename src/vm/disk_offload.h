@@ -86,11 +86,11 @@ class DiskOffload : public CollectionPlugin
 
     // --- CollectionPlugin --------------------------------------------------
 
-    void beginCollection(std::uint64_t epoch) override;
-    TracePolicy tracePolicy() const override;
+    TracePolicy beginCollection(std::uint64_t epoch) override;
     void afterInUseClosure(Tracer &tracer) override;
     void endCollection(const CollectionOutcome &outcome) override;
-    bool shouldKeepCollecting(unsigned rounds_so_far) const override;
+    bool memoryExhausted(std::size_t requested_bytes, std::uint64_t epoch,
+                         unsigned rounds_so_far) override;
 
     /**
      * Offload mispredictions are recoverable (the object faults back
@@ -160,7 +160,6 @@ class DiskOffload : public CollectionPlugin
     bool observing_ = false;
     bool offload_pending_ = false;   //!< next GC should offload
     bool offloading_this_gc_ = false;
-    std::uint64_t epoch_ = 0;
     std::uint64_t offloaded_this_gc_ = 0;
 
     // The "disk": stub id -> record. Records are freed on retrieval or

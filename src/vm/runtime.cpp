@@ -231,11 +231,11 @@ Runtime::allocateSlow(std::size_t bytes, ThreadAllocCache *cache)
         if (!tolerance_plugin_)
             break;
         // The VM is at the point where it would throw an out-of-memory
-        // error; record it (for pruning, the deferred error becomes
-        // the cause of any later poisoned-access InternalError) and
-        // let the scheme decide whether another collection can help.
-        tolerance_plugin_->noteMemoryExhausted(bytes, collector_->epoch());
-        if (!tolerance_plugin_->shouldKeepCollecting(round + 1))
+        // error; the scheme records it (for pruning, the deferred error
+        // becomes the cause of any later poisoned-access InternalError)
+        // and decides whether another collection can help.
+        if (!tolerance_plugin_->memoryExhausted(bytes, collector_->epoch(),
+                                                round + 1))
             break;
     }
     throw OutOfMemoryError(bytes, collector_->epoch());

@@ -88,7 +88,13 @@ struct RuntimeConfig {
      */
     std::size_t gcThreads = 1;
     BarrierMode barrierMode = BarrierMode::AllTheTime;
-    /** Master switch; false forces ToleranceMode::None. */
+    /**
+     * Master switch; false forces ToleranceMode::None. It duplicates
+     * `tolerance`; the benchmark's workloads
+     * (perfbench/cpp/workloads.cpp) and the runtime-level tests still
+     * set it, while the harness selects the scheme with `tolerance`
+     * alone.
+     */
     bool enableLeakPruning = true;
     /** Scheme selected when the master switch is on. */
     ToleranceMode tolerance = ToleranceMode::LeakPruning;
@@ -311,11 +317,10 @@ class Runtime
 
     /**
      * Write the metrics snapshot to @p path as JSON: "counters",
-     * "gauges" and "histograms" rendered from gcStats(), the heap's
-     * pending sweeps and the telemetry engine's drop and thread
-     * counts. Takes the allocation lock (no collection runs while it
-     * reads) but does not stop the world. Returns false when the file
-     * cannot be written.
+     * "gauges" and "histograms" rendered from gcStats() and the
+     * telemetry engine's drop and thread counts. Takes the allocation
+     * lock (no collection runs while it reads) but does not stop the
+     * world. Returns false when the file cannot be written.
      */
     bool writeMetricsJson(const std::string &path);
 

@@ -41,7 +41,6 @@ TEST_F(AppsTest, EveryWorkloadRunsTenIterations)
     // dying instantly in a roomy heap.
     for (const WorkloadInfo *info : WorkloadRegistry::instance().all()) {
         DriverConfig cfg;
-        cfg.enablePruning = true;
         cfg.heapBytes = 64u << 20;
         cfg.maxIterations = 10;
         cfg.maxSeconds = 20.0;
@@ -58,7 +57,7 @@ TEST_F(AppsTest, LeaksDieWithoutPruning)
                              "EclipseDiff", "EclipseCP", "MySQL",
                              "SPECjbb2000", "JbbMod", "Mckoi"}) {
         DriverConfig cfg;
-        cfg.enablePruning = false;
+        cfg.tolerance = ToleranceMode::None;
         cfg.maxSeconds = 20.0;
         const RunResult r = runWorkloadByName(name, cfg);
         EXPECT_EQ(r.end, EndReason::OutOfMemory) << name;
@@ -69,12 +68,11 @@ TEST_F(AppsTest, PureLeaksSurviveWithPruning)
 {
     for (const char *name : {"ListLeak", "SwapLeak"}) {
         DriverConfig base_cfg;
-        base_cfg.enablePruning = false;
+        base_cfg.tolerance = ToleranceMode::None;
         base_cfg.maxSeconds = 10.0;
         const RunResult base = runWorkloadByName(name, base_cfg);
 
         DriverConfig cfg;
-        cfg.enablePruning = true;
         cfg.maxIterations = base.iterations * 10;
         cfg.maxSeconds = 30.0;
         const RunResult pruned = runWorkloadByName(name, cfg);
@@ -87,12 +85,11 @@ TEST_F(AppsTest, PureLeaksSurviveWithPruning)
 TEST_F(AppsTest, DualLeakGetsNoHelp)
 {
     DriverConfig base_cfg;
-    base_cfg.enablePruning = false;
+    base_cfg.tolerance = ToleranceMode::None;
     base_cfg.maxSeconds = 10.0;
     const RunResult base = runWorkloadByName("DualLeak", base_cfg);
 
     DriverConfig cfg;
-    cfg.enablePruning = true;
     cfg.maxSeconds = 20.0;
     const RunResult pruned = runWorkloadByName("DualLeak", cfg);
     EXPECT_EQ(pruned.end, EndReason::OutOfMemory);
@@ -105,7 +102,7 @@ TEST_F(AppsTest, DelaunayFinishesUnderBothConfigs)
 {
     for (bool pruning : {false, true}) {
         DriverConfig cfg;
-        cfg.enablePruning = pruning;
+        cfg.tolerance = pruning ? ToleranceMode::LeakPruning : ToleranceMode::None;
         cfg.maxSeconds = 30.0;
         const RunResult r = runWorkloadByName("Delaunay", cfg);
         EXPECT_EQ(r.end, EndReason::Finished) << "pruning=" << pruning;
@@ -119,7 +116,6 @@ TEST_F(AppsTest, DelaunayFinishesUnderBothConfigs)
 TEST_F(AppsTest, EclipseDiffPrunesCompareInputStructures)
 {
     DriverConfig cfg;
-    cfg.enablePruning = true;
     cfg.maxSeconds = 10.0;
     cfg.maxIterations = 3000;
     const RunResult r = runWorkloadByName("EclipseDiff", cfg);
@@ -177,7 +173,6 @@ TEST_F(AppsTest, EclipseCpPruneLogIsPinned)
 TEST_F(AppsTest, MySqlPrunesResultsNotStatements)
 {
     DriverConfig cfg;
-    cfg.enablePruning = true;
     cfg.maxSeconds = 15.0;
     const RunResult r = runWorkloadByName("MySQL", cfg);
     ASSERT_FALSE(r.pruneLog.empty());
@@ -193,7 +188,6 @@ TEST_F(AppsTest, MySqlPrunesResultsNotStatements)
 TEST_F(AppsTest, JbbModOrdersProtectedByMaxStaleUse)
 {
     DriverConfig cfg;
-    cfg.enablePruning = true;
     cfg.maxSeconds = 25.0;
     const RunResult r = runWorkloadByName("JbbMod", cfg);
     ASSERT_FALSE(r.pruneLog.empty());
@@ -208,11 +202,10 @@ TEST_F(AppsTest, JbbModOrdersProtectedByMaxStaleUse)
 TEST_F(AppsTest, MckoiModestExtension)
 {
     DriverConfig base_cfg;
-    base_cfg.enablePruning = false;
+    base_cfg.tolerance = ToleranceMode::None;
     base_cfg.maxSeconds = 10.0;
     const RunResult base = runWorkloadByName("Mckoi", base_cfg);
     DriverConfig cfg;
-    cfg.enablePruning = true;
     cfg.maxSeconds = 20.0;
     const RunResult pruned = runWorkloadByName("Mckoi", cfg);
     const double ratio = pruned.ratioVs(base);
@@ -223,7 +216,6 @@ TEST_F(AppsTest, MckoiModestExtension)
 TEST_F(AppsTest, PhasedLeakDecayExtensionHelps)
 {
     DriverConfig no_decay;
-    no_decay.enablePruning = true;
     no_decay.maxSeconds = 20.0;
     no_decay.maxIterations = 40000;
     const RunResult protected_run = runWorkloadByName("PhasedLeak", no_decay);

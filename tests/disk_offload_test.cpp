@@ -4,8 +4,9 @@
  * offloading frees heap, faulted-in objects come back bit-for-bit,
  * mispredictions are survivable (the key semantic difference from
  * pruning), shared subgraphs resolve through the forwarding map, only
- * stale unpinned targets move, and a full disk ends tolerance the way
- * the paper describes.
+ * stale unpinned targets move, a subgraph rescued from a full disk
+ * counts as marked, and a full disk ends tolerance the way the paper
+ * describes.
  */
 
 #include <gtest/gtest.h>
@@ -272,6 +273,59 @@ TEST(DiskOffloadTest, OffloadsOnlyStaleUnpinnedTargetsUntilTheDiskIsFull)
         }
         EXPECT_TRUE(rt.verifyHeap().clean());
     }
+}
+
+// A deferred subgraph the full disk cannot take is rescued: the
+// offloader's own closure marks it so the flip keeps it. Its objects
+// count in the collection's objectsMarked and in the collector's
+// total, like the ones the in-use closure marks.
+TEST(DiskOffloadTest, RescuedSubgraphCountsAsMarked)
+{
+    RuntimeConfig cfg = offloadConfig(4u << 20, 1); // a 1-byte disk
+    cfg.gcTriggerFraction = 0;
+    cfg.offload.observeThreshold = 0; // observe after collection 1
+    cfg.offload.offloadThreshold = 0; // and offload in collection 2
+    Runtime rt(cfg);
+    const class_id_t holder_cls = rt.defineClass("do.Holder", 2, 0);
+    const class_id_t node_cls = rt.defineClass("do.Node", 1, 64);
+
+    HandleScope scope(rt.roots());
+    Handle holder = scope.handle(nullptr);
+    {
+        // Two chains of three nodes, each reached only through its
+        // head's slot in the holder. The holder last: a mutator's
+        // latest allocation is a root.
+        HandleScope inner(rt.roots());
+        Object *heads[2];
+        for (Object *&head : heads) {
+            head = nullptr;
+            for (int i = 0; i < 3; ++i) {
+                Object *node = inner.handle(rt.allocate(node_cls)).get();
+                if (head)
+                    rt.writeRef(node, 0, head);
+                head = node;
+            }
+        }
+        holder.set(rt.allocate(holder_cls));
+        for (std::size_t i = 0; i < 2; ++i) {
+            rt.writeRef(holder.get(), i, heads[i]);
+            heads[i]->setStaleCounter(kMaxStaleCounter);
+        }
+    }
+    rt.collectNow(); // collection 1: not observing yet, ticks nothing
+
+    const std::uint64_t marked_before = rt.gcStats().objectsMarkedTotal;
+    const CollectionOutcome outcome = rt.collectNow(); // collection 2
+    const DiskOffloadStats &stats = rt.diskOffload()->stats();
+    ASSERT_EQ(stats.objectsOffloaded, 3u) << "one chain fills the disk";
+    ASSERT_TRUE(stats.diskExhausted);
+    EXPECT_NE(refIsPoisoned(rt.peekRefBits(holder.get(), 0)),
+              refIsPoisoned(rt.peekRefBits(holder.get(), 1)))
+        << "one chain offloaded, the other rescued";
+    // The holder, from the roots, and the rescued chain's three nodes.
+    EXPECT_EQ(outcome.objectsMarked, 4u);
+    EXPECT_EQ(rt.gcStats().objectsMarkedTotal - marked_before, 4u);
+    EXPECT_TRUE(rt.verifyHeap().clean());
 }
 
 TEST(DiskOffloadTest, LiveDataNeverMovedWrongly)

@@ -43,7 +43,7 @@ class CountingPlugin : public CollectionPlugin
     std::size_t matched = 0;
     unsigned maxStale = 0;
 
-    TracePolicy tracePolicy() const override { return policy; }
+    TracePolicy beginCollection(std::uint64_t) override { return policy; }
 
     void
     afterInUseClosure(Tracer &tracer) override
@@ -116,21 +116,22 @@ TEST_F(TracePolicyTest, MaxStaleRecordedWhenRequested)
     Object *idle = nullptr;
     rt->heap().forEachObject([&](Object *obj) { idle = obj; });
     idle->setStaleCounter(4);
-    plugin.policy.trackStaleness = true;
+    plugin.policy.observe = true;
     plugin.policy.recordMaxStale = true;
-    plugin.policy.epoch = 1;
     rt->installPluginForTesting(&plugin);
     rt->collectNow();
     EXPECT_EQ(plugin.maxStale, 4u);
 
+    // Collection 2 ticks counters below 2: the others from 1 to 2,
+    // the idle one from 0 to 1.
     idle->setStaleCounter(0);
     rt->collectNow();
-    EXPECT_EQ(plugin.maxStale, 1u) << "cleared at the collection's start";
+    EXPECT_EQ(plugin.maxStale, 2u) << "cleared at the collection's start";
 }
 
 TEST_F(TracePolicyTest, TaggingFollowsPolicy)
 {
-    plugin.policy.tagReferences = true;
+    plugin.policy.observe = true;
     rt->installPluginForTesting(&plugin);
     rt->collectNow();
     int tagged = 0;
@@ -146,15 +147,14 @@ TEST_F(TracePolicyTest, TaggingFollowsPolicy)
 
 TEST_F(TracePolicyTest, StalenessClockFollowsPolicy)
 {
-    plugin.policy.trackStaleness = true;
-    plugin.policy.epoch = 1;
+    plugin.policy.observe = true;
     rt->installPluginForTesting(&plugin);
-    rt->collectNow();
+    rt->collectNow(); // collection 1
     rt->heap().forEachObject(
         [&](Object *obj) { EXPECT_EQ(obj->staleCounter(), 1u); });
 
     // And with the policy off, counters stay put.
-    plugin.policy.trackStaleness = false;
+    plugin.policy.observe = false;
     rt->collectNow();
     rt->heap().forEachObject(
         [&](Object *obj) { EXPECT_EQ(obj->staleCounter(), 1u); });
@@ -291,19 +291,17 @@ class OraclePlugin : public CollectionPlugin
     const Heap *heap = nullptr;
     std::unordered_set<Object *> marked;
 
-    TracePolicy tracePolicy() const override { return policy; }
+    TracePolicy beginCollection(std::uint64_t) override { return policy; }
 
     void
     afterInUseClosure(Tracer &tracer) override
     {
         TracePolicy stale = policy;
         stale.rule.reset();
-        TraceStats closure;
         for (const EdgeMatch &m : tracer.matches()) {
             candidates.push_back(m.target);
-            bytes.push_back(tracer.traceSubgraph(m.target, stale, closure));
+            bytes.push_back(tracer.traceSubgraph(m.target, stale));
         }
-        tracer.addClosureStats(closure);
         invalid.insert(tracer.stubs().begin(), tracer.stubs().end());
         retained = tracer.grayCapacity();
         if (watched) {
@@ -317,7 +315,9 @@ class OraclePlugin : public CollectionPlugin
 
 /** The graph, the runtime it lives in, and its pre-collection state. */
 struct OracleGraph {
-    static constexpr unsigned kTickBelow = 3; //!< epoch 12: ctz 2, +1
+    //! The runtime's collection 12 is the one checked: 2^2 divides 12,
+    //! so it ticks counters below 3.
+    static constexpr unsigned kTickBelow = 3;
 
     std::unique_ptr<Runtime> rt;
     std::vector<Object *> objects;
@@ -336,6 +336,8 @@ struct OracleGraph {
         cfg.gcTriggerFraction = 0;
         cfg.verifier.enabled = false;
         rt = std::make_unique<Runtime>(cfg);
+        for (int i = 0; i < 11; ++i)
+            rt->collectNow(); // collections 1 to 11, of an empty heap
         std::mt19937 rng(seed);
         const auto below = [&](std::size_t n) {
             return static_cast<std::size_t>(rng() % n);
@@ -516,10 +518,8 @@ TracePolicy
 observePolicy()
 {
     TracePolicy policy;
-    policy.tagReferences = true;
-    policy.trackStaleness = true;
+    policy.observe = true;
     policy.recordStubs = true;
-    policy.epoch = 12;
     return policy;
 }
 
@@ -636,16 +636,19 @@ class RecordingPlugin : public CollectionPlugin
     //! Bytes the traced matches charge per edge type (IndividualRefs).
     std::map<std::pair<class_id_t, class_id_t>, std::uint64_t> charges;
 
-    void beginCollection(std::uint64_t epoch) override { inner_.beginCollection(epoch); }
-    TracePolicy tracePolicy() const override { return inner_.tracePolicy(); }
+    TracePolicy
+    beginCollection(std::uint64_t epoch) override
+    {
+        policy_ = inner_.beginCollection(epoch);
+        return policy_;
+    }
 
     void
     afterInUseClosure(Tracer &tracer) override
     {
-        const TracePolicy policy = inner_.tracePolicy();
         for (const EdgeMatch &m : tracer.matches()) {
             const SlotId id = slot_ids_.at(m.slot);
-            switch (policy.rule->onMatch) {
+            switch (policy_.rule->onMatch) {
               case EdgeAction::Defer:
                 deferred.emplace_back(id, index_.at(m.target));
                 break;
@@ -664,6 +667,7 @@ class RecordingPlugin : public CollectionPlugin
 
   private:
     LeakPruning &inner_;
+    TracePolicy policy_; //!< the running collection's
     const std::unordered_map<Object *, std::size_t> &index_;
     const std::map<ref_t *, SlotId> &slot_ids_;
 };
@@ -711,17 +715,16 @@ collectWith(Runtime &rt, LeakPruning &engine, CollectionPlugin &plugin,
             std::uint64_t epoch)
 {
     engine.forceState(state);
-    plugin.beginCollection(epoch);
-    const TraceStats trace = tracer.traceFromRoots(roots, plugin.tracePolicy());
+    tracer.beginCollection(epoch, /*tick=*/true);
+    tracer.traceFromRoots(roots, plugin.beginCollection(epoch));
     plugin.afterInUseClosure(tracer);
-    tracer.takeExtraStats();
     const Heap::FlipResult flip = rt.heap().flipMarkEpoch();
     CollectionOutcome outcome;
     outcome.epoch = epoch;
     outcome.liveBytes = flip.liveBytes;
     outcome.committedBytes = flip.committedBytes;
     outcome.capacityBytes = rt.heap().capacity();
-    outcome.refsPoisoned = trace.refsPoisoned;
+    outcome.refsPoisoned = tracer.stats().refsPoisoned;
     plugin.endCollection(outcome);
 }
 
@@ -961,12 +964,13 @@ TEST(EdgeRuleTest, PublishedRuleIsThePapersCondition)
     };
 
     std::map<EdgeAction, std::uint64_t> matched;
+    Tracer tracer(rt.heap(), rt.classes());
     const auto check = [&](LeakPruning &engine, PruningState state,
                            Predictor predictor, bool selected, unsigned level,
                            std::uint64_t epoch) {
         engine.forceState(state);
-        engine.beginCollection(epoch);
-        const TracePolicy policy = engine.tracePolicy();
+        tracer.beginCollection(epoch, /*tick=*/true);
+        const TracePolicy policy = engine.beginCollection(epoch);
         EXPECT_EQ(policy.recordMaxStale,
                   state == PruningState::Select && predictor == Predictor::MostStale);
         for (const class_id_t s : {src_cls, other_src}) {
@@ -986,7 +990,7 @@ TEST(EdgeRuleTest, PublishedRuleIsThePapersCondition)
                                 to->setPinned(true);
                             ASSERT_EQ(to->staleCounterAtStart(epoch), at_start);
                             const bool matches =
-                                policy.rule && Tracer::ruleMatches(policy, s, to);
+                                policy.rule && tracer.ruleMatches(*policy.rule, s, to);
                             const std::optional<EdgeAction> want =
                                 paper(state, predictor, selected, level, s, t,
                                       pinned, at_start);
@@ -1014,7 +1018,6 @@ TEST(EdgeRuleTest, PublishedRuleIsThePapersCondition)
         pcfg.predictor = predictor;
         ASSERT_EQ(pcfg.staleUseMargin, kMargin);
         Telemetry telemetry;
-        Tracer tracer(rt.heap(), rt.classes());
         const auto protect = [&](LeakPruning &engine) {
             engine.forceState(PruningState::Observe);
             engine.onReferenceUsed(src_cls, tgt_cls, 2);

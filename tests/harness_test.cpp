@@ -24,7 +24,7 @@ class HarnessTest : public ::testing::Test
 TEST_F(HarnessTest, IterationCapRespected)
 {
     DriverConfig cfg;
-    cfg.enablePruning = false;
+    cfg.tolerance = ToleranceMode::None;
     cfg.heapBytes = 32u << 20;
     cfg.maxIterations = 25;
     const RunResult r = runWorkloadByName("suite.churn", cfg);
@@ -35,7 +35,7 @@ TEST_F(HarnessTest, IterationCapRespected)
 TEST_F(HarnessTest, SeriesRecordedWhenRequested)
 {
     DriverConfig cfg;
-    cfg.enablePruning = false;
+    cfg.tolerance = ToleranceMode::None;
     cfg.heapBytes = 32u << 20;
     cfg.maxIterations = 40;
     cfg.recordSeries = true;
@@ -52,7 +52,7 @@ TEST_F(HarnessTest, SeriesRecordedWhenRequested)
 TEST_F(HarnessTest, OomRunsReportEndDetail)
 {
     DriverConfig cfg;
-    cfg.enablePruning = false;
+    cfg.tolerance = ToleranceMode::None;
     cfg.maxSeconds = 15.0;
     const RunResult r = runWorkloadByName("ListLeak", cfg);
     EXPECT_EQ(r.end, EndReason::OutOfMemory);
@@ -63,7 +63,6 @@ TEST_F(HarnessTest, OomRunsReportEndDetail)
 TEST_F(HarnessTest, StatsArePopulated)
 {
     DriverConfig cfg;
-    cfg.enablePruning = true;
     cfg.maxSeconds = 10.0;
     const RunResult r = runWorkloadByName("ListLeak", cfg);
     EXPECT_GT(r.gc.collections, 0u);
@@ -124,6 +123,33 @@ TEST(DecisionDigestTest, CoversTheOffloadBaseline)
     a.offload = DiskOffloadStats{};
     EXPECT_EQ(a.decisionDigest(), no_offload)
         << "the formula for runs without offload is unchanged";
+}
+
+// The collector keeps exact pause samples only up to
+// GcStats::kMaxPauseSamples; past that, a percentile comes from the
+// histogram, which holds every pause. Here the first kMaxPauseSamples
+// pauses are short and the three times as many after them long, so
+// only the histogram puts the median among the long ones.
+TEST(PausePercentileTest, ReadsTheHistogramPastTheSampleCap)
+{
+    constexpr std::uint64_t kShort = 1000, kLong = 1000000;
+    RunResult r;
+    EXPECT_EQ(r.pausePercentileNanos(0.5), 0u) << "no collection";
+    for (std::size_t i = 0; i < GcStats::kMaxPauseSamples; ++i) {
+        r.gc.pauseSamplesNanos.push_back(kShort);
+        r.gc.pauseHistogram.add(kShort);
+    }
+    r.gc.collections = GcStats::kMaxPauseSamples;
+    EXPECT_EQ(r.pausePercentileNanos(0.5), kShort) << "exact below the cap";
+
+    for (std::size_t i = 0; i < 3 * GcStats::kMaxPauseSamples; ++i)
+        r.gc.pauseHistogram.add(kLong);
+    r.gc.collections = 4 * GcStats::kMaxPauseSamples;
+    const std::uint64_t p50 = r.pausePercentileNanos(0.5);
+    EXPECT_GT(p50, kLong);
+    EXPECT_LE(p50, 2 * kLong) << "the bound of the long pauses' bucket";
+    EXPECT_EQ(r.pausePercentileNanos(0.1), r.gc.pauseHistogram.percentileBound(0.1));
+    EXPECT_LE(r.pausePercentileNanos(0.1), 2 * kShort) << "short pauses still rank first";
 }
 
 TEST(ReportTest, TextTableAlignsColumns)
