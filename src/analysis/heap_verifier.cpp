@@ -75,7 +75,7 @@ HeapVerifier::addViolation(VerifierReport &report, InvariantCheck check,
     ++report.violationCount;
     ++report.perCheck[static_cast<std::size_t>(check)];
     ++total_violations_;
-    if (report.violations.size() < config_.maxRecordedViolations)
+    if (report.violations.size() < VerifierReport::kMaxRecordedViolations)
         report.violations.push_back(VerifierViolation{check, std::move(detail)});
 }
 
@@ -309,8 +309,6 @@ HeapVerifier::verify(std::uint64_t epoch)
     }
 
     ++runs_;
-    history_.add(static_cast<double>(epoch),
-                 static_cast<double>(report.violationCount));
     if (!report.clean())
         warn("heap verifier: ", report.summary());
     else

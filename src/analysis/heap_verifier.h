@@ -31,8 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "util/series.h"
-
 namespace lp {
 
 class Heap;
@@ -81,8 +79,6 @@ struct HeapVerifierConfig {
     /** Run the automatic pass after every Nth collection (0 = never). */
     unsigned everyNCollections = 8;
     VerifierMode mode = VerifierMode::FailFast;
-    /** Cap on per-report recorded violation details (LogOnly mode). */
-    std::size_t maxRecordedViolations = 64;
 };
 
 /** One recorded violation. */
@@ -93,6 +89,9 @@ struct VerifierViolation {
 
 /** Structured result of one verification pass. */
 struct VerifierReport {
+    /** Cap on the recorded violation details (LogOnly mode). */
+    static constexpr std::size_t kMaxRecordedViolations = 64;
+
     std::uint64_t epoch = 0;          //!< collection number at the pass
     std::uint64_t objectsScanned = 0;
     std::uint64_t refsScanned = 0;
@@ -172,9 +171,6 @@ class HeapVerifier
     /** Total violations across all passes. */
     std::uint64_t totalViolations() const { return total_violations_; }
 
-    /** (epoch, violation count) series across passes (lp_util). */
-    const Series &violationHistory() const { return history_; }
-
     const HeapVerifierConfig &config() const { return config_; }
 
   private:
@@ -185,7 +181,6 @@ class HeapVerifier
     HeapVerifierConfig config_;
     std::uint64_t runs_ = 0;
     std::uint64_t total_violations_ = 0;
-    Series history_{"verifier violations"};
 };
 
 } // namespace lp

@@ -52,11 +52,18 @@ LeakPruning::beginCollection(std::uint64_t epoch)
         edge_table_.decayMaxStaleUse();
     }
 
+    // The strict finalizer policy turns finalizers off from the first
+    // pruning collection onward (objects reclaimed by a prune might be
+    // live, so running their cleanup could change semantics).
+    TracePolicy policy;
+    policy.runFinalizers =
+        config_.finalizerPolicy == FinalizerPolicy::KeepRunning ||
+        (!machine_.hasPruned() && active_state_ != PruningState::Prune);
+
     // Staleness maintenance (and hence reference tagging) starts with
     // OBSERVE; in INACTIVE the program is behaving as expected and we
     // avoid the analysis entirely (paper Section 3.1). Edge
     // classification only matters once SELECT/PRUNE need candidates.
-    TracePolicy policy;
     if (active_state_ == PruningState::Inactive)
         return policy;
     policy.observe = true;
@@ -227,16 +234,6 @@ LeakPruning::endCollection(const CollectionOutcome &outcome)
         return;
     }
     machine_.advance(outcome.fullness(), selected_.has_value());
-}
-
-bool
-LeakPruning::finalizersEnabled() const
-{
-    // The strict policy turns finalizers off from the first pruning
-    // collection onward (objects reclaimed by a prune might be live,
-    // so running their cleanup could change semantics).
-    return config_.finalizerPolicy == FinalizerPolicy::KeepRunning ||
-           (!machine_.hasPruned() && active_state_ != PruningState::Prune);
 }
 
 void

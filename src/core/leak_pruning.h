@@ -74,7 +74,6 @@ class LeakPruning : public CollectionPlugin
     TracePolicy beginCollection(std::uint64_t epoch) override;
     void afterInUseClosure(Tracer &tracer) override;
     void endCollection(const CollectionOutcome &outcome) override;
-    bool finalizersEnabled() const override;
 
     // --- read-barrier interface ------------------------------------------
 

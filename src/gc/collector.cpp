@@ -46,8 +46,18 @@ Collector::Collector(Heap &heap, const ClassRegistry &registry,
 
 Collector::~Collector() = default;
 
+std::uint64_t
+Collector::retireCaches()
+{
+    TelemetrySpan span(&telemetry_, TracePhase::CacheRetireAll,
+                       /*gc_track=*/true);
+    const std::uint64_t drained = threads_.retireAllocCaches();
+    span.setArgs(static_cast<std::uint32_t>(threads_.mutatorCount()), drained);
+    return drained;
+}
+
 CollectionOutcome
-Collector::collect(bool tick)
+Collector::collect(bool due, bool retry)
 {
     const std::uint64_t req_start = nowNanos();
     threads_.stopTheWorld();
@@ -67,18 +77,20 @@ Collector::collect(bool tick)
     // Fold thread-local allocation caches back into the heap before
     // touching it: the flip requires every chunk lease retired, and
     // the verifier's charge-sum invariant needs exact byte accounting.
-    stage(PauseStage::RetireCaches, [&] {
-        if (world_stopped_hook_)
-            world_stopped_hook_();
-    });
+    CollectionOutcome outcome;
+    stage(PauseStage::RetireCaches,
+          [&] { outcome.drainedBytes = retireCaches(); });
 
-    // The collection's number, its clock decision and its totals are
-    // the tracer's from here on; the plugin learns the number and
-    // answers with the policy its closures run under.
+    // The plugin learns the collection's number and answers with its
+    // policy. The clock ticks if a quantum is due, or on an
+    // out-of-memory retry when the policy ages through retries. The
+    // collection's number, clock decision and totals are the tracer's
+    // from here on.
     ++epoch_;
-    tracer_.beginCollection(epoch_, tick);
     const TracePolicy policy =
         plugin_ ? plugin_->beginCollection(epoch_) : TracePolicy{};
+    outcome.ticked = due || (retry && policy.ageThroughRetries);
+    tracer_.beginCollection(epoch_, outcome.ticked);
 
     // The in-use transitive closure from the roots, claiming in the
     // heap's side mark bitmaps (all clear between collections).
@@ -101,9 +113,8 @@ Collector::collect(bool tick)
     // marks still tell live from dead. By default the paper (and we)
     // keep calling finalizers after pruning starts (Section 2).
     std::uint64_t finalized = 0;
-    const bool finalizers_on = !plugin_ || plugin_->finalizersEnabled();
     stage(PauseStage::FinalizerScan, [&] {
-        if (!finalizers_on || !registry_.anyFinalizers())
+        if (!policy.runFinalizers || !registry_.anyFinalizers())
             return;
         heap_.forEachObject([&](Object *obj) {
             if (heap_.isMarked(obj))
@@ -124,7 +135,6 @@ Collector::collect(bool tick)
     Heap::FlipResult flip;
     stage(PauseStage::EpochFlip, [&] { flip = heap_.flipMarkEpoch(); });
 
-    CollectionOutcome outcome;
     outcome.epoch = epoch_;
     outcome.liveBytes = flip.liveBytes;
     outcome.committedBytes = flip.committedBytes;
@@ -168,7 +178,7 @@ Collector::collect(bool tick)
                         timing(PauseStage::Plugin).end,
                         static_cast<std::uint32_t>(trace.refsPoisoned), 0,
                         true);
-    if (finalizers_on && registry_.anyFinalizers())
+    if (policy.runFinalizers && registry_.anyFinalizers())
         telemetry_.emitSpan(TracePhase::GcFinalizerScan,
                             timing(PauseStage::FinalizerScan).start,
                             timing(PauseStage::FinalizerScan).end,
@@ -183,16 +193,16 @@ Collector::collect(bool tick)
                             timing(PauseStage::Verify).start,
                             timing(PauseStage::Verify).end, 0, 0, true);
 
-    // The pause ends at world-resume, so lastPauseNanos covers
-    // everything mutators actually waited for — including the verifier
-    // and the telemetry spans above.
+    // The pause ends at world-resume, so it covers everything mutators
+    // actually waited for — including the verifier and the telemetry
+    // spans above.
     const std::uint64_t pause_end = nowNanos();
-    stats_.lastPauseNanos = pause_end - pause_start;
-    stats_.totalPauseNanos += stats_.lastPauseNanos;
-    stats_.maxPauseNanos = std::max(stats_.maxPauseNanos, stats_.lastPauseNanos);
-    stats_.pauseHistogram.add(stats_.lastPauseNanos);
+    const std::uint64_t pause = pause_end - pause_start;
+    stats_.totalPauseNanos += pause;
+    stats_.maxPauseNanos = std::max(stats_.maxPauseNanos, pause);
+    stats_.pauseHistogram.add(pause);
     if (stats_.pauseSamplesNanos.size() < GcStats::kMaxPauseSamples)
-        stats_.pauseSamplesNanos.push_back(stats_.lastPauseNanos);
+        stats_.pauseSamplesNanos.push_back(pause);
 
     telemetry_.emitSpan(TracePhase::GcPause, pause_start, pause_end,
                         static_cast<std::uint32_t>(epoch_), flip.liveBytes,

@@ -3,8 +3,9 @@
  * The stop-the-world mark collector: an explicit staged pipeline.
  *
  * One collection runs the fixed PauseStage sequence inside the pause:
- * retire thread caches, run the in-use closure (under the edge rule
- * the plugin publishes), let the plugin run its stale closure and
+ * retire thread caches (the drained bytes go back to the runtime's
+ * allocation clock), run the in-use closure (under the edge rule the
+ * plugin publishes), let the plugin run its stale closure and
  * selection, scan for and run finalizers on dead objects, flip the
  * heap's mark epoch (which reclaims every unmarked block from the side
  * bitmaps and clears the marks), and verify. Nothing is left to sweep
@@ -81,7 +82,6 @@ struct GcStats {
     std::uint64_t objectsFinalized = 0;
     std::uint64_t refsPoisonedTotal = 0;
     std::size_t lastLiveBytes = 0;
-    std::uint64_t lastPauseNanos = 0;
     std::uint64_t maxPauseNanos = 0;
     //! Safepoint-request -> world-stopped latency (mutator stop lag).
     std::uint64_t totalSafepointWaitNanos = 0;
@@ -128,28 +128,26 @@ class Collector
     }
 
     /**
-     * Install a hook run immediately after the world stops, before
-     * any tracing. The runtime uses this to retire every thread-local
-     * allocation cache: all mutators are parked or blocked at that
-     * point, so the central flush sees consistent cursors and the
-     * sweep/verifier run against exact chunk metadata.
-     */
-    void
-    setWorldStoppedHook(std::function<void()> hook)
-    {
-        world_stopped_hook_ = std::move(hook);
-    }
-
-    /**
      * Perform one full-heap collection. The caller must already hold
      * the allocation lock (so no concurrent collection can start).
      *
-     * @param tick whether this collection counts as program time: when
-     *        false, no closure of it ticks the staleness clock, whatever
-     *        the plugin's policy says (see Runtime::collectLocked).
-     * @return the collection outcome (live bytes, fullness, ...).
+     * The staleness clock ticks when @p due (the program allocated a
+     * clock quantum since the last tick), or when @p retry (the
+     * collection runs because an allocation failed outright) and the
+     * plugin's policy ages through retries; see Runtime::collectLocked.
+     *
+     * @return the collection outcome (live bytes, fullness, whether
+     *         the clock ticked, the trigger bytes the caches drained).
      */
-    CollectionOutcome collect(bool tick);
+    CollectionOutcome collect(bool due, bool retry);
+
+    /**
+     * Retire every mutator's chunk leases (world stopped) and return
+     * the trigger bytes drained from them; emits the CacheRetireAll
+     * span. Each collection does this first, so its epoch flip sees
+     * every lease retired and the verifier exact byte accounting.
+     */
+    std::uint64_t retireCaches();
 
     const GcStats &stats() const { return stats_; }
     std::uint64_t epoch() const { return epoch_; }
@@ -162,7 +160,6 @@ class Collector
     Tracer tracer_;
     CollectionPlugin *plugin_ = nullptr;
     Telemetry &telemetry_;
-    std::function<void()> world_stopped_hook_;
     std::function<void(const CollectionOutcome &)> post_collection_hook_;
     GcStats stats_;
     std::uint64_t epoch_ = 0;

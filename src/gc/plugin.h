@@ -7,11 +7,13 @@
  * We model that as a CollectionPlugin. The collector owns each
  * collection: its number, whether it ticks the staleness clock, and
  * its totals. It tells the plugin the number once, at the start, and
- * the plugin answers with the collection's TracePolicy, whose edge
- * rule says which heap edges are traced, deferred to the candidate
- * queue, or poisoned. The tracer applies that rule itself and records
- * its matches; the plugin reads them after the in-use closure. A null
- * plugin yields a plain tracing collector.
+ * the plugin answers with the collection's TracePolicy: whether its
+ * closures observe staleness, the edge rule that says which heap edges
+ * are traced, deferred to the candidate queue, or poisoned, whether
+ * finalizers run, and whether out-of-memory retries age the clock. The
+ * tracer applies that rule itself and records its matches; the plugin
+ * reads them after the in-use closure. A null plugin yields a plain
+ * tracing collector.
  */
 
 #ifndef LP_GC_PLUGIN_H
@@ -65,6 +67,10 @@ struct CollectionOutcome {
     std::size_t capacityBytes = 0;   //!< heap capacity
     std::uint64_t objectsMarked = 0;
     std::uint64_t refsPoisoned = 0;  //!< references poisoned this GC
+    bool ticked = false;             //!< the staleness clock ticked
+    //! Trigger bytes the pause drained from the thread caches, which
+    //! the runtime adds to its allocation clock.
+    std::uint64_t drainedBytes = 0;
 
     /**
      * How full the heap is, from the allocator's point of view. "When
@@ -100,6 +106,25 @@ struct TracePolicy {
     bool recordStubs = false;    //!< keep every stub word a scan passes
     //! The in-use closure's edge rule; without one every edge is traced.
     std::optional<EdgeRule> rule;
+    //! May the sweep run finalizers on dead objects? Leak pruning's
+    //! strict finalizer policy turns them off for the rest of the run
+    //! once pruning has begun (paper Section 2).
+    bool runFinalizers = true;
+    /**
+     * May an out-of-memory retry collection tick the staleness clock,
+     * even though no program code ran since the last one?
+     *
+     * The allocation-driven clock freezes exactly when an exhausted
+     * heap most needs idle objects to age toward the scheme's
+     * threshold; without these ticks a scheme whose candidates were
+     * all recently touched can deadlock into a spurious OOM. But
+     * forced aging also pushes *live* briefly-idle objects past the
+     * threshold, so it is only safe for schemes whose mispredictions
+     * are recoverable (disk offload faults the object back in).
+     * Pruning reclaims irrevocably and must keep the conservative
+     * clock (paper Section 6.1).
+     */
+    bool ageThroughRetries = false;
 };
 
 /**
@@ -113,8 +138,10 @@ class CollectionPlugin
     virtual ~CollectionPlugin() = default;
 
     /**
-     * Start of collection number @p epoch (1-based): return what the
-     * closures should do this collection.
+     * Start of collection number @p epoch (1-based): return the
+     * collection's policy, the plugin's whole answer for it (what the
+     * closures do, whether finalizers run, whether a retry ages the
+     * clock).
      */
     virtual TracePolicy
     beginCollection(std::uint64_t epoch)
@@ -135,13 +162,6 @@ class CollectionPlugin
     virtual void endCollection(const CollectionOutcome &outcome) { (void)outcome; }
 
     /**
-     * May the sweep run finalizers this collection? Leak pruning's
-     * strict finalizer policy turns them off for the rest of the run
-     * once pruning has begun (paper Section 2).
-     */
-    virtual bool finalizersEnabled() const { return true; }
-
-    /**
      * Allocation of @p requested_bytes failed even after collection
      * number @p epoch, the @p rounds_so_far-th for this allocation: the
      * program is at the point where the VM would throw an
@@ -158,22 +178,6 @@ class CollectionPlugin
         (void)rounds_so_far;
         return false;
     }
-
-    /**
-     * May the staleness clock keep ticking through out-of-memory retry
-     * collections, even though no program code runs between them?
-     *
-     * The allocation-driven clock freezes exactly when an exhausted
-     * heap most needs idle objects to age toward the scheme's
-     * threshold; without exhaustion ticks a scheme whose candidates
-     * were all recently touched can deadlock into a spurious OOM.
-     * But forced aging also pushes *live* briefly-idle objects past
-     * the threshold, so it is only safe for schemes whose
-     * mispredictions are recoverable (disk offload faults the object
-     * back in). Pruning reclaims irrevocably and must keep the
-     * conservative clock (paper Section 6.1).
-     */
-    virtual bool agesUnderExhaustion() const { return false; }
 };
 
 } // namespace lp

@@ -169,10 +169,10 @@ runWorkload(const WorkloadInfo &info, const DriverConfig &config)
     result.iterations = iter;
     result.seconds = wall.elapsedSeconds();
     result.gc = rt.gcStats();
-    result.barrier.reads = rt.barrierStats().reads.load();
-    result.barrier.coldPathHits = rt.barrierStats().coldPathHits.load();
-    result.barrier.staleResets = rt.barrierStats().staleResets.load();
-    result.barrier.poisonThrows = rt.barrierStats().poisonThrows.load();
+    const BarrierStats barrier = rt.barrierStats();
+    result.barrier.reads = barrier.reads.load();
+    result.barrier.coldPathHits = barrier.coldPathHits.load();
+    result.barrier.poisonThrows = barrier.poisonThrows.load();
     if (rt.pruning()) {
         result.pruning = rt.pruning()->stats();
         result.pruneLog = rt.telemetry()->audit().records();

@@ -89,7 +89,6 @@ struct DriverConfig {
 struct BarrierCounters {
     std::uint64_t reads = 0;
     std::uint64_t coldPathHits = 0;
-    std::uint64_t staleResets = 0;
     std::uint64_t poisonThrows = 0;
 };
 

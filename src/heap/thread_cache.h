@@ -23,9 +23,10 @@
  *
  * Consistency protocol (see DESIGN.md "Allocation fast path &
  * sweep"): caches are retired *centrally* at stop-the-world points —
- * the collector's world-stopped hook calls
+ * the collector's first pause stage (Collector::retireCaches) calls
  * ThreadRegistry::retireAllocCaches() while every owner is parked or
- * blocked, folding carved-block counts back into chunk metadata — and by their owner when it unregisters. Publication is by
+ * blocked, folding carved-block counts back into chunk metadata — and
+ * by their owner when it unregisters. Publication is by
  * happens-before through the registry mutex (owner parks, then the
  * collector stops the world), so no per-field synchronization is
  * needed. After the pause each owner finds its leases gone and refills

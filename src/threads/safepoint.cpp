@@ -21,7 +21,7 @@ std::atomic<std::uint64_t> next_registry_id{1};
 using Counter = std::atomic<std::uint64_t> BarrierStats::*;
 constexpr Counter kBarrierCounters[] = {
     &BarrierStats::reads, &BarrierStats::coldPathHits,
-    &BarrierStats::staleResets, &BarrierStats::poisonThrows};
+    &BarrierStats::poisonThrows};
 
 /** Add @p from's counts into @p into; the caller holds the registry mutex. */
 void
@@ -229,7 +229,6 @@ ThreadRegistry::barrierTotals() const
     };
     return BarrierStats{{total(&BarrierStats::reads)},
                         {total(&BarrierStats::coldPathHits)},
-                        {total(&BarrierStats::staleResets)},
                         {total(&BarrierStats::poisonThrows)}};
 }
 

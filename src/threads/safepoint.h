@@ -55,7 +55,6 @@ namespace lp {
 struct BarrierStats {
     std::atomic<std::uint64_t> reads{0};        //!< reference loads executed
     std::atomic<std::uint64_t> coldPathHits{0}; //!< tag-bit test fired
-    std::atomic<std::uint64_t> staleResets{0};  //!< stale counters zeroed
     std::atomic<std::uint64_t> poisonThrows{0}; //!< InternalErrors thrown
 };
 

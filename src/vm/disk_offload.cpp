@@ -28,7 +28,13 @@ DiskOffload::beginCollection(std::uint64_t epoch)
     // the end of the previous one.
     offloading_this_gc_ = offload_pending_;
 
+    // Offload mispredictions are recoverable (the object faults back
+    // in from disk), so the clock may age recently-reset objects
+    // through OOM retry collections: required for progress when the
+    // program re-reads the whole heap (resetting every counter) just
+    // before exhaustion.
     TracePolicy policy;
+    policy.ageThroughRetries = true;
     if (!observing_)
         return policy;
     policy.observe = true;

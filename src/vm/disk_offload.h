@@ -92,14 +92,6 @@ class DiskOffload : public CollectionPlugin
     bool memoryExhausted(std::size_t requested_bytes, std::uint64_t epoch,
                          unsigned rounds_so_far) override;
 
-    /**
-     * Offload mispredictions are recoverable (the object faults back
-     * in from disk), so the clock may age recently-reset objects
-     * through OOM retry collections — required for progress when the
-     * program re-reads the whole heap (resetting every counter) just
-     * before exhaustion.
-     */
-    bool agesUnderExhaustion() const override { return true; }
 
     // --- read-barrier interface ---------------------------------------------
 

@@ -76,12 +76,6 @@ Runtime::Runtime(const RuntimeConfig &config)
         if (verifier_->due(outcome.epoch))
             verifier_->verify(outcome.epoch);
     });
-    // As soon as the world stops (mutators parked/blocked), fold every
-    // thread's allocation cache back into the heap: the sweep needs
-    // all leases retired and the verifier's charge-sum invariant needs
-    // exact counters. Drained trigger bytes keep feeding the staleness
-    // clock so allocation done purely on the fast path still ages it.
-    collector_->setWorldStoppedHook([this] { retireAllocCaches(); });
 
     threads_.registerMutator(); // the constructing thread is a mutator
 }
@@ -96,7 +90,10 @@ Runtime::collectNow()
 {
     AllocLock lock(alloc_mutex_, threads_);
     bytes_since_gc_ = 0;
-    return collector_->collect(/*tick=*/true);
+    const CollectionOutcome outcome =
+        collector_->collect(/*due=*/true, /*retry=*/false);
+    bytes_since_clock_tick_ += outcome.drainedBytes;
+    return outcome;
 }
 
 VerifierReport
@@ -107,15 +104,16 @@ Runtime::verifyHeap()
     AllocLock lock(alloc_mutex_, threads_);
     threads_.stopTheWorld();
     // Same flush the collector does: the charge-sum invariant is only
-    // exact with every thread's chunk leases retired.
-    retireAllocCaches();
+    // exact with every thread's chunk leases retired. The drained bytes
+    // still age the staleness clock.
+    bytes_since_clock_tick_ += collector_->retireCaches();
     VerifierReport report = verifier_->verify(collector_->epoch());
     threads_.resumeTheWorld();
     return report;
 }
 
 void
-Runtime::collectLocked(bool exhausted)
+Runtime::collectLocked(bool retry)
 {
     // The staleness clock approximates *program* time between uses of
     // an object, measured in full-heap collections. In the paper's
@@ -123,27 +121,26 @@ Runtime::collectLocked(bool exhausted)
     // events; here every collection is full-heap and several can land
     // within one allocation call (budget trigger plus out-of-memory
     // retries), which would age every briefly-idle live structure
-    // straight past the candidate threshold. So the clock ticks only
-    // when the program has allocated a quantum since the last tick —
-    // EXCEPT at memory exhaustion, for schemes that opt in. A
-    // collection run because an allocation failed can only make
-    // progress if idle objects keep aging toward the tolerance
-    // scheme's threshold; gating those ticks on allocation progress
+    // straight past the candidate threshold. So a tick is due only
+    // when the program has allocated a quantum since the last tick.
+    // The collector ticks when one is due, and also on an
+    // out-of-memory retry of a scheme whose policy ages through
+    // retries (TracePolicy::ageThroughRetries): such a collection can
+    // only make progress if idle objects keep aging toward the
+    // scheme's threshold, and gating its ticks on allocation progress
     // deadlocks (no allocation succeeds until something is reclaimed,
-    // nothing is reclaimed until the clock advances). Whether forced
-    // aging is safe depends on the scheme — see
-    // CollectionPlugin::agesUnderExhaustion.
+    // nothing is reclaimed until the clock advances).
     const std::size_t pre_pause_clock_bytes = bytes_since_clock_tick_;
-    const bool tick = exhausted || pre_pause_clock_bytes >= kClockQuantumBytes;
-    collector_->collect(tick);
-    if (tick) {
-        // Consume only what was on the clock when the tick was decided:
-        // the world-stopped hook folds other threads' cache-local
-        // allocation bytes in *during* the pause, and zeroing those too
-        // would silently slow the clock (objects would stop aging and
-        // the tolerance schemes would stall before memory runs out).
+    const CollectionOutcome outcome = collector_->collect(
+        /*due=*/pre_pause_clock_bytes >= kClockQuantumBytes, retry);
+    // The pause drained other threads' cache-local allocation bytes.
+    // A tick consumes only what was on the clock before the pause:
+    // consuming those too would silently slow the clock (objects would
+    // stop aging and the tolerance schemes would stall before memory
+    // runs out).
+    bytes_since_clock_tick_ += outcome.drainedBytes;
+    if (outcome.ticked)
         bytes_since_clock_tick_ -= pre_pause_clock_bytes;
-    }
     bytes_since_gc_ = 0;
 
     // Schedule the next collection at half the remaining headroom:
@@ -160,16 +157,6 @@ Runtime::collectLocked(bool exhausted)
             static_cast<std::size_t>(config_.gcTriggerFraction *
                                      static_cast<double>(heap_.capacity())));
     }
-}
-
-void
-Runtime::retireAllocCaches()
-{
-    TelemetrySpan span(&telemetry_, TracePhase::CacheRetireAll,
-                       /*gc_track=*/true);
-    const std::uint64_t drained = threads_.retireAllocCaches();
-    bytes_since_clock_tick_ += drained;
-    span.setArgs(static_cast<std::uint32_t>(threads_.mutatorCount()), drained);
 }
 
 void
@@ -219,10 +206,8 @@ Runtime::allocateSlow(std::size_t bytes, ThreadAllocCache *cache)
     // whether another collection can still help (a selection pending,
     // a prune that just made progress); without pruning a single
     // collection is all the help there is.
-    for (unsigned round = 0; round < config_.maxGcRoundsPerAllocation;
-         ++round) {
-        collectLocked(/*exhausted=*/tolerance_plugin_ &&
-                      tolerance_plugin_->agesUnderExhaustion());
+    for (unsigned round = 0; round < kMaxGcRoundsPerAllocation; ++round) {
+        collectLocked(/*retry=*/true);
         mem = try_alloc();
         if (mem) {
             noteAllocated(bytes, cache);
@@ -352,7 +337,6 @@ Runtime::readBarrierColdPath(Object *src, const ClassInfo &src_cls,
 
     if (stale != 0)
         tgt->clearStaleCounter();
-    countOwned(counts.staleResets);
     return tgt;
 }
 

@@ -100,8 +100,6 @@ struct RuntimeConfig {
     ToleranceMode tolerance = ToleranceMode::LeakPruning;
     LeakPruningConfig pruning;
     DiskOffloadConfig offload;
-    /** Collections to attempt for one allocation before giving up. */
-    unsigned maxGcRoundsPerAllocation = 64;
     /**
      * Trigger a collection once allocation since the last one exceeds
      * this fraction of the heap, instead of waiting for exhaustion.
@@ -278,7 +276,7 @@ class Runtime
      */
     VerifierReport verifyHeap();
 
-    /** The verifier instance (pass history, run counts). */
+    /** The verifier instance (run and violation counts). */
     const HeapVerifier &heapVerifier() const { return *verifier_; }
 
     // --- introspection ---------------------------------------------------------
@@ -343,22 +341,19 @@ class Runtime
   private:
     /** Allocation quantum between staleness-clock ticks. */
     static constexpr std::size_t kClockQuantumBytes = 64 * 1024;
+    /** Collections to attempt for one allocation before giving up. */
+    static constexpr unsigned kMaxGcRoundsPerAllocation = 64;
 
     Object *allocateRaw(class_id_t cls, std::size_t bytes);
     void *allocateSlow(std::size_t bytes, ThreadAllocCache *cache);
     void noteAllocated(std::size_t bytes, ThreadAllocCache *cache);
     /**
-     * Retire every mutator's chunk leases (world stopped) and feed
-     * the drained bytes to the staleness clock; emits the
-     * CacheRetireAll span.
+     * Run one collection under the allocation lock and fold the bytes
+     * it drained into the staleness clock. @p retry marks a collection
+     * run because an allocation failed outright (see the definition
+     * for when the clock ticks).
      */
-    void retireAllocCaches();
-    /**
-     * Run one collection under the allocation lock. @p exhausted marks
-     * a collection run because an allocation failed outright; those
-     * always tick the staleness clock (see the definition).
-     */
-    void collectLocked(bool exhausted = false);
+    void collectLocked(bool retry = false);
 
     /**
      * The barrier's path for a tagged slot. @p counts is the calling

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for GC internals: the TracePolicy seam (the tracer keeps each
- * record exactly when the policy asks), the stale closure leak pruning
- * runs in its SELECT state, an oracle that checks both closures
- * against a plain recursive walk of a seeded random graph, a check
- * that leak pruning decides the same on that graph whatever order the
- * roots are traced in, and a check of the edge rule leak pruning
- * publishes against the paper's condition.
+ * record exactly when the policy asks, and an out-of-memory retry
+ * ticks the staleness clock only when the policy ages through
+ * retries), the stale closure leak pruning runs in its SELECT state,
+ * an oracle that checks both closures against a plain recursive walk
+ * of a seeded random graph, a check that leak pruning decides the
+ * same on that graph whatever order the roots are traced in, and a
+ * check of the edge rule leak pruning publishes against the paper's
+ * condition.
  */
 
 #include <gtest/gtest.h>
@@ -158,6 +160,78 @@ TEST_F(TracePolicyTest, StalenessClockFollowsPolicy)
     rt->collectNow();
     rt->heap().forEachObject(
         [&](Object *obj) { EXPECT_EQ(obj->staleCounter(), 1u); });
+}
+
+/**
+ * Observes, keeps answering that another collection can help, and
+ * records a watched object's stale counter after every collection an
+ * allocation ran.
+ */
+class ExhaustedPlugin : public CountingPlugin
+{
+  public:
+    Object *watched = nullptr;
+    std::vector<unsigned> counters;
+
+    bool
+    memoryExhausted(std::size_t, std::uint64_t, unsigned) override
+    {
+        counters.push_back(watched->staleCounter());
+        return true;
+    }
+};
+
+/**
+ * Ask a runtime for more than its whole heap, so the allocation
+ * retries until the runtime gives up, under a plugin that observes and
+ * whose policy ages through retries iff @p ages. The run starts with
+ * one clock quantum due and allocates nothing after the first retry,
+ * so only that one is due a tick. Returns the stale counter of a
+ * rooted object after each retry. The object has no edges: the heap
+ * verifier's automatic pass rejects tagged references in a runtime
+ * without a tolerance scheme of its own.
+ */
+std::vector<unsigned>
+counterAcrossRetries(bool ages)
+{
+    RuntimeConfig cfg;
+    cfg.heapBytes = 8u << 20;
+    cfg.enableLeakPruning = false; // we install our own plugin
+    cfg.barrierMode = BarrierMode::None;
+    cfg.gcTriggerFraction = 0;
+    Runtime rt(cfg);
+    HandleScope scope(rt.roots());
+    ExhaustedPlugin plugin;
+    plugin.policy.observe = true;
+    plugin.policy.ageThroughRetries = ages;
+    plugin.watched =
+        scope.handle(rt.allocate(rt.defineClass("rc.Node", 1, 0))).get();
+    rt.installPluginForTesting(&plugin);
+    const class_id_t bytes = rt.defineByteArrayClass("rc.Bytes");
+    EXPECT_THROW(rt.allocateByteArray(bytes, 2 * rt.heap().capacity()),
+                 OutOfMemoryError);
+    return plugin.counters;
+}
+
+TEST(RetryClockTest, RetriesAgeTheClockWhenThePolicySaysSo)
+{
+    const std::vector<unsigned> counters = counterAcrossRetries(true);
+    ASSERT_EQ(counters.size(), 64u) << "the runtime's whole retry budget";
+    EXPECT_EQ(counters.front(), 1u);
+    // Collections 1..64 all tick: counter k rises at collections that
+    // 2^k divides, up to the 3-bit cap 7 at collection 64.
+    EXPECT_EQ(counters[1], 2u);
+    EXPECT_EQ(counters[3], 3u);
+    EXPECT_EQ(counters.back(), 7u);
+}
+
+TEST(RetryClockTest, RetriesWithoutAQuantumDoNotAgeTheClock)
+{
+    const std::vector<unsigned> counters = counterAcrossRetries(false);
+    ASSERT_EQ(counters.size(), 64u) << "the runtime's whole retry budget";
+    // Only the first retry had a quantum on the clock.
+    for (const unsigned counter : counters)
+        EXPECT_EQ(counter, 1u);
 }
 
 // --- The stale closure ----------------------------------------------------------

@@ -11,6 +11,8 @@ checks the structural properties the telemetry subsystem promises:
   - a named GC track exists (tid 0) and carries the stop-the-world
     phase spans (gc.pause, gc.mark, gc.sweep) for at least one
     collection, with each phase nested inside its pause;
+  - every gc.pause holds exactly one cache.retire_all span: the
+    collector retires the thread caches once, first, in each pause;
   - at least --min-mutators named mutator tracks emitted events of
     their own (the multi-threaded trace criterion);
   - with --require-prune, at least one prune.decision instant is on
@@ -24,12 +26,14 @@ CI on a trace from `run_leak --trace` (see ctest -R trace_).
 """
 
 import argparse
+import bisect
 import json
 import sys
 from collections import defaultdict
 
 GC_TID = 0
 GC_PHASES = {"gc.pause", "gc.mark", "gc.sweep"}
+CACHE_RETIRE = "cache.retire_all"
 
 
 def fail(msg: str) -> None:
@@ -91,7 +95,7 @@ def main() -> None:
         if ph == "X":
             if not isinstance(ev.get("dur"), (int, float)):
                 fail(f"span {i} ({name}) has no numeric dur")
-            if tid == GC_TID and name in GC_PHASES:
+            if tid == GC_TID and (name in GC_PHASES or name == CACHE_RETIRE):
                 gc_spans[name].append((ev["ts"], ev["ts"] + ev["dur"]))
         else:
             if ev.get("s") != "t":
@@ -108,12 +112,26 @@ def main() -> None:
     # Each mark/sweep span must fall inside some pause span: phases are
     # sub-intervals of the stop-the-world they belong to. ts/dur carry
     # 0.1 us resolution, so endpoint sums can disagree by up to 0.2 us.
+    def inside(span, pause):
+        return pause[0] <= span[0] and span[1] <= pause[1] + 0.3
+
     pauses = sorted(gc_spans["gc.pause"])
     for phase in ("gc.mark", "gc.sweep"):
-        for (start, end) in gc_spans[phase]:
-            if not any(ps <= start and end <= pe + 0.3
-                       for (ps, pe) in pauses):
-                fail(f"{phase} span [{start}, {end}] outside every gc.pause")
+        for span in gc_spans[phase]:
+            if not any(inside(span, pause) for pause in pauses):
+                fail(f"{phase} span [{span[0]}, {span[1]}] outside every "
+                     f"gc.pause")
+    # Runtime::verifyHeap also retires the caches, in a pause of its
+    # own that is no collection, so only the count per gc.pause holds.
+    retires = sorted(gc_spans[CACHE_RETIRE])
+    retire_starts = [start for (start, _) in retires]
+    for pause in pauses:
+        first = bisect.bisect_left(retire_starts, pause[0])
+        last = bisect.bisect_right(retire_starts, pause[1] + 0.3)
+        held = sum(1 for span in retires[first:last] if inside(span, pause))
+        if held != 1:
+            fail(f"gc.pause [{pause[0]}, {pause[1]}] holds {held} "
+                 f"{CACHE_RETIRE} span(s), not 1")
 
     mutator_tids = [tid for tid, n in events_per_tid.items()
                     if tid != GC_TID and n > 0]
